@@ -8,14 +8,12 @@ all over exact rationals.
 """
 
 from .exact_linalg import (
-    IntegerMatrix,
     RationalMatrix,
     determinant,
     exp_nilpotent,
     invert,
     nullspace_basis,
     rank,
-    smith_normal_form,
     solve,
 )
 from .free_lie import (

@@ -29,6 +29,12 @@ from .free_lie import LieElement, dynkin, expand_to_tensor, hall_basis, witt_dim
 __all__ = ["main", "run"]
 
 
+def _check_label_rank(rank: int) -> None:
+    # word labels spell one digit per generator, so they are unique up to rank 9
+    if rank > 9:
+        raise ValueError(f"rank {rank} is above 9: words are written one digit per generator")
+
+
 def _parse_coords(basis, text: str) -> "nilgroup.MalcevElement":
     coords = {}
     text = text.strip()
@@ -36,6 +42,8 @@ def _parse_coords(basis, text: str) -> "nilgroup.MalcevElement":
         for item in text.split(","):
             word_part, _, value_part = item.partition(":")
             word = tuple(int(ch) for ch in word_part.strip())
+            if word in coords:
+                raise ValueError(f"word {word_part.strip()} is given more than once")
             coords[word] = Fraction(value_part.strip() or "1")
     return nilgroup.malcev_element(basis, coords)
 
@@ -65,6 +73,7 @@ def _cmd_witt(args, cache):
 
 def _cmd_hall(args, cache):
     params = {"rank": args.rank, "cls": args.cls}
+    _check_label_rank(args.rank)
     basis = hall_basis(args.rank, args.cls)
     words = [basis.label(w) for w in basis.elements]
     sizes = [len(basis.elements_of_degree(n)) for n in range(1, args.cls + 1)]
@@ -78,6 +87,7 @@ def _cmd_hall(args, cache):
 
 def _cmd_bch(args, cache):
     params = {"rank": args.rank, "cls": args.cls, "u": args.u, "v": args.v}
+    _check_label_rank(args.rank)
     basis = hall_basis(args.rank, args.cls)
     product = nilgroup.multiply(_parse_coords(basis, args.u), _parse_coords(basis, args.v))
     return [(params, {"coords": _coords_payload(product)})]
@@ -92,6 +102,7 @@ def _cmd_lcs_ranks(args, cache):
 
 def _cmd_center(args, cache):
     params = {"rank": args.rank, "cls": args.cls}
+    _check_label_rank(args.rank)
     basis = hall_basis(args.rank, args.cls)
     vectors = nilgroup.center_basis(args.rank, args.cls)
     degree_c = set(basis.elements_of_degree(args.cls))
@@ -104,11 +115,14 @@ def _cmd_center(args, cache):
     return [(params, result)]
 
 
-def _betti_payload(target: str, r: int, c: int, degree) -> dict:
+def _algebra(target: str, r: int, c: int) -> "lie_homology.GradedLieAlgebra":
     if target == "ia":
-        g = aut.ia_lie_algebra(r, c)
-    else:
-        g = lie_homology.free_nilpotent_lie(r, c)
+        return aut.ia_lie_algebra(r, c)
+    return lie_homology.free_nilpotent_lie(r, c)
+
+
+def _betti_payload(target: str, r: int, c: int, degree) -> dict:
+    g = _algebra(target, r, c)
     if degree is None:
         return {"betti": lie_homology.betti_numbers(g)}
     return {"degree": degree, "betti": lie_homology.betti_number(g, degree)}
@@ -127,10 +141,7 @@ def _cmd_weighted_betti(args, cache):
     params = {"target": args.target, "rank": args.rank, "cls": args.cls, "degree": args.degree}
     cached = cache.get("weighted-betti", params)
     if cached is None:
-        if args.target == "ia":
-            g = aut.ia_lie_algebra(args.rank, args.cls)
-        else:
-            g = lie_homology.free_nilpotent_lie(args.rank, args.cls)
+        g = _algebra(args.target, args.rank, args.cls)
         weights = lie_homology.weighted_betti(g, args.degree)
         cached = {"degree": args.degree, "weights": _weights_payload(weights)}
         cache.put("weighted-betti", params, cached)

@@ -1,16 +1,17 @@
-"""Exact sparse linear algebra over the rationals and the integers.
+"""Exact sparse linear algebra over the rationals.
 
-Ranks, nullspaces, linear solves and Smith normal forms, all in exact
+Ranks, nullspaces, linear solves, determinants and inverses, all in exact
 arbitrary-precision arithmetic.  There is deliberately no floating point
 on any code path here: every downstream quantity (homology ranks, weight
 multiplicities, group-law coefficients) must come out as an exact integer
 or rational.
 
-Elimination is fraction-free in the Bareiss style: rows are cleared to
-integers, and each elimination step divides by the previous pivot, which
-is exact by Sylvester's determinant identity.  Pivots are chosen by a
-Markowitz minimum-fill score with a deterministic (row, column) tie-break,
-so results are reproducible byte for byte.
+All of them run one elimination kernel, fraction-free in the Bareiss
+style: rows are cleared to integers, and each elimination step divides
+by the previous pivot, which is exact by Sylvester's determinant
+identity.  Pivots are chosen by a Markowitz minimum-fill score with a
+deterministic (row, column) tie-break, so results are reproducible byte
+for byte.
 
 All values are immutable after construction and all operations are pure
 functions; everything in this module is safe to use concurrently.
@@ -24,11 +25,9 @@ from typing import Mapping, Sequence
 
 __all__ = [
     "RationalMatrix",
-    "IntegerMatrix",
     "rank",
     "nullspace_basis",
     "solve",
-    "smith_normal_form",
     "row_space_basis",
     "determinant",
     "invert",
@@ -195,14 +194,6 @@ class RationalMatrix:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def entry_list(self) -> list[tuple[int, int, str]]:
-        """Entries as (row, col, value) triples in deterministic (row, col) order."""
-        return [(i, j, str(q)) for (i, j), q in sorted(self.entries.items())]
-
-    @classmethod
-    def from_entry_list(cls, rows: int, cols: int, triples) -> "RationalMatrix":
-        return cls(rows, cols, {(i, j): Fraction(v) for i, j, v in triples})
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalMatrix):
             return NotImplemented
@@ -219,95 +210,22 @@ class RationalMatrix:
         return f"RationalMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
 
 
-class IntegerMatrix:
-    """Immutable sparse matrix with arbitrary-precision integer entries."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries=()) -> None:
-        if rows < 0 or cols < 0:
-            raise ValueError("matrix dimensions must be non-negative")
-        data: dict[tuple[int, int], int] = {}
-        items = entries.items() if isinstance(entries, Mapping) else entries
-        for (i, j), value in items:
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise ValueError(f"entry ({i}, {j}) outside a {rows}x{cols} matrix")
-            if not isinstance(value, int):
-                raise TypeError("IntegerMatrix entries must be int")
-            v = data.get((i, j), 0) + value
-            if v:
-                data[(i, j)] = v
-            else:
-                data.pop((i, j), None)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", data)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("IntegerMatrix is immutable")
-
-    @classmethod
-    def from_rows(cls, rows_data: Sequence[Sequence[int]]) -> "IntegerMatrix":
-        nrows = len(rows_data)
-        ncols = len(rows_data[0]) if nrows else 0
-        entries = {}
-        for i, row in enumerate(rows_data):
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            for j, value in enumerate(row):
-                if value:
-                    entries[(i, j)] = value
-        return cls(nrows, ncols, entries)
-
-    def to_rows(self) -> list[list[int]]:
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            out[i][j] = v
-        return out
-
-    def to_rational(self) -> RationalMatrix:
-        return RationalMatrix(self.rows, self.cols, self.entries)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, IntegerMatrix):
-            return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, frozenset(self.entries.items())))
-
-    def __repr__(self) -> str:
-        return f"IntegerMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
-
-
 # ---------------------------------------------------------------------------
 # fraction-free elimination engine
 
 
-def _integer_rows(m: RationalMatrix, rhs: Sequence[Fraction] | None = None) -> list[dict[int, int]]:
+def _integer_rows(m: RationalMatrix) -> list[dict[int, int]]:
     """Clear denominators row by row.
 
-    A right-hand side, when given, is attached to each row under the
-    sentinel column index ``m.cols`` and transforms with the row.
     Row scaling changes neither rank, nullspace nor solution sets.
     """
     rows: list[dict[int, Fraction]] = [dict() for _ in range(m.rows)]
     for (i, j), q in m.entries.items():
         rows[i][j] = q
     out: list[dict[int, int]] = []
-    for i, row in enumerate(rows):
-        values = list(row.values())
-        if rhs is not None and rhs[i]:
-            values.append(rhs[i])
-        mult = lcm(*(v.denominator for v in values)) if values else 1
-        scaled = {j: int(v * mult) for j, v in row.items()}
-        if rhs is not None and rhs[i]:
-            scaled[m.cols] = int(rhs[i] * mult)
-        out.append(scaled)
+    for row in rows:
+        mult = lcm(*(v.denominator for v in row.values())) if row else 1
+        out.append({j: int(v * mult) for j, v in row.items()})
     return out
 
 
@@ -379,6 +297,32 @@ def _bareiss(rows: list[dict[int, int]], ncols: int) -> list[tuple[int, int]]:
     return pivots
 
 
+def _back_substitute(
+    rows: list[dict[int, int]],
+    pivots: list[tuple[int, int]],
+    x: dict[int, Fraction],
+    rhs_col: int | None = None,
+) -> dict[int, Fraction]:
+    """Solve the echelon pivot rows for their pivot columns, in place.
+
+    ``x`` holds the values of free columns on entry (absent means zero);
+    each pivot row is then solved for its pivot column, last pivot first.
+    The right-hand side is the ride-along column ``rhs_col``, or zero
+    when it is None.  Ride-along and unsolved pivot columns have no key
+    in ``x``, so they drop out of each row's sum.
+    """
+    for ri, ci in reversed(pivots):
+        row = rows[ri]
+        s = Fraction(row.get(rhs_col, 0))
+        for c, v in row.items():
+            xc = x.get(c)
+            if xc:
+                s -= v * xc
+        if s:
+            x[ci] = s / row[ci]
+    return x
+
+
 def rank(m: RationalMatrix) -> int:
     """Rank over the rationals by fraction-free elimination."""
     rows = _integer_rows(m)
@@ -399,18 +343,7 @@ def nullspace_basis(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
     for free in range(m.cols):
         if free in pivot_cols:
             continue
-        x: dict[int, Fraction] = {free: Fraction(1)}
-        for ri, ci in reversed(pivots):
-            row = rows[ri]
-            s = Fraction(0)
-            for c, v in row.items():
-                if c == ci:
-                    continue
-                xc = x.get(c)
-                if xc is not None:
-                    s += v * xc
-            if s:
-                x[ci] = -s / row[ci]
+        x = _back_substitute(rows, pivots, {free: Fraction(1)})
         basis.append(tuple(x.get(c, Fraction(0)) for c in range(m.cols)))
     return basis
 
@@ -423,24 +356,14 @@ def solve(m: RationalMatrix, b: Sequence) -> tuple[Fraction, ...] | None:
     """
     if len(b) != m.rows:
         raise ValueError(f"right-hand side has length {len(b)}, expected {m.rows}")
-    rhs = [_as_fraction(v) for v in b]
-    rows = _integer_rows(m, rhs)
+    rhs = RationalMatrix(m.rows, 1, {(i, 0): v for i, v in enumerate(b)})
+    rows = _integer_rows(RationalMatrix.hstack([m, rhs]))
     pivots = _bareiss(rows, m.cols)
     pivot_row_set = {i for i, _ in pivots}
     for i in range(m.rows):
         if i not in pivot_row_set and rows[i].get(m.cols):
             return None
-    x: dict[int, Fraction] = {}
-    for ri, ci in reversed(pivots):
-        row = rows[ri]
-        s = Fraction(row.get(m.cols, 0))
-        for c, v in row.items():
-            if c == ci or c >= m.cols:
-                continue
-            xc = x.get(c)
-            if xc is not None:
-                s -= v * xc
-        x[ci] = s / row[ci]
+    x = _back_substitute(rows, pivots, {}, m.cols)
     return tuple(x.get(c, Fraction(0)) for c in range(m.cols))
 
 
@@ -454,59 +377,53 @@ def row_space_basis(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
 
 
 def determinant(m: RationalMatrix) -> Fraction:
+    """Exact determinant; 1 for the empty matrix.
+
+    After full-rank elimination the last pivot is the determinant of the
+    cleared matrix with rows and columns taken in pivot order, so it is
+    corrected by the sign of the row-to-column pivot permutation and by
+    the row multipliers used to clear denominators.
+    """
     if m.rows != m.cols:
         raise ValueError("determinant needs a square matrix")
-    a = m.to_rows()
     n = m.rows
-    det = Fraction(1)
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if a[i][col]:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for i in range(col + 1, n):
-            if a[i][col]:
-                f = a[i][col] * inv
-                for j in range(col, n):
-                    a[i][j] -= f * a[col][j]
-    return det
+    rows = _integer_rows(m)
+    # clearing multiplied each nonzero row by the ratio of any one of its
+    # cleared entries to the original entry
+    scale = Fraction(1)
+    for i, row in enumerate(rows):
+        if row:
+            j, v = next(iter(row.items()))
+            scale *= v / m.entries[i, j]
+    pivots = _bareiss(rows, n)
+    if len(pivots) < n:
+        return Fraction(0)
+    col_of = [0] * n
+    for ri, ci in pivots:
+        col_of[ri] = ci
+    inversions = sum(a > b for k, a in enumerate(col_of) for b in col_of[k + 1 :])
+    last = rows[pivots[-1][0]][pivots[-1][1]] if pivots else 1
+    return (-last if inversions % 2 else last) / scale
 
 
 def invert(m: RationalMatrix) -> RationalMatrix:
-    """Exact inverse; raises ValueError on singular input."""
+    """Exact inverse; raises ValueError on singular input.
+
+    [m | I] is eliminated once, the identity riding along in columns
+    n..2n-1; column j of the inverse is then back-substituted against
+    ride-along column n + j.
+    """
     if m.rows != m.cols:
         raise ValueError("only square matrices can be inverted")
     n = m.rows
-    a = m.to_rows()
-    aug = [row + [Fraction(1) if i == j else Fraction(0) for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if aug[i][col]:
-                piv = i
-                break
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[col])]
+    rows = _integer_rows(RationalMatrix.hstack([m, RationalMatrix.identity(n)]))
+    pivots = _bareiss(rows, n)
+    if len(pivots) < n:
+        raise ValueError("matrix is singular")
     entries = {}
-    for i in range(n):
-        for j in range(n):
-            if aug[i][n + j]:
-                entries[(i, j)] = aug[i][n + j]
+    for j in range(n):
+        for i, q in _back_substitute(rows, pivots, {}, n + j).items():
+            entries[(i, j)] = q
     return RationalMatrix(n, n, entries)
 
 
@@ -528,63 +445,3 @@ def exp_nilpotent(m: RationalMatrix) -> RationalMatrix:
         if k > m.rows:
             raise ValueError("matrix is not nilpotent")
         acc = acc + term
-
-
-def smith_normal_form(m: IntegerMatrix) -> list[int]:
-    """Elementary divisors d_1 | d_2 | ... of an integer matrix.
-
-    Returns min(rows, cols) non-negative integers, zero-padded, so the
-    identity gives all ones and the zero matrix gives all zeros.  Plain
-    row/column reduction with divisor-correction passes; no randomness.
-    """
-    a = m.to_rows()
-    nrows, ncols = m.rows, m.cols
-    n = min(nrows, ncols)
-    t = 0
-    while t < n:
-        piv = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                v = a[i][j]
-                if v and (piv is None or abs(v) < abs(a[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
-            break
-        pi, pj = piv
-        if pi != t:
-            a[t], a[pi] = a[pi], a[t]
-        if pj != t:
-            for row in a:
-                row[t], row[pj] = row[pj], row[t]
-        while True:
-            for i in range(t + 1, nrows):
-                while a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    if q:
-                        for j in range(t, ncols):
-                            a[i][j] -= q * a[t][j]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-            for j in range(t + 1, ncols):
-                while a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    if q:
-                        for i in range(t, nrows):
-                            a[i][j] -= q * a[i][t]
-                    if a[t][j]:
-                        for i in range(t, nrows):
-                            a[i][t], a[i][j] = a[i][j], a[i][t]
-            if any(a[i][t] for i in range(t + 1, nrows)):
-                continue
-            pivot = a[t][t]
-            offender = None
-            for i in range(t + 1, nrows):
-                if any(a[i][j] % pivot for j in range(t + 1, ncols)):
-                    offender = i
-                    break
-            if offender is None:
-                break
-            for j in range(t, ncols):
-                a[t][j] += a[offender][j]
-        t += 1
-    return [abs(a[k][k]) for k in range(t)] + [0] * (n - t)

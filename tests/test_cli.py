@@ -59,6 +59,31 @@ def test_bch_record(monkeypatch):
     assert records[0]["result"]["coords"] == [["1", "1"], ["2", "1"], ["12", "1/2"]]
 
 
+def test_bch_rejects_repeated_word(monkeypatch, capsys):
+    code, out = run_cli(
+        ["bch", "-r", "2", "-c", "2", "--u", "1:1,1:2", "--v", "2:1", "--no-cache"],
+        monkeypatch,
+    )
+    assert code == 1
+    assert out == ""
+    assert "word 1 is given more than once" in capsys.readouterr().err
+
+
+def test_word_label_commands_reject_rank_ten(monkeypatch, capsys):
+    for argv in (
+        ["hall", "-r", "10", "-c", "2"],
+        ["bch", "-r", "10", "-c", "2", "--u", "1:1", "--v", "2:1"],
+        ["center", "-r", "10", "-c", "2"],
+    ):
+        code, out = run_cli(argv + ["--format", "csv", "--no-cache"], monkeypatch)
+        assert code == 1
+        assert out == ""
+        assert "above 9" in capsys.readouterr().err
+    code, out = run_cli(["hall", "-r", "9", "-c", "1", "--format", "csv", "--no-cache"], monkeypatch)
+    assert code == 0
+    assert out.splitlines()[1:] == [f"9,1,1,{k}" for k in range(1, 10)]
+
+
 def test_usage_errors(monkeypatch):
     code, _ = run_cli(["no-such-command"], monkeypatch)
     assert code == 2

@@ -2,11 +2,11 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from nilhom.exact_linalg import (
-    IntegerMatrix,
     RationalMatrix,
     determinant,
     exp_nilpotent,
@@ -14,7 +14,6 @@ from nilhom.exact_linalg import (
     nullspace_basis,
     rank,
     row_space_basis,
-    smith_normal_form,
     solve,
 )
 
@@ -41,17 +40,17 @@ def naive_rank(rows):
     return r
 
 
-def snf_2x2_oracle(a, b, c, d):
-    """Elementary divisors of [[a,b],[c,d]] from gcds of entries and minors."""
-    from math import gcd
-
-    d1 = gcd(gcd(a, b), gcd(c, d))
-    det = abs(a * d - b * c)
-    if d1 == 0:
-        return [0, 0]
-    if det == 0:
-        return [d1, 0]
-    return [d1, det // d1]
+def leibniz_det(rows):
+    """Determinant as the signed sum over all permutations."""
+    n = len(rows)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
 
 
 def random_matrix(rng, nrows, ncols, density=0.7):
@@ -137,35 +136,6 @@ def test_solve_consistency():
         assert m.mul_vector(got) == b
 
 
-def test_smith_examples():
-    assert smith_normal_form(IntegerMatrix.from_rows([[1, 0], [0, 1]])) == [1, 1]
-    assert smith_normal_form(IntegerMatrix.from_rows([[2, 0], [0, 3]])) == [1, 6]
-    assert smith_normal_form(IntegerMatrix(2, 3)) == [0, 0]
-
-
-def test_smith_against_2x2_oracle():
-    rng = random.Random(5)
-    for _ in range(80):
-        a, b, c, d = (rng.randint(-6, 6) for _ in range(4))
-        m = IntegerMatrix.from_rows([[a, b], [c, d]])
-        assert smith_normal_form(m) == snf_2x2_oracle(a, b, c, d)
-
-
-def test_smith_divisor_chain_and_rank():
-    rng = random.Random(11)
-    for _ in range(40):
-        nrows = rng.randint(1, 5)
-        ncols = rng.randint(1, 5)
-        rows = [[rng.randint(-5, 5) for _ in range(ncols)] for _ in range(nrows)]
-        m = IntegerMatrix.from_rows(rows)
-        divisors = smith_normal_form(m)
-        assert len(divisors) == min(nrows, ncols)
-        nonzero = [d for d in divisors if d]
-        for prev, nxt in zip(nonzero, nonzero[1:]):
-            assert nxt % prev == 0
-        assert len(nonzero) == rank(m.to_rational())
-
-
 def test_determinant_and_invert():
     m = RationalMatrix.from_rows([[2, 1], [1, 1]])
     assert determinant(m) == 1
@@ -173,6 +143,47 @@ def test_determinant_and_invert():
     assert m @ inv == RationalMatrix.identity(2)
     with pytest.raises(ValueError):
         invert(RationalMatrix.from_rows([[1, 2], [2, 4]]))
+
+
+def square_cases(rng):
+    """Seeded square matrices with n <= 5: empty, random, singular, signed permutations."""
+    cases = [[]]
+    for _ in range(120):
+        n = rng.randint(1, 5)
+        rows = random_matrix(rng, n, n, density=rng.choice([0.3, 0.6, 0.9]))
+        cases.append(rows)
+        if n > 1:
+            k = 1 if n > 2 else 0
+            cases.append(rows[:-1] + [[a - 2 * b for a, b in zip(rows[0], rows[k])]])
+        perm = list(range(n))
+        rng.shuffle(perm)
+        cases.append(
+            [[rng.choice([-1, 1]) if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+        )
+    return cases
+
+
+def test_determinant_matches_leibniz_oracle():
+    assert determinant(RationalMatrix(0, 0)) == 1
+    singular = 0
+    for rows in square_cases(random.Random(2718)):
+        expected = leibniz_det(rows)
+        assert determinant(RationalMatrix.from_rows(rows)) == expected
+        singular += expected == 0
+    assert singular >= 100
+
+
+def test_invert_is_two_sided_or_raises():
+    for rows in square_cases(random.Random(3141)):
+        m = RationalMatrix.from_rows(rows)
+        if leibniz_det(rows) == 0:
+            with pytest.raises(ValueError, match="singular"):
+                invert(m)
+            continue
+        inv = invert(m)
+        eye = RationalMatrix.identity(m.rows)
+        assert inv @ m == eye
+        assert m @ inv == eye
 
 
 def test_exp_nilpotent():
@@ -202,15 +213,3 @@ def test_matrix_canonical_form():
         RationalMatrix(1, 1, {(0, 1): 1})
     with pytest.raises(TypeError):
         RationalMatrix(1, 1, {(0, 0): 0.5})
-
-
-def test_no_floats_in_integer_matrix():
-    with pytest.raises(TypeError):
-        IntegerMatrix(1, 1, {(0, 0): 1.0})
-
-
-def test_entry_list_round_trip():
-    m = RationalMatrix.from_rows([[Fraction(1, 2), 0], [3, Fraction(-2, 7)]])
-    triples = m.entry_list()
-    assert triples == sorted(triples)
-    assert RationalMatrix.from_entry_list(2, 2, triples) == m
