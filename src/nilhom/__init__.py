@@ -14,7 +14,6 @@ from .exact_linalg import (
     invert,
     nullspace_basis,
     rank,
-    solve,
 )
 from .free_lie import (
     HallBasis,

@@ -32,9 +32,9 @@ from typing import Mapping
 
 from .exact_linalg import (
     RationalMatrix,
-    _as_fraction,
     determinant,
     exp_nilpotent,
+    fraction_rows,
     invert,
     rank,
 )
@@ -192,9 +192,7 @@ class DerivationMatrix:
 
 
 def _normalize_square(matrix) -> list[list[Fraction]]:
-    rows = matrix.to_rows() if isinstance(matrix, RationalMatrix) else [
-        [_as_fraction(v) for v in row] for row in matrix
-    ]
+    rows = fraction_rows(matrix)
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")

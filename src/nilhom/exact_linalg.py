@@ -1,6 +1,6 @@
 """Exact sparse linear algebra over the rationals.
 
-Ranks, nullspaces, linear solves, determinants and inverses, all in exact
+Ranks, nullspaces, row spaces, determinants and inverses, all in exact
 arbitrary-precision arithmetic.  There is deliberately no floating point
 on any code path here: every downstream quantity (homology ranks, weight
 multiplicities, group-law coefficients) must come out as an exact integer
@@ -25,9 +25,9 @@ from typing import Mapping, Sequence
 
 __all__ = [
     "RationalMatrix",
+    "fraction_rows",
     "rank",
     "nullspace_basis",
-    "solve",
     "row_space_basis",
     "determinant",
     "invert",
@@ -43,6 +43,13 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"exact arithmetic only: cannot accept {type(value).__name__}")
+
+
+def fraction_rows(matrix) -> list[list[Fraction]]:
+    """Dense rows of Fractions of a RationalMatrix or of nested sequences."""
+    if isinstance(matrix, RationalMatrix):
+        return matrix.to_rows()
+    return [[_as_fraction(v) for v in row] for row in matrix]
 
 
 class RationalMatrix:
@@ -346,25 +353,6 @@ def nullspace_basis(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
         x = _back_substitute(rows, pivots, {free: Fraction(1)})
         basis.append(tuple(x.get(c, Fraction(0)) for c in range(m.cols)))
     return basis
-
-
-def solve(m: RationalMatrix, b: Sequence) -> tuple[Fraction, ...] | None:
-    """Some x with m @ x = b, or None when the system is inconsistent.
-
-    Free variables are set to zero, so the returned solution is
-    deterministic.
-    """
-    if len(b) != m.rows:
-        raise ValueError(f"right-hand side has length {len(b)}, expected {m.rows}")
-    rhs = RationalMatrix(m.rows, 1, {(i, 0): v for i, v in enumerate(b)})
-    rows = _integer_rows(RationalMatrix.hstack([m, rhs]))
-    pivots = _bareiss(rows, m.cols)
-    pivot_row_set = {i for i, _ in pivots}
-    for i in range(m.rows):
-        if i not in pivot_row_set and rows[i].get(m.cols):
-            return None
-    x = _back_substitute(rows, pivots, {}, m.cols)
-    return tuple(x.get(c, Fraction(0)) for c in range(m.cols))
 
 
 def row_space_basis(m: RationalMatrix) -> list[tuple[Fraction, ...]]:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .exact_linalg import RationalMatrix, _as_fraction
+from .exact_linalg import RationalMatrix, _as_fraction, fraction_rows
 
 __all__ = [
     "NotLieElementError",
@@ -467,9 +467,7 @@ def induced_map_lie(matrix, degree: int) -> RationalMatrix:
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
-    rows_data = matrix.to_rows() if isinstance(matrix, RationalMatrix) else [
-        [_as_fraction(v) for v in row] for row in matrix
-    ]
+    rows_data = fraction_rows(matrix)
     s = len(rows_data)
     r = len(rows_data[0]) if s else 0
     src = hall_basis(r, degree)

@@ -32,7 +32,7 @@ from itertools import combinations
 from math import comb
 from typing import Sequence, Union
 
-from .exact_linalg import RationalMatrix, _as_fraction, invert, rank as matrix_rank
+from .exact_linalg import RationalMatrix, fraction_rows, invert, rank as matrix_rank
 from .free_lie import hall_basis, induced_map_lie
 
 __all__ = [
@@ -234,9 +234,7 @@ def action_matrix(expr: ReprExpr, matrix, rank_: int) -> RationalMatrix:
     representation acts by the inverse transpose; exterior powers act by
     minors.
     """
-    rows = matrix.to_rows() if isinstance(matrix, RationalMatrix) else [
-        [_as_fraction(v) for v in row] for row in matrix
-    ]
+    rows = fraction_rows(matrix)
     if len(rows) != rank_ or any(len(row) != rank_ for row in rows):
         raise ValueError(f"matrix must be {rank_}x{rank_}")
     base = RationalMatrix.from_rows(rows)

@@ -1,100 +1,44 @@
 """Acceptance suite: every exit criterion, exact arithmetic, one report line each.
 
+The invariants come from ``nilhom.invariants``, which ``nilhom selftest``
+runs on smaller cases; this suite adds only the checks selftest never makes.
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the pass/fail
 lines; each criterion asserts after printing its verdict.
 """
 
-import io
 import json
-import random
-import sys
-from fractions import Fraction
-from itertools import product
-from nilhom.exact_linalg import RationalMatrix, nullspace_basis, rank
-from nilhom.free_lie import (
-    LieElement,
-    dynkin,
-    expand_to_tensor,
-    hall_basis,
-    witt_dimension,
-)
-from nilhom.lie_homology import (
-    betti_number,
-    ce_boundary,
-    free_nilpotent_lie,
-    group_betti,
-    nilpotency_class,
-)
-from nilhom.nilgroup import (
-    center_basis,
-    group_commutator,
-    group_generator,
-    group_identity,
-    inner_action,
-    lcs_ranks,
-    malcev_element,
-    multiply,
-)
-from nilhom.aut import gl_conjugation_on_ia, ia_basis_pairs, ia_betti, ia_lie_algebra
-from nilhom import rep
+
+from nilhom import invariants
+from nilhom.aut import ia_basis_pairs, ia_lie_algebra
 from nilhom.cli import main as cli_main
+from nilhom.exact_linalg import RationalMatrix, nullspace_basis, rank
+from nilhom.free_lie import hall_basis, witt_dimension
+from nilhom.lie_homology import ce_boundary, free_nilpotent_lie
+from nilhom.nilgroup import center_basis, group_generator, inner_action
 
 
-def _report(number, name, ok):
-    print(f"[ACCEPTANCE] {number:02d} {name}: {'PASS' if ok else 'FAIL'}")
-    assert ok, f"acceptance criterion {number} ({name}) failed"
-
-
-def _brute_lyndon_count(r, n):
-    return sum(
-        1
-        for w in product(range(1, r + 1), repeat=n)
-        if all(w < w[i:] + w[:i] for i in range(1, n))
-    )
+def _report(number, name, *checks):
+    """Print the verdict of (ok, detail) pairs and fail on the first false one."""
+    failed = [detail for ok, detail in checks if not ok]
+    print(f"[ACCEPTANCE] {number:02d} {name}: {'FAIL' if failed else 'PASS'}")
+    assert not failed, f"acceptance criterion {number} ({name}) failed: {failed}"
 
 
 def test_criterion_01_witt_lyndon_agreement():
-    ok = all(
-        witt_dimension(r, n) == _brute_lyndon_count(r, n)
-        for r in range(1, 5)
-        for n in range(1, 7)
-    )
-    _report(1, "Witt dimensions match brute-force Lyndon counts (r<=4, n<=6)", ok)
+    _report(1, "Witt dimensions match brute-force Lyndon counts (r<=4, n<=6)",
+            invariants.witt_lyndon(4, 6))
 
 
 def test_criterion_02_group_law():
-    rng = random.Random(987654321)
-    ok = True
-    for r, c in ((2, 2), (2, 3), (3, 2), (2, 4)):
-        basis = hall_basis(r, c)
-        identity = group_identity(basis)
-        for _ in range(100):
-            u, v, w = (
-                malcev_element(
-                    basis,
-                    {
-                        word: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-                        for word in basis.elements
-                    },
-                )
-                for _ in range(3)
-            )
-            if multiply(multiply(u, v), w) != multiply(u, multiply(v, w)):
-                ok = False
-            if multiply(u, identity) != u or multiply(identity, u) != u:
-                ok = False
-        x1, x2 = group_generator(basis, 1), group_generator(basis, 2)
-        if group_commutator(x1, x2).coords.get((1, 2)) != 1:
-            ok = False
-    _report(2, "BCH group law: associativity, units, commutator coordinate", ok)
+    _report(2, "BCH group law: associativity, units, inverses, commutator coordinate",
+            invariants.bch_group_law(((2, 2), (2, 3), (3, 2), (2, 4)), 100, 987654321, 3),
+            invariants.bch_commutator((2, 3, 4)),
+            invariants.bch_commutator((2,), rank=3))
 
 
 def test_criterion_03_lower_central_series():
-    ok = True
-    for r, c in ((2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (2, 5)):
-        if lcs_ranks(r, c) != [witt_dimension(r, n) for n in range(1, c + 1)]:
-            ok = False
-    _report(3, "lower central series ranks equal Witt dimensions", ok)
+    _report(3, "lower central series ranks equal Witt dimensions",
+            invariants.lcs(((2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (2, 5))))
 
 
 def _ad_linearization(r, c):
@@ -110,13 +54,12 @@ def _ad_linearization(r, c):
 
 
 def test_criterion_04_center_and_inner():
+    cases = ((2, 2), (2, 3), (3, 2))
     ok = True
-    for r, c in ((2, 2), (2, 3), (3, 2)):
+    for r, c in cases:
         basis = hall_basis(r, c)
         top = set(basis.elements_of_degree(c))
         vectors = center_basis(r, c)
-        if len(vectors) != len(top) or not all(set(v.coords) <= top for v in vectors):
-            ok = False
         span = RationalMatrix(
             len(vectors),
             len(basis.elements),
@@ -143,111 +86,67 @@ def test_criterion_04_center_and_inner():
         for i in range(1, r + 1):
             if inner_action(group_generator(basis, i)).is_identity():
                 ok = False
-    _report(4, "center equals the top-degree layer and is ker(inner action)", ok)
+    _report(4, "center equals the top-degree layer and is ker(inner action)",
+            invariants.center(cases),
+            (ok, "rank, ad-kernel or inner action"))
 
 
 def test_criterion_05_nilmanifold_homology():
-    ok = group_betti(2, 2) == [1, 2, 2, 1]
-    for r, c in ((2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (2, 5), (3, 3), (5, 2)):
+    cases = ((2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (2, 5), (3, 3), (5, 2))
+    ok = True
+    for r, c in cases:
         g = free_nilpotent_lie(r, c)
         assert g.dim <= 21
         for d in range(2, g.dim + 1):
             if not (ce_boundary(g, d - 1) @ ce_boundary(g, d)).is_zero:
                 ok = False
-        b = group_betti(r, c)
-        m = g.dim
-        if b[0] != 1 or b[1] != r:
-            ok = False
-        if any(b[d] != b[m - d] for d in range(m + 1)):
-            ok = False
-        if sum((-1) ** d * v for d, v in enumerate(b)) != 0:
-            ok = False
-    _report(5, "nilmanifold homology: boundary^2=0, b0, b1, duality, Euler", ok)
+    _report(5, "nilmanifold homology: boundary^2=0, b0, b1, duality, Euler",
+            (ok, "boundary^2 != 0"),
+            invariants.betti_heisenberg(),
+            invariants.betti_symmetry(cases))
 
 
 def test_criterion_06_polynomial_degree_bound():
-    ok = True
-    for c, d in ((2, 1), (2, 2), (3, 1)):
-        dims = []
-        for r in range(6):
-            g = free_nilpotent_lie(r, c)
-            dims.append(betti_number(g, d))
-        estimate, _ = rep.degree_estimate(dims)
-        if estimate > c * d:
-            ok = False
-    _report(6, "Betti sequences in the rank have degree at most class*degree", ok)
+    _report(6, "Betti sequences in the rank have degree at most class*degree",
+            *(invariants.degree_bound(c, d, 5) for c, d in ((2, 1), (2, 2), (3, 1))))
 
 
 def test_criterion_07_dynkin_retract():
-    ok = True
-    for r in (1, 2, 3):
-        for b in range(1, 5):
-            basis = hall_basis(r, b)
-            for w in basis.elements:
-                element = LieElement(basis, {w: 1})
-                if dynkin(expand_to_tensor(element), basis) != element:
-                    ok = False
-    _report(7, "bracketing retract is the identity on the Lie subspace (b<=4, r<=3)", ok)
+    _report(7, "bracketing retract is the identity on the Lie subspace (b<=4, r<=3)",
+            invariants.dynkin_retract(((1, 4), (2, 4), (3, 4))))
 
 
 def test_criterion_08_ia_structure_ledger():
+    cases = [(r, c) for r in (1, 2, 3) for c in (1, 2, 3, 4)]
     ok = True
-    for r in (1, 2, 3):
-        for c in (1, 2, 3, 4):
+    for r, c in cases:
+        if c >= 2:
             g = ia_lie_algebra(r, c)
-            if g.dim != r * sum(witt_dimension(r, b) for b in range(2, c + 1)):
+            pairs = ia_basis_pairs(r, c)
+            top = {n for n, (i, w) in enumerate(pairs) if len(w) == c}
+            if len(top) != r * witt_dimension(r, c):
                 ok = False
-            if nilpotency_class(g) > max(c - 1, 0):
-                ok = False
-            if c >= 2:
-                pairs = ia_basis_pairs(r, c)
-                top = {n for n, (i, w) in enumerate(pairs) if len(w) == c}
-                if len(top) != r * witt_dimension(r, c):
+            for (a, b) in g.brackets:
+                if a in top or b in top:
                     ok = False
-                for (a, b) in g.brackets:
-                    if a in top or b in top:
-                        ok = False
-    _report(8, "derivation algebra ledger: dimensions, nilpotency, central top layer", ok)
+    _report(8, "derivation algebra ledger: dimensions, nilpotency, central top layer",
+            invariants.ia_ledger(cases),
+            (ok, "top layer not central"))
 
 
 def test_criterion_09_direct_summand_check():
-    ok = True
-    for r in (2, 3):
-        for q in range(4):
-            _, weights = ia_betti(r, 2, q)
-            lhs = rep.WeightModule(r, weights)
-            rhs = rep.evaluate(rep.Wedge(q, rep.HomStd(rep.Lie(2))), r)
-            if lhs != rhs:
-                ok = False
-    for q in range(3):
-        _, weights = ia_betti(2, 3, q)
-        lhs = rep.WeightModule(2, weights)
-        rhs = rep.evaluate(rep.Wedge(q, rep.HomStd(rep.lie_interval(2, 3))), 2)
-        if not rep.weight_dominance_compare(lhs, rhs).holds:
-            ok = False
-        lhs_schur = rep.schur_decompose_gl2(lhs)
-        rhs_schur = rep.schur_decompose_gl2(rhs)
-        if any(mult > rhs_schur.get(w, 0) for w, mult in lhs_schur.items()):
-            ok = False
-    _report(9, "IA homology weights sit inside the exterior-power bound", ok)
+    _report(9, "IA homology weights sit inside the exterior-power bound",
+            invariants.summand(2, 3, ranks=(2, 3)),
+            invariants.summand(3, 2))
 
 
 def test_criterion_10_coinvariants():
-    ok = True
-    reduced = (rep.Std(), rep.Wedge(2, rep.Std()), rep.Lie(2), rep.HomStd(rep.Lie(2)))
-    for expr in reduced:
-        for r in (2, 3):
-            if rep.coinvariants_dim(expr, r) != 0:
-                ok = False
-    for k in (1, 2, 5):
-        for r in (2, 3):
-            if rep.coinvariants_dim(rep.Const(k), r) != k:
-                ok = False
-    _report(10, "coinvariants vanish for reduced functors and count constants", ok)
+    _report(10, "coinvariants vanish for reduced functors and count constants",
+            invariants.coinvariants(("std", "wedge(2, std)", "lie(2)", "hom(std, lie(2))"),
+                                    (2, 3), (1, 2, 5)))
 
 
 def test_criterion_11_cross_module_consistency():
-    ok = True
     samples = {
         2: [[[0, 1], [1, 0]], [[1, 1], [0, 1]], [[1, 0], [1, 1]], [[-1, 0], [0, 1]]],
         3: [
@@ -257,34 +156,21 @@ def test_criterion_11_cross_module_consistency():
             [[1, 0, 1], [0, 1, 0], [0, 0, 1]],
         ],
     }
-    for r, mats in samples.items():
-        for c in (2, 3):
-            expr = rep.HomStd(rep.lie_interval(2, c))
-            for mat in mats:
-                if gl_conjugation_on_ia(mat, r, c) != rep.action_matrix(expr, mat, r):
-                    ok = False
-    _report(11, "conjugation on derivations matches the functorial Hom action", ok)
+    _report(11, "conjugation on derivations matches the functorial Hom action",
+            invariants.conjugation_consistency(samples, (2, 3)))
 
 
-def test_criterion_12_reproducibility(tmp_path, monkeypatch):
+def test_criterion_12_reproducibility(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("NILHOM_CACHE_DIR", raising=False)
     outputs = []
-    for _ in range(2):  # first run cold, second warm
-        buffer = io.StringIO()
-        monkeypatch.setattr(sys, "stdout", buffer)
-        code = cli_main(["selftest", "--cache-dir", str(tmp_path)])
-        monkeypatch.undo()
-        monkeypatch.delenv("NILHOM_CACHE_DIR", raising=False)
-        outputs.append((code, buffer.getvalue()))
-    buffer = io.StringIO()
-    monkeypatch.setattr(sys, "stdout", buffer)
-    code = cli_main(["selftest", "--no-cache"])
-    monkeypatch.undo()
-    outputs.append((code, buffer.getvalue()))
+    # cold cache, warm cache, no cache
+    for flags in (["--cache-dir", str(tmp_path)],) * 2 + (["--no-cache"],):
+        code = cli_main(["selftest"] + flags)
+        outputs.append((code, capsys.readouterr().out))
     ok = all(code == 0 for code, _ in outputs)
     ok = ok and outputs[0][1] == outputs[1][1] == outputs[2][1]
     ok = ok and all(
         json.loads(line)["result"]["status"] == "pass"
         for line in outputs[0][1].splitlines()
     )
-    _report(12, "selftest output byte-identical across cold, warm, and no cache", ok)
+    _report(12, "selftest output byte-identical across cold, warm, and no cache", (ok, None))

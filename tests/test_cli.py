@@ -1,9 +1,13 @@
 """CLI surface: record schema, exit codes, formats, cache behavior."""
 
+import hashlib
 import io
 import json
 import sys
 
+import pytest
+
+from nilhom import cli, invariants
 from nilhom.cache import Cache
 from nilhom.cli import main
 
@@ -212,3 +216,129 @@ def test_degree_check_record(monkeypatch):
     result = records[0]["result"]
     assert result["within_bound"] is True
     assert result["estimate"] <= 2
+
+
+# CSV output of every command on small inputs, header included
+CSV_GOLDEN = {
+    "witt -r 3 --max-degree 4": [
+        "rank,degree,dimension",
+        "3,1,3",
+        "3,2,3",
+        "3,3,8",
+        "3,4,18",
+    ],
+    "hall -r 3 -c 2": [
+        "rank,class,degree,word",
+        "3,2,1,1",
+        "3,2,1,2",
+        "3,2,1,3",
+        "3,2,2,12",
+        "3,2,2,13",
+        "3,2,2,23",
+    ],
+    "bch -r 2 -c 3 --u 1:1,12:1/2 --v 2:-1,112:3": [
+        "rank,class,word,coefficient",
+        "2,3,1,1",
+        "2,3,2,-1",
+        "2,3,112,35/12",
+        "2,3,122,-1/6",
+    ],
+    "lcs-ranks -r 2 -c 4": [
+        "rank,class,degree,rank_value",
+        "2,4,1,2",
+        "2,4,2,1",
+        "2,4,3,2",
+        "2,4,4,3",
+    ],
+    "center -r 2 -c 3": [
+        "rank,class,vector,word,coefficient",
+        "2,3,0,112,1",
+        "2,3,1,122,1",
+    ],
+    "betti group -r 2 -c 2": [
+        "target,rank,class,degree,betti",
+        "group,2,2,0,1",
+        "group,2,2,1,2",
+        "group,2,2,2,2",
+        "group,2,2,3,1",
+    ],
+    "betti lie -r 2 -c 3 -d 2": [
+        "target,rank,class,degree,betti",
+        "lie,2,3,2,3",
+    ],
+    "weighted-betti group -r 2 -c 3 -d 2": [
+        "target,rank,class,degree,weight,multiplicity",
+        "group,2,3,2,1|3,1",
+        "group,2,3,2,2|2,1",
+        "group,2,3,2,3|1,1",
+    ],
+    "dynkin-check -r 2 --max-degree 3": [
+        "rank,max_degree,checked,failures",
+        "2,3,5,",
+    ],
+    "summand-check -r 2 -c 3 -d 1": [
+        "rank,class,degree,mode,holds",
+        "2,3,1,dominance,True",
+    ],
+    "coinv --expr const(2) -r 2": [
+        "expr,rank,dim",
+        "const(2),2,2",
+    ],
+    "degree-check -c 2 -d 1 --max-rank 3": [
+        "class,degree,max_rank,estimate,bound,within_bound",
+        "2,1,3,1,2,True",
+    ],
+    "selftest": ["check,status"] + [
+        f"{name},pass"
+        for name in (
+            "witt_lyndon",
+            "bch_group_law",
+            "bch_commutator",
+            "lcs_ranks",
+            "center",
+            "betti_heisenberg",
+            "betti_symmetry",
+            "dynkin_retract",
+            "ia_ledger",
+            "summand_c2",
+            "summand_2_3",
+            "coinvariants",
+            "conjugation_consistency",
+            "degree_bound",
+            "betti_cache",
+        )
+    ],
+}
+
+
+@pytest.mark.parametrize("command", sorted(CSV_GOLDEN))
+def test_csv_golden(command, monkeypatch):
+    code, out = run_cli(command.split() + ["--format", "csv", "--no-cache"], monkeypatch)
+    assert code == 0
+    assert out.splitlines() == CSV_GOLDEN[command]
+
+
+def test_every_command_has_a_csv_golden():
+    assert {command.split()[0] for command in CSV_GOLDEN} == set(cli._HANDLERS)
+
+
+def test_selftest_golden_digest(monkeypatch):
+    # selftest records are part of the output contract, byte for byte
+    code, out = run_cli(["selftest", "--no-cache"], monkeypatch)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "74648a0fa549db66718860552772bdf412473a0f1249deb655a98c9c647f3c11"
+
+
+def test_selftest_reports_a_failing_check(monkeypatch):
+    real = invariants.witt_dimension
+    monkeypatch.setattr(
+        invariants, "witt_dimension", lambda r, n: real(r, n) + ((r, n) == (2, 3))
+    )
+    code, records = run_records(["selftest", "--no-cache"], monkeypatch)
+    assert code == 1
+    results = {record["result"]["check"]: record["result"] for record in records}
+    assert len(results) == 15
+    assert results["witt_lyndon"]["status"] == "fail"
+    assert results["witt_lyndon"]["detail"] == {"rank": 2, "degree": 3}
+    assert results["betti_heisenberg"]["status"] == "pass"

@@ -14,7 +14,6 @@ from nilhom.exact_linalg import (
     nullspace_basis,
     rank,
     row_space_basis,
-    solve,
 )
 
 
@@ -113,27 +112,6 @@ def test_rank_nullity():
         if basis:
             stacked = RationalMatrix.from_rows(basis)
             assert rank(stacked) == len(basis)
-
-
-def test_solve_examples():
-    eye = RationalMatrix.identity(3)
-    assert solve(eye, [1, 2, 3]) == (1, 2, 3)
-    assert solve(RationalMatrix(2, 2), [1, 0]) is None
-    assert solve(RationalMatrix.from_rows([[2]]), [1]) == (Fraction(1, 2),)
-    with pytest.raises(ValueError):
-        solve(eye, [1, 2])
-
-
-def test_solve_consistency():
-    rng = random.Random(23)
-    for _ in range(30):
-        rows = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-        m = RationalMatrix.from_rows(rows)
-        x = [Fraction(rng.randint(-3, 3)) for _ in range(m.cols)]
-        b = m.mul_vector(x)
-        got = solve(m, b)
-        assert got is not None
-        assert m.mul_vector(got) == b
 
 
 def test_determinant_and_invert():

@@ -2,7 +2,6 @@
 
 import random
 from fractions import Fraction
-from itertools import product
 
 import pytest
 
@@ -21,15 +20,7 @@ from nilhom.free_lie import (
     tensor_to_hall,
     witt_dimension,
 )
-
-
-def brute_lyndon_words(r, n):
-    """All length-n Lyndon words over 1..r by the rotation definition."""
-    out = []
-    for w in product(range(1, r + 1), repeat=n):
-        if all(w < w[i:] + w[:i] for i in range(1, n)):
-            out.append(w)
-    return out
+from nilhom.invariants import brute_lyndon_words
 
 
 def brute_bracket_expansion(tree):
