@@ -10,13 +10,17 @@ Byte layout of a cache file:
 Section 0 is the canonical key JSON (schema version, computation kind,
 parameters), section 1 the payload JSON.  File name is the SHA-256 hex of
 the key.  A corrupt or mismatched file reads as a miss and is overwritten
-on the next store, never returned.
+on the next store, never returned.  A store writes a temporary file in the
+cache directory and renames it over the entry, so a reader finds the old
+entry or the new one, never part of one.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import tempfile
 from pathlib import Path
 
 MAGIC = b"NHCACHE1"
@@ -84,4 +88,11 @@ class Cache:
         for section in (key, payload_bytes):
             body += len(section).to_bytes(8, "big") + section
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._path(key).write_bytes(body + hashlib.sha256(body).digest())
+        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(body + hashlib.sha256(body).digest())
+            os.replace(tmp, self._path(key))
+        except BaseException:
+            os.unlink(tmp)
+            raise

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import os
 import sys
 
 import pytest
@@ -167,6 +168,33 @@ def test_cache_schema_mismatch_is_miss(tmp_path):
     assert cache.get("betti", {"rank": 2}) == {"betti": [1]}
     assert cache.get("betti", {"rank": 3}) is None
     assert cache.get("other", {"rank": 2}) is None
+
+
+def test_cache_write_failure_keeps_old_entry(tmp_path, monkeypatch):
+    cache = Cache(tmp_path)
+    cache.put("betti", {"rank": 2}, {"betti": [1]})
+    real_fdopen = os.fdopen
+
+    class HalfWrite:
+        def __init__(self, fd, mode):
+            self.fh = real_fdopen(fd, mode)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            raise OSError("no space left on device")
+
+    monkeypatch.setattr(os, "fdopen", HalfWrite)
+    with pytest.raises(OSError):
+        cache.put("betti", {"rank": 2}, {"betti": [1, 2, 2, 1]})
+    monkeypatch.undo()
+    assert cache.get("betti", {"rank": 2}) == {"betti": [1]}
+    assert [p.suffix for p in tmp_path.iterdir()] == [".nhc"]
 
 
 def test_hall_csv(monkeypatch):

@@ -48,12 +48,6 @@ def test_witt_examples():
         witt_dimension(2, 0)
 
 
-def test_witt_matches_lyndon_enumeration():
-    for r in range(1, 5):
-        for n in range(1, 7):
-            assert witt_dimension(r, n) == len(brute_lyndon_words(r, n))
-
-
 def test_lyndon_generation_matches_brute_force():
     for r in range(1, 4):
         for cap in range(1, 6):

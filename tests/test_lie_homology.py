@@ -1,13 +1,14 @@
 """Chevalley-Eilenberg homology: boundary structure, Betti vectors, weight refinement."""
 
 from fractions import Fraction
-from itertools import permutations
-from math import comb
+from itertools import combinations, permutations
+from math import comb, prod
 
 import pytest
 
-from nilhom.exact_linalg import rank
-from nilhom.free_lie import witt_dimension
+from nilhom.aut import ia_lie_algebra
+from nilhom.exact_linalg import RationalMatrix, rank
+from nilhom.free_lie import hall_basis, witt_dimension
 from nilhom.lie_homology import (
     GradedLieAlgebra,
     betti_number,
@@ -163,3 +164,93 @@ def test_weight_split_ranks_match_full_matrices():
     for g in (free_nilpotent_lie(2, 3), free_nilpotent_lie(3, 2), free_nilpotent_lie(2, 4)):
         for d in range(g.dim + 1):
             assert rank(ce_boundary(g, d)) == _boundary_rank(g, d)
+
+
+def class_two_betti(r):
+    """Betti numbers of F(r, 2) by Jozefiak-Weyman (1985) and Sigg (1996).
+
+    H_k(V + wedge^2 V) is the sum of the Schur modules S_lam V over the
+    self-conjugate lam with (|lam| + Durfee rank) / 2 = k.  In Frobenius
+    notation lam = (a_1, ..., a_p | a_1, ..., a_p) with r > a_1 > ... > a_p >= 0,
+    so k = sum(a_i + 1); dim S_lam(Q^r) comes from the hook-content formula.
+    """
+    out = [0] * (r + r * (r - 1) // 2 + 1)
+    for p in range(r + 1):
+        for arms in combinations(range(r - 1, -1, -1), p):
+            lam = [a + i + 1 for i, a in enumerate(arms)]
+            lam += [sum(1 for part in lam if part > i) for i in range(p, lam[0] if lam else 0)]
+            cells = [(i, j) for i, part in enumerate(lam) for j in range(part)]
+            contents = prod(r + j - i for i, j in cells)
+            hooks = prod(lam[i] - j + lam[j] - i - 1 for i, j in cells)  # lam is its own conjugate
+            out[sum(a + 1 for a in arms)] += contents // hooks
+    return out
+
+
+def test_class_two_closed_form():
+    assert class_two_betti(2) == [1, 2, 2, 1]
+    for r in range(2, 6):
+        assert group_betti(r, 2) == class_two_betti(r)
+
+
+def direct_weighted_betti(g, d):
+    """Degree-d homology by weight from ranks of ce_boundary restricted to each weight.
+
+    Uses no weight blocks, symmetry or duality: every wedge is listed, and
+    each weight's rows and columns are cut out of the full boundary matrices.
+    """
+
+    def wedge_weights(k):
+        return [
+            tuple(sum(g.weights[i][t] for i in combo) for t in range(g.weight_length))
+            for combo in combinations(range(g.dim), k)
+        ]
+
+    def restricted_rank(k, w):
+        if not 1 <= k <= g.dim:
+            return 0
+        matrix = ce_boundary(g, k)
+        rows = [i for i, v in enumerate(wedge_weights(k - 1)) if v == w]
+        cols = [j for j, v in enumerate(wedge_weights(k)) if v == w]
+        entries = {(a, b): matrix.entry(i, j) for a, i in enumerate(rows) for b, j in enumerate(cols)}
+        return rank(RationalMatrix(len(rows), len(cols), entries))
+
+    weights = wedge_weights(d)
+    out = {}
+    for w in sorted(set(weights)):
+        b = weights.count(w) - restricted_rank(d, w) - restricted_rank(d + 1, w)
+        if b:
+            out[w] = b
+    return out
+
+
+def assert_matches_direct_oracle(g):
+    for d in range(g.dim + 1):
+        direct = direct_weighted_betti(g, d)
+        assert list(weighted_betti(g, d).items()) == list(direct.items())
+        assert betti_number(g, d) == sum(direct.values())
+
+
+def test_direct_ranks_match_weighted_tables():
+    for g in (free_nilpotent_lie(2, 3), free_nilpotent_lie(3, 2), free_nilpotent_lie(2, 4), ia_lie_algebra(2, 3)):
+        assert_matches_direct_oracle(g)
+
+
+def test_duality_needs_unimodular_algebra():
+    # [x, y] = y: ad x has trace 1, and x has weight zero
+    g = GradedLieAlgebra(("x", "y"), ((0,), (1,)), {(0, 1): {1: 1}})
+    assert betti_numbers(g) == [1, 1, 0]
+    assert_matches_direct_oracle(g)
+
+
+def test_symmetry_needs_free_nilpotent_algebra():
+    # the weights and Hall basis of F(2,3) with [e0,e1] = e2 and [e0,e2] = e3 only:
+    # swapping the generators is no automorphism, so H_1 has weight (1,2) but not (2,1)
+    basis = hall_basis(2, 3)
+    g = GradedLieAlgebra(
+        tuple(basis.label(w) for w in basis.elements),
+        tuple(basis.multiweight(w) for w in basis.elements),
+        {(0, 1): {2: 1}, (0, 2): {3: 1}},
+        hall=basis,
+    )
+    assert weighted_betti(g, 1) == {(0, 1): 1, (1, 0): 1, (1, 2): 1}
+    assert_matches_direct_oracle(g)
