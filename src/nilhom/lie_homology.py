@@ -6,7 +6,7 @@ block-diagonal over the weight lattice; every rank computation here is
 performed weight block by weight block, which is both an enormous speedup
 and an exact equivariant refinement for free.
 
-Betti numbers are two rank computations per degree; cycle representatives
+Betti numbers are read off the weight tables; cycle representatives
 are available on demand through the nullspace of a boundary matrix but
 are never needed for the dimension bookkeeping.
 
@@ -26,11 +26,10 @@ data is memoized idempotently, so concurrent use is safe.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import comb, factorial, prod
+from math import comb
 from typing import Mapping
 
 from .exact_linalg import RationalMatrix, _as_fraction, rank, row_space_basis
@@ -277,11 +276,6 @@ def _is_unimodular(g: GradedLieAlgebra) -> bool:
     return all(any(w) for w in g.weights)
 
 
-def _orbit_size(w: Weight) -> int:
-    """Number of distinct permutations of a weight."""
-    return factorial(len(w)) // prod(factorial(n) for n in Counter(w).values())
-
-
 def _wedge_buckets(g: GradedLieAlgebra, d: int, dominant: bool) -> dict[Weight, list[tuple[int, ...]]]:
     """The d-wedges of g bucketed by weight; only non-increasing weights when ``dominant``.
 
@@ -335,31 +329,12 @@ def _blocks(g: GradedLieAlgebra, d: int) -> dict[Weight, tuple[int, int]]:
     return out
 
 
-def _boundary_rank(g: GradedLieAlgebra, d: int) -> int:
-    """Rank of the degree-d boundary: the sum of the block ranks.
-
-    When the generators may be permuted, each computed block stands for
-    every block in the orbit of its weight.
-    """
-    blocks = _blocks(g, d)
-    if _permutes_generators(g):
-        return sum(r * _orbit_size(w) for w, (_, r) in blocks.items())
-    return sum(r for _, r in blocks.values())
-
-
 def betti_number(g: GradedLieAlgebra, d: int) -> int:
-    """dim of the degree-d homology: wedge dimension minus two boundary ranks.
+    """dim of the degree-d homology: the sum of the degree-d weight table.
 
-    Degrees beyond the dimension have zero homology.  For a unimodular
-    algebra the upper half is read off by Poincare duality.
+    Degrees beyond the dimension have zero homology.
     """
-    if d < 0:
-        raise ValueError("degree must be non-negative")
-    if d > g.dim:
-        return 0
-    if 2 * d > g.dim and _is_unimodular(g):
-        return betti_number(g, g.dim - d)
-    return comb(g.dim, d) - _boundary_rank(g, d) - _boundary_rank(g, d + 1)
+    return sum(weighted_betti(g, d).values())
 
 
 def betti_numbers(g: GradedLieAlgebra) -> list[int]:

@@ -26,6 +26,7 @@ single definition.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -212,27 +213,13 @@ def evaluate(expr: ReprExpr, rank_: int) -> WeightModule:
     return WeightModule(rank_, counts)
 
 
-def _minor_det(rows: list[list[Fraction]], row_idx: Sequence[int], col_idx: Sequence[int]) -> Fraction:
-    n = len(row_idx)
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return rows[row_idx[0]][col_idx[0]]
-    det = Fraction(0)
-    for t in range(n):
-        v = rows[row_idx[0]][col_idx[t]]
-        if v:
-            sub = _minor_det(rows, row_idx[1:], col_idx[:t] + col_idx[t + 1 :])
-            det += v * sub if t % 2 == 0 else -v * sub
-    return det
-
-
 def action_matrix(expr: ReprExpr, matrix, rank_: int) -> RationalMatrix:
     """Matrix of an invertible r x r matrix acting on the evaluation.
 
     Basis order is the one fixed by basis_weights.  The dual standard
-    representation acts by the inverse transpose; exterior powers act by
-    minors.
+    representation acts by the inverse transpose; an exterior power sends
+    e_j1 ^ ... ^ e_jq to A e_j1 ^ ... ^ A e_jq, the wedge of the inner
+    action's columns.
     """
     rows = fraction_rows(matrix)
     if len(rows) != rank_ or any(len(row) != rank_ for row in rows):
@@ -248,16 +235,31 @@ def action_matrix(expr: ReprExpr, matrix, rank_: int) -> RationalMatrix:
         return induced_map_lie(rows, expr.degree)
     if isinstance(expr, Wedge):
         inner = action_matrix(expr.inner, rows, rank_)
-        dense = inner.to_rows()
-        combos_r = list(combinations(range(inner.rows), expr.power))
-        combos_c = list(combinations(range(inner.cols), expr.power))
+        columns: list[dict[int, Fraction]] = [{} for _ in range(inner.cols)]
+        for (i, j), q in inner.entries.items():
+            columns[j][i] = q
+        row_index = {
+            combo: i for i, combo in enumerate(combinations(range(inner.rows), expr.power))
+        }
         entries = {}
-        for i, ri in enumerate(combos_r):
-            for j, cj in enumerate(combos_c):
-                det = _minor_det(dense, ri, cj)
-                if det:
-                    entries[(i, j)] = det
-        return RationalMatrix(len(combos_r), len(combos_c), entries)
+        for col, combo in enumerate(combinations(range(inner.cols), expr.power)):
+            wedge: dict[tuple[int, ...], Fraction] = {(): Fraction(1)}
+            for j in combo:
+                step: dict[tuple[int, ...], Fraction] = {}
+                for support, coeff in wedge.items():
+                    for i, q in columns[j].items():
+                        pos = bisect_left(support, i)
+                        if pos < len(support) and support[pos] == i:
+                            continue
+                        # e_support ^ e_i: move e_i left past the indices above it
+                        target = support[:pos] + (i,) + support[pos:]
+                        v = coeff * q if (len(support) - pos) % 2 == 0 else -coeff * q
+                        step[target] = step.get(target, 0) + v
+                wedge = step
+            for support, v in wedge.items():
+                if v:
+                    entries[(row_index[support], col)] = v
+        return RationalMatrix(len(row_index), comb(inner.cols, expr.power), entries)
     if isinstance(expr, Tensor):
         left = action_matrix(expr.left, rows, rank_)
         right = action_matrix(expr.right, rows, rank_)

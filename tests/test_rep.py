@@ -1,10 +1,12 @@
 """Representation calculus: weights, actions, Schur peeling, coinvariants, degree."""
 
+import random
+from itertools import combinations
 from math import comb
 
 import pytest
 
-from nilhom.exact_linalg import RationalMatrix
+from nilhom.exact_linalg import RationalMatrix, determinant
 from nilhom.free_lie import witt_dimension
 from nilhom import rep
 from nilhom.rep import (
@@ -170,6 +172,51 @@ def test_action_of_diagonal_matches_weights():
             {(i, i): Fraction(-1 if w[0] % 2 else 1) for i, w in enumerate(weights)},
         )
         assert action_matrix(expr, refl, 2) == expected
+
+
+def test_wedge_entries_are_minors():
+    # each entry of Lambda^q(A) is the q x q minor of the inner action on the
+    # matching row and column combinations, taken by the independent
+    # elimination determinant
+    rng = random.Random(2016)
+    cases = [  # (expression, rank, whether singular matrices may act)
+        (Std(), 2, True),
+        (Lie(2), 2, True),
+        (Sum(Std(), Lie(2)), 2, True),
+        (HomStd(Lie(2)), 2, False),
+        (Std(), 3, True),
+        (Lie(2), 3, True),
+        (Sum(Std(), Lie(2)), 3, True),
+    ]
+    singular_seen = 0
+    for expr, r, singular_ok in cases:
+        mats = []
+        while len(mats) < 3:
+            a = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(r)]
+            if singular_ok and not mats:
+                a[-1] = [2 * x for x in a[0]]  # one singular matrix per case at least
+            singular = determinant(RationalMatrix.from_rows(a)) == 0
+            if singular and not singular_ok:
+                continue
+            singular_seen += singular
+            mats.append(a)
+        for a in mats:
+            inner = action_matrix(expr, a, r)
+            n = inner.rows
+            for q in range(4):
+                outer = action_matrix(Wedge(q, expr), a, r)
+                combos = list(combinations(range(n), q))
+                assert (outer.rows, outer.cols) == (len(combos), len(combos))
+                for i, rows_ in enumerate(combos):
+                    for j, cols_ in enumerate(combos):
+                        minor = [[inner.entry(x, y) for y in cols_] for x in rows_]
+                        assert outer.entry(i, j) == determinant(RationalMatrix.from_rows(minor))
+            # edge cases: the top power is [det], the zeroth is [[1]], beyond the top is 0 x 0
+            top = action_matrix(Wedge(n, expr), a, r)
+            assert top == RationalMatrix(1, 1, {(0, 0): determinant(inner)})
+            assert action_matrix(Wedge(0, expr), a, r) == RationalMatrix.identity(1)
+            assert action_matrix(Wedge(n + 1, expr), a, r) == RationalMatrix(0, 0)
+    assert singular_seen >= 6
 
 
 def test_coinvariants_examples():
