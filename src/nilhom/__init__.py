@@ -26,7 +26,6 @@ from .free_lie import (
     generator,
     hall_basis,
     induced_map_lie,
-    lie_element,
     lyndon_words,
     tensor_to_hall,
     witt_dimension,
@@ -80,7 +79,6 @@ from .rep import (
     WeightModule,
     action_matrix,
     coinvariants_dim,
-    cross_effect_dim,
     degree_estimate,
     evaluate,
     expr_text,

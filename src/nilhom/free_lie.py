@@ -35,7 +35,6 @@ __all__ = [
     "witt_dimension",
     "hall_basis",
     "generator",
-    "lie_element",
     "bracket",
     "expand_to_tensor",
     "tensor_to_hall",
@@ -136,9 +135,6 @@ class HallBasis:
         if not 1 <= n <= self.cls:
             return ()
         return self.elements[self.degree_start[n] : self.degree_start[n + 1]]
-
-    def position_in_degree(self, word: Word) -> int:
-        return self.index[word] - self.degree_start[len(word)]
 
     def multiweight(self, word: Word) -> tuple[int, ...]:
         """Letter-count vector of a basis word."""
@@ -349,10 +345,6 @@ def generator(basis: HallBasis, letter: int) -> LieElement:
     if not 1 <= letter <= basis.rank:
         raise ValueError(f"letter {letter} outside 1..{basis.rank}")
     return LieElement(basis, {(letter,): Fraction(1)})
-
-
-def lie_element(basis: HallBasis, coords) -> LieElement:
-    return LieElement(basis, coords)
 
 
 def _expansion_dict(a: LieElement) -> dict[Word, Fraction]:

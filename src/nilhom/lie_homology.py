@@ -98,7 +98,7 @@ class GradedLieAlgebra:
         self.brackets = table
         self.weight_length = weight_length
         self.hall = hall
-        # memoized derived data (bracket adjacency lists, weight blocks);
+        # memoized derived data (bracket adjacency lists, weight blocks, Betti tables);
         # recomputing under a race is harmless because the values are deterministic
         self._cache: dict = {}
         if check:
@@ -356,26 +356,30 @@ def weighted_betti(g: GradedLieAlgebra, d: int) -> dict[Weight, int]:
     Only weights with nonzero homology appear, in increasing order; the
     values sum to betti_number(g, d).  For a unimodular algebra the upper
     half is read off by Poincare duality, which pairs weight w in degree d
-    with the total weight minus w in degree dim - d.
+    with the total weight minus w in degree dim - d.  Each degree's table
+    is memoized on g; callers get a copy.
     """
     if d < 0:
         raise ValueError("degree must be non-negative")
     if d > g.dim:
         return {}
-    out: dict[Weight, int] = {}
-    if 2 * d > g.dim and _is_unimodular(g):
-        total = tuple(map(sum, zip(*g.weights)))
-        for w, b in weighted_betti(g, g.dim - d).items():
-            out[tuple(a - x for a, x in zip(total, w))] = b
-        return dict(sorted(out.items()))
-    blocks_up = _blocks(g, d + 1)
-    symmetric = _permutes_generators(g)
-    for w, (count, r) in _blocks(g, d).items():
-        b = count - r - blocks_up.get(w, (0, 0))[1]
-        if b:
-            for image in set(permutations(w)) if symmetric else (w,):
-                out[image] = b
-    return dict(sorted(out.items()))
+    table = g._cache.get(("betti", d))
+    if table is None:
+        out: dict[Weight, int] = {}
+        if 2 * d > g.dim and _is_unimodular(g):
+            total = tuple(map(sum, zip(*g.weights)))
+            for w, b in weighted_betti(g, g.dim - d).items():
+                out[tuple(a - x for a, x in zip(total, w))] = b
+        else:
+            blocks_up = _blocks(g, d + 1)
+            symmetric = _permutes_generators(g)
+            for w, (count, r) in _blocks(g, d).items():
+                b = count - r - blocks_up.get(w, (0, 0))[1]
+                if b:
+                    for image in set(permutations(w)) if symmetric else (w,):
+                        out[image] = b
+        table = g._cache[("betti", d)] = dict(sorted(out.items()))
+    return dict(table)
 
 
 def lower_central_series_dims(g: GradedLieAlgebra) -> list[int]:

@@ -8,14 +8,18 @@ multiset; weight multiplicities determine a rational representation up to
 isomorphism, so the weight module is the equivariant fingerprint used for
 all comparisons.
 
-At rank 2 the weight multiset is decomposed into irreducibles by greedy
-character peeling, which is exact there.  Higher ranks use the
-weight-dominance necessary condition instead; general Weyl character
-bookkeeping buys no additional checking power at desk scale.
+Irreducible multiplicities come from the Weyl character formula
+(Fulton-Harris, section 24): multiplying a symmetric weight multiset by
+the Weyl denominator leaves, at each dominant lambda, the multiplicity
+m_lambda = sum over w in S_r of sgn(w) mult(lambda + rho - w rho).  This
+is exact at every rank; a weight multiset that is not symmetric, or that
+leaves some m_lambda negative, is not a character.
 
-Coinvariants are taken against the elementary matrices E_ij(1) together
-with diag(-1, 1, ..., 1), which generate the integral general linear
-group; the reflection matters (it separates Lambda^r from the constants).
+Coinvariants of the integral general linear group are read off the same
+multiplicities.  SL_r(Z) is Zariski-dense in SL_r for r >= 2 (Borel
+density), so on a rational representation its coinvariants are the
+summands det^k; diag(-1, 1, ..., 1) acts on det^k by (-1)^k, so only the
+even powers survive.
 
 Functor degree is read off through finite differences of a dimension
 sequence, i.e. by cross-effect vanishing.  "Polynomial" and "finite
@@ -33,7 +37,8 @@ from itertools import combinations
 from math import comb
 from typing import Sequence, Union
 
-from .exact_linalg import RationalMatrix, fraction_rows, invert, rank as matrix_rank
+from .exact_linalg import RationalMatrix, fraction_rows, invert
+from .exact_linalg import rank as matrix_rank  # noqa: F401 - perfbench wraps it by name
 from .free_lie import hall_basis, induced_map_lie
 
 __all__ = [
@@ -56,9 +61,7 @@ __all__ = [
     "DominanceReport",
     "schur_decompose_gl2",
     "coinvariants_dim",
-    "gl_generators",
     "degree_estimate",
-    "cross_effect_dim",
     "parse_expr",
     "expr_text",
 ]
@@ -310,75 +313,65 @@ def weight_dominance_compare(a: WeightModule, b: WeightModule) -> DominanceRepor
     return DominanceReport(not violations, tuple(violations))
 
 
-def schur_decompose_gl2(m: WeightModule) -> dict[tuple[int, int], int]:
-    """Decomposition of a rank-2 weight multiset into irreducible highest weights.
+def _weyl_multiplicities(m: WeightModule) -> dict[Weight, int]:
+    """Multiplicity of each irreducible highest weight in a weight multiset.
 
-    Greedy peeling: take the lexicographically maximal weight present; it
-    must be dominant (a >= b); subtract that multiple of the irreducible
-    character with weights (a-k, b+k) for k = 0..a-b; repeat until empty.
-    A negative multiplicity along the way means the input was not a
-    character.
+    Weyl character formula: m_lambda = sum over w in S_r of
+    sgn(w) mult(lambda + rho - w rho), with rho = (r-1, ..., 1, 0).  On a
+    symmetric multiset mult(lambda + rho - w rho) = mult(nu) for
+    nu + rho = w^-1 (lambda + rho), so each weight nu of the support adds
+    sgn(w) mult(nu) to the lambda with lambda + rho the decreasing sort of
+    nu + rho, and nothing when nu + rho has a repeated entry (lambda + rho,
+    lambda dominant, has none).  That visits
+    every dominant lambda some term reaches from the support, not only the
+    dominant weights present: {(2,0), (0,2)} is negative only at (1,1).
+    Keys come in decreasing lexicographic order; zeros are left out.
     """
-    if m.rank != 2:
-        raise ValueError("only rank 2 is supported")
-    work = dict(m.weights)
-    out: dict[tuple[int, int], int] = {}
-    while work:
-        a, b = max(work)
-        if a < b:
-            raise NotCharacterError(f"maximal weight ({a}, {b}) is not dominant")
-        mult = work[(a, b)]
-        out[(a, b)] = mult
-        for k in range(a - b + 1):
-            w = (a - k, b + k)
-            v = work.get(w, 0) - mult
-            if v < 0:
-                raise NotCharacterError(f"multiplicity of {w} drops below zero")
-            if v:
-                work[w] = v
-            else:
-                work.pop(w, None)
+    r, mults = m.rank, m.weights
+    for w, mult in mults.items():
+        for i in range(r - 1):
+            if mults.get(w[:i] + (w[i + 1], w[i]) + w[i + 2:], 0) != mult:
+                raise NotCharacterError(f"weights are not symmetric at {w}")
+    rho = range(r - 1, -1, -1)
+    sums: dict[Weight, int] = {}
+    for nu, mult in mults.items():
+        shifted = [x + p for x, p in zip(nu, rho)]
+        if len(set(shifted)) < r:
+            continue
+        inversions = sum(a < b for a, b in combinations(shifted, 2))
+        lam = tuple(x - p for x, p in zip(sorted(shifted, reverse=True), rho))
+        sums[lam] = sums.get(lam, 0) + (-mult if inversions % 2 else mult)
+    out: dict[Weight, int] = {}
+    for lam in sorted(sums, reverse=True):
+        if sums[lam] < 0:
+            raise NotCharacterError(f"highest weight {lam} has multiplicity {sums[lam]}")
+        if sums[lam]:
+            out[lam] = sums[lam]
     return out
 
 
-def gl_generators(rank_: int) -> list[tuple[tuple[int, ...], ...]]:
-    """Generators of GL_rank(Z): unit elementary matrices and one reflection."""
-    if rank_ < 2:
-        raise ValueError("rank must be at least 2 for this generator set")
-    gens = []
-    for i in range(rank_):
-        for j in range(rank_):
-            if i == j:
-                continue
-            gens.append(
-                tuple(
-                    tuple(1 if a == b else (1 if (a, b) == (i, j) else 0) for b in range(rank_))
-                    for a in range(rank_)
-                )
-            )
-    gens.append(
-        tuple(
-            tuple((-1 if a == 0 else 1) if a == b else 0 for b in range(rank_))
-            for a in range(rank_)
-        )
-    )
-    return gens
+def schur_decompose_gl2(m: WeightModule) -> dict[tuple[int, int], int]:
+    """Decomposition of a rank-2 weight multiset into irreducible highest weights."""
+    if m.rank != 2:
+        raise ValueError("only rank 2 is supported")
+    return _weyl_multiplicities(m)
 
 
 def coinvariants_dim(expr: ReprExpr, rank_: int) -> int:
     """Dimension of the largest quotient with trivial integral GL action.
 
-    Quotient by the span of (g - 1)v over the generator set of
-    gl_generators and v over a basis.
+    SL_r(Z) is Zariski-dense in SL_r (Borel density, r >= 2), so its
+    coinvariants on a rational representation are the det^k summands;
+    diag(-1, 1, ..., 1) acts on det^k by (-1)^k.  The answer is the sum of
+    the multiplicities of the highest weights (k, ..., k) with k even.
     """
     if rank_ < 2:
         raise ValueError("rank must be at least 2")
-    dim = len(basis_weights(expr, rank_))
-    if dim == 0:
-        return 0
-    eye = RationalMatrix.identity(dim)
-    blocks = [action_matrix(expr, g, rank_) - eye for g in gl_generators(rank_)]
-    return dim - matrix_rank(RationalMatrix.hstack(blocks))
+    return sum(
+        mult
+        for lam, mult in _weyl_multiplicities(evaluate(expr, rank_)).items()
+        if lam[0] % 2 == 0 and len(set(lam)) == 1
+    )
 
 
 def degree_estimate(dims: Sequence[int]) -> tuple[int, bool]:
@@ -402,18 +395,6 @@ def degree_estimate(dims: Sequence[int]) -> tuple[int, bool]:
         if all(v == 0 for v in row):
             return d, len(row) >= 2
         d += 1
-
-
-def cross_effect_dim(dims: Sequence[int], n: int) -> int:
-    """Alternating binomial sum giving the n-th cross-effect dimension at n arguments.
-
-    Zero for all n beyond the functor degree.
-    """
-    if n < 0:
-        raise ValueError("arity must be non-negative")
-    if len(dims) < n + 1:
-        raise ValueError(f"need sequence values for ranks 0..{n}")
-    return sum((-1) ** (n - k) * comb(n, k) * dims[k] for k in range(n + 1))
 
 
 # -- textual form -------------------------------------------------------------

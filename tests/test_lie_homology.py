@@ -138,6 +138,21 @@ def test_weighted_betti_permutation_symmetry():
             assert permuted == table
 
 
+def test_weighted_betti_returns_a_copy():
+    # tables are memoized per degree; what a caller does to one must not reach the next
+    g = free_nilpotent_lie(3, 2)
+    for d in (2, g.dim - 2):  # one degree ranked, one read off duality
+        first = weighted_betti(g, d)
+        second = weighted_betti(g, d)
+        assert first == second and first
+        expected = dict(second)
+        first[next(iter(first))] += 1
+        first[(9, 9, 9)] = 1
+        assert second == expected
+        assert weighted_betti(g, d) == expected
+        assert betti_number(g, d) == sum(expected.values())
+
+
 def test_lower_central_series():
     ab = abelian(4)
     assert lower_central_series_dims(ab) == [4, 0]

@@ -1,12 +1,13 @@
-"""Representation calculus: weights, actions, Schur peeling, coinvariants, degree."""
+"""Representation calculus: weights, actions, Weyl multiplicities, coinvariants, degree."""
 
 import random
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from nilhom.exact_linalg import RationalMatrix, determinant
+from nilhom.exact_linalg import RationalMatrix, determinant, rank as matrix_rank
 from nilhom.free_lie import witt_dimension
 from nilhom import rep
 from nilhom.rep import (
@@ -22,7 +23,6 @@ from nilhom.rep import (
     WeightModule,
     action_matrix,
     coinvariants_dim,
-    cross_effect_dim,
     degree_estimate,
     evaluate,
     expr_text,
@@ -128,6 +128,9 @@ def test_schur_rejects_non_characters():
         schur_decompose_gl2(WeightModule(2, {(1, 0): 1}))  # misses the (0,1) partner
     with pytest.raises(NotCharacterError):
         schur_decompose_gl2(WeightModule(2, {(0, 1): 1}))  # maximal weight not dominant
+    with pytest.raises(NotCharacterError):
+        # symmetric, but V(2,0) - V(1,1): negative only at a weight outside the support
+        schur_decompose_gl2(WeightModule(2, {(2, 0): 1, (0, 2): 1}))
 
 
 def test_action_matrix_std_and_dual():
@@ -231,20 +234,121 @@ def test_coinvariants_examples():
         coinvariants_dim(Std(), 1)
 
 
+def matrix_coinvariants(expr, r, reflection=True):
+    """dim V minus the rank of (g - 1) stacked over generators g of GL_r(Z).
+
+    The generators are the elementary matrices E_ij(1), i != j, which
+    generate SL_r(Z), and, unless ``reflection`` is False, diag(-1, 1, ..., 1).
+    """
+    gens = [
+        [[int(a == b or (a, b) == (i, j)) for b in range(r)] for a in range(r)]
+        for i in range(r)
+        for j in range(r)
+        if i != j
+    ]
+    if reflection:
+        gens.append([[(-1 if a == 0 else 1) if a == b else 0 for b in range(r)] for a in range(r)])
+    dim = len(rep.basis_weights(expr, r))
+    if dim == 0:
+        return 0
+    eye = RationalMatrix.identity(dim)
+    return dim - matrix_rank(RationalMatrix.hstack([action_matrix(expr, g, r) - eye for g in gens]))
+
+
 def test_coinvariants_reflection_matters():
     # Lambda^r of the standard representation is the determinant: SL acts
     # trivially, the reflection by -1, so coinvariants vanish only with it
     assert coinvariants_dim(Wedge(2, Std()), 2) == 0
-    gens = rep.gl_generators(2)
-    elementary_only = gens[:-1]
-    dim = 1
-    eye = RationalMatrix.identity(dim)
-    from nilhom.exact_linalg import rank as matrix_rank
+    assert matrix_coinvariants(Wedge(2, Std()), 2) == 0
+    assert matrix_coinvariants(Wedge(2, Std()), 2, reflection=False) == 1  # SL-invariant line survives
 
-    stacked = RationalMatrix.hstack(
-        [action_matrix(Wedge(2, Std()), g, 2) - eye for g in elementary_only]
-    )
-    assert dim - matrix_rank(stacked) == 1  # SL-invariant line survives
+
+ORACLE_EXPRS = (
+    "const(1)",
+    "const(3)",
+    "std",
+    "dual",
+    "lie(2)",
+    "lie(3)",
+    "wedge(2, std)",
+    "tensor(std, std)",
+    "tensor(std, dual)",
+    "hom(std, std)",
+    "sum(const(2), tensor(std, dual))",
+    "tensor(wedge(2, std), wedge(2, std))",
+    "tensor(wedge(2, dual), wedge(2, dual))",
+    "tensor(wedge(2, std), wedge(2, dual))",
+    "tensor(wedge(3, std), wedge(3, std))",
+    "tensor(lie(2), wedge(2, dual))",
+    "wedge(2, tensor(std, dual))",
+    "wedge(3, tensor(std, dual))",
+    "tensor(tensor(std, std), tensor(dual, dual))",
+    "wedge(2, hom(std, lie(2)))",
+    "hom(std, lie[2..3])",
+)
+
+
+def test_coinvariants_match_matrix_route():
+    nonzero = 0
+    for text in ORACLE_EXPRS:
+        for r in (2, 3):
+            expr = parse_expr(text)
+            expected = matrix_coinvariants(expr, r)
+            assert coinvariants_dim(expr, r) == expected, (text, r)
+            nonzero += expected != 0
+    assert nonzero >= 8
+
+
+def weyl_dimension(lam):
+    r = len(lam)
+    pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
+    num = prod(lam[i] - lam[j] + j - i for i, j in pairs)
+    return num // prod(j - i for i, j in pairs)
+
+
+def expr_dimension(expr, r):
+    if isinstance(expr, (Std, DualStd)):
+        return r
+    if isinstance(expr, Const):
+        return expr.dimension
+    if isinstance(expr, Lie):
+        return witt_dimension(r, expr.degree)
+    if isinstance(expr, Wedge):
+        return comb(expr_dimension(expr.inner, r), expr.power)
+    if isinstance(expr, Tensor):
+        return expr_dimension(expr.left, r) * expr_dimension(expr.right, r)
+    if isinstance(expr, Sum):
+        return expr_dimension(expr.left, r) + expr_dimension(expr.right, r)
+    return r * expr_dimension(expr.inner, r)  # HomStd
+
+
+LEAVES = st.one_of(
+    st.just(Std()),
+    st.just(DualStd()),
+    st.builds(Const, st.integers(0, 2)),
+    st.builds(Lie, st.integers(1, 3)),
+)
+EXPRS = st.recursive(
+    LEAVES,
+    lambda inner: st.one_of(
+        st.builds(Wedge, st.integers(0, 3), inner),
+        st.builds(Tensor, inner, inner),
+        st.builds(Sum, inner, inner),
+        st.builds(HomStd, inner),
+    ),
+    max_leaves=4,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(EXPRS, st.sampled_from((2, 3)))
+def test_weyl_multiplicities_on_random_expressions(expr, r):
+    assume(expr_dimension(expr, r) <= 120)
+    module = evaluate(expr, r)
+    multiplicities = rep._weyl_multiplicities(module)  # raises on a non-character
+    if r == 3:
+        assert sum(m * weyl_dimension(lam) for lam, m in multiplicities.items()) == module.dimension
+    assert coinvariants_dim(expr, r) == matrix_coinvariants(expr, r)
 
 
 def test_degree_estimate():
@@ -256,20 +360,6 @@ def test_degree_estimate():
     assert est == 2 and ok
     with pytest.raises(ValueError):
         degree_estimate([3])
-
-
-def test_cross_effect_examples():
-    const = [1, 1, 1, 1]
-    assert all(cross_effect_dim(const, n) == 0 for n in (1, 2, 3))
-    std = [0, 1, 2, 3]
-    assert cross_effect_dim(std, 1) == 1
-    assert cross_effect_dim(std, 2) == 0
-    wedge2 = [comb(r, 2) for r in range(5)]
-    assert cross_effect_dim(wedge2, 3) == 0
-    assert cross_effect_dim(wedge2, 4) == 0
-    assert cross_effect_dim(wedge2, 2) == 1
-    with pytest.raises(ValueError):
-        cross_effect_dim([1, 2], 2)
 
 
 def test_parse_and_print():
