@@ -130,27 +130,16 @@ class DerivationMatrix:
 
     Satisfies the Leibniz rule on all basis pairs and sends every basis
     vector into strictly higher degrees, hence is nilpotent as a matrix.
-    ``shift`` is an optional annotation: the common degree raise of a
-    homogeneous derivation.
     """
 
-    __slots__ = ("algebra", "matrix", "shift")
+    __slots__ = ("algebra", "matrix")
 
-    def __init__(
-        self,
-        algebra: GradedLieAlgebra,
-        matrix: RationalMatrix,
-        check: bool = True,
-        shift: int | None = None,
-    ) -> None:
+    def __init__(self, algebra: GradedLieAlgebra, matrix: RationalMatrix, check: bool = True) -> None:
         m = algebra.dim
         if matrix.rows != m or matrix.cols != m:
             raise ValueError("matrix shape does not match the algebra dimension")
-        if shift is not None and shift < 1:
-            raise ValueError("degree shift must be positive")
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "shift", shift)
         if check:
             self._check()
 
@@ -179,8 +168,7 @@ class DerivationMatrix:
     def __add__(self, other: "DerivationMatrix") -> "DerivationMatrix":
         if self.algebra is not other.algebra:
             raise ValueError("derivations live on different algebras")
-        shift = self.shift if self.shift == other.shift else None
-        return DerivationMatrix(self.algebra, self.matrix + other.matrix, check=False, shift=shift)
+        return DerivationMatrix(self.algebra, self.matrix + other.matrix, check=False)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DerivationMatrix):
@@ -255,10 +243,7 @@ def derivation_from_images(algebra: GradedLieAlgebra, images: Mapping[int, LieEl
         memo[word] = value
         for w, q in value.coords.items():
             entries[(basis.index[w], col)] = q
-    raises = {algebra.degree(i) - algebra.degree(j) for (i, j) in entries}
-    shift = raises.pop() if len(raises) == 1 else None
-    matrix = RationalMatrix(algebra.dim, algebra.dim, entries)
-    return DerivationMatrix(algebra, matrix, shift=shift)
+    return DerivationMatrix(algebra, RationalMatrix(algebra.dim, algebra.dim, entries))
 
 
 def exp_derivation(d: DerivationMatrix) -> LieAutomorphism:

@@ -49,7 +49,10 @@ def fraction_rows(matrix) -> list[list[Fraction]]:
     """Dense rows of Fractions of a RationalMatrix or of nested sequences."""
     if isinstance(matrix, RationalMatrix):
         return matrix.to_rows()
-    return [[_as_fraction(v) for v in row] for row in matrix]
+    rows = [[_as_fraction(v) for v in row] for row in matrix]
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("ragged rows")
+    return rows
 
 
 class RationalMatrix:

@@ -6,13 +6,14 @@ The basis is the Lyndon-word basis: Lyndon words over the alphabet
 unique factorization, which gives a canonical and easily testable
 bracketing.
 
-Bracket expressions are normalized through the tensor algebra: a Lie
-element expands to an alternating sum of words, and Hall coordinates are
-recovered by a per-degree linear solve against the cached expansions of
-the basis elements.  The expansion of a Lyndon bracketing is its own word
-plus lexicographically larger words of the same multidegree, so the solve
-is a unit-triangular forward substitution; a remainder whose smallest
-word is not Lyndon certifies that the input was not a Lie element.
+Brackets read structure constants computed once per basis through the
+tensor algebra: [e_u, e_v] is the commutator of the two expansions, projected
+back to Hall coordinates by a solve against the cached basis expansions.
+The expansion of a Lyndon bracketing is its own word plus lexicographically
+larger words of the same multidegree, so the solve is a unit-triangular
+forward substitution; a remainder whose smallest word is not Lyndon
+certifies that the input was not a Lie element, so the projection certifies
+every constant.
 
 All values are immutable after construction; every function is pure and
 safe to call concurrently.
@@ -36,6 +37,7 @@ __all__ = [
     "hall_basis",
     "generator",
     "bracket",
+    "bracket_coordinates",
     "expand_to_tensor",
     "tensor_to_hall",
     "dynkin",
@@ -103,7 +105,8 @@ class HallBasis:
     proper suffix.
     """
 
-    __slots__ = ("rank", "cls", "elements", "index", "factorization", "degree_start", "_expansions")
+    __slots__ = ("rank", "cls", "elements", "index", "factorization", "degree_start",
+                 "_expansions", "_structure")
 
     def __init__(self, rank: int, cls: int) -> None:
         if rank < 0:
@@ -130,6 +133,7 @@ class HallBasis:
             factorization[w] = (w[:split], w[split:])
         self.factorization = factorization
         self._expansions: dict[Word, dict[Word, int]] = {}
+        self._structure: dict[tuple[int, int], dict[int, Fraction]] | None = None
 
     def elements_of_degree(self, n: int) -> tuple[Word, ...]:
         if not 1 <= n <= self.cls:
@@ -162,6 +166,31 @@ class HallBasis:
                     _add_int(out, wv + wu, -c)
         self._expansions[word] = out
         return out
+
+    def structure_constants(self) -> dict[tuple[int, int], dict[int, Fraction]]:
+        """Nonzero [e_i, e_j], i < j, keyed as GradedLieAlgebra.brackets; read-only.
+
+        Built once by the certifying tensor route and published whole.
+        """
+        table = self._structure
+        if table is not None:
+            return table
+        table = {}
+        for i, wi in enumerate(self.elements):
+            ti = self.expansion(wi)
+            for j in range(i + 1, self.degree_start[self.cls - len(wi) + 1]):
+                tj = self.expansion(self.elements[j])
+                acc: dict[Word, int] = {}
+                for wa, ca in ti.items():
+                    for wb, cb in tj.items():
+                        c = ca * cb
+                        _add_int(acc, wa + wb, c)
+                        _add_int(acc, wb + wa, -c)
+                if acc:
+                    coords = _lie_coords_from_tensor(self, acc)
+                    table[(i, j)] = {self.index[w]: Fraction(q) for w, q in coords.items()}
+        self._structure = table
+        return table
 
     def label(self, word: Word) -> str:
         return "".join(str(letter) for letter in word)
@@ -293,28 +322,6 @@ class TensorElement:
     def is_zero(self) -> bool:
         return not self.coords
 
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch")
-        data = dict(self.coords)
-        for w, q in other.coords.items():
-            _add_frac(data, w, q)
-        return TensorElement(self.rank, data)
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch")
-        data = dict(self.coords)
-        for w, q in other.coords.items():
-            _add_frac(data, w, -q)
-        return TensorElement(self.rank, data)
-
-    def scaled(self, factor) -> "TensorElement":
-        f = _as_fraction(factor)
-        if not f:
-            return TensorElement(self.rank)
-        return TensorElement(self.rank, {w: q * f for w, q in self.coords.items()})
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TensorElement):
             return NotImplemented
@@ -377,23 +384,30 @@ def _lie_coords_from_tensor(basis: HallBasis, tensor: Mapping[Word, Fraction]) -
     return coords
 
 
+def bracket_coordinates(table: Mapping, a: Mapping[int, Fraction], b: Mapping[int, Fraction]) -> dict:
+    """[a, b] for index-keyed coordinate vectors, given brackets [e_i, e_j] keyed (i, j) with i < j."""
+    out: dict[int, Fraction] = {}
+    for i, qa in a.items():
+        for j, qb in b.items():
+            vec = table.get((i, j)) if i < j else table.get((j, i))
+            if vec:
+                c = qa * qb if i < j else -qa * qb
+                for k, q in vec.items():
+                    _add_frac(out, k, c * q)
+    return out
+
+
 def bracket(a: LieElement, b: LieElement) -> LieElement:
-    """Lie bracket in Hall coordinates; degrees beyond the class truncate to zero."""
+    """Lie bracket in Hall coordinates from the structure constants; beyond the class it is zero."""
     _require_same_basis(a, b)
     basis = a.basis
-    cap = basis.cls
-    ta = _expansion_dict(a)
-    tb = _expansion_dict(b)
-    acc: dict[Word, Fraction] = {}
-    for wa, ca in ta.items():
-        la = len(wa)
-        for wb, cb in tb.items():
-            if la + len(wb) > cap:
-                continue
-            q = ca * cb
-            _add_frac(acc, wa + wb, q)
-            _add_frac(acc, wb + wa, -q)
-    return LieElement(basis, _lie_coords_from_tensor(basis, acc))
+    index = basis.index
+    out = bracket_coordinates(
+        basis.structure_constants(),
+        {index[w]: q for w, q in a.coords.items()},
+        {index[w]: q for w, q in b.coords.items()},
+    )
+    return LieElement(basis, {basis.elements[k]: out[k] for k in sorted(out)})
 
 
 def expand_to_tensor(a: LieElement) -> TensorElement:
@@ -454,8 +468,8 @@ def induced_map_lie(matrix, degree: int) -> RationalMatrix:
 
     ``matrix`` is an s x r matrix (rows x cols, nested sequences or a
     RationalMatrix); the result maps degree-``degree`` Hall coordinates on
-    r letters to degree-``degree`` Hall coordinates on s letters by
-    substituting generators and re-normalizing.
+    r letters to degree-``degree`` Hall coordinates on s letters, extending
+    letter l -> column l along standard factorizations, phi(e_w) = [phi(e_u), phi(e_v)].
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
@@ -464,25 +478,18 @@ def induced_map_lie(matrix, degree: int) -> RationalMatrix:
     r = len(rows_data[0]) if s else 0
     src = hall_basis(r, degree)
     dst = hall_basis(s, degree)
-    src_elems = src.elements_of_degree(degree)
+    table = dst.structure_constants()
+    images: list[dict[int, Fraction]] = []
+    for w in src.elements:
+        if len(w) == 1:
+            images.append({j: row[w[0] - 1] for j, row in enumerate(rows_data) if row[w[0] - 1]})
+        else:
+            u, v = src.factorization[w]
+            images.append(bracket_coordinates(table, images[src.index[u]], images[src.index[v]]))
+    src_offset = src.degree_start[degree]
     dst_offset = dst.degree_start[degree]
     entries: dict[tuple[int, int], Fraction] = {}
-    for col, w in enumerate(src_elems):
-        acc: dict[Word, Fraction] = {}
-        for word, n in src.expansion(w).items():
-            cur: dict[Word, Fraction] = {(): Fraction(n)}
-            for letter in word:
-                nxt: dict[Word, Fraction] = {}
-                for u, q in cur.items():
-                    for j in range(s):
-                        a = rows_data[j][letter - 1]
-                        if a:
-                            _add_frac(nxt, u + (j + 1,), q * a)
-                cur = nxt
-                if not cur:
-                    break
-            for u, q in cur.items():
-                _add_frac(acc, u, q)
-        for word, q in _lie_coords_from_tensor(dst, acc).items():
-            entries[(dst.index[word] - dst_offset, col)] = q
-    return RationalMatrix(len(dst.elements_of_degree(degree)), len(src_elems), entries)
+    for col, image in enumerate(images[src_offset:]):
+        for k in sorted(image):
+            entries[(k - dst_offset, col)] = image[k]
+    return RationalMatrix(len(dst.elements_of_degree(degree)), len(images) - src_offset, entries)

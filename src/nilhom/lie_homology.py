@@ -33,7 +33,8 @@ from math import comb
 from typing import Mapping
 
 from .exact_linalg import RationalMatrix, _as_fraction, rank, row_space_basis
-from .free_lie import HallBasis, LieElement, hall_basis, bracket
+from .free_lie import HallBasis, bracket_coordinates, hall_basis
+from .free_lie import bracket  # noqa: F401 - perfbench wraps it by name
 
 __all__ = [
     "GradedLieAlgebra",
@@ -124,20 +125,7 @@ class GradedLieAlgebra:
 
     def bracket_vectors(self, a: Mapping[int, Fraction], b: Mapping[int, Fraction]) -> dict[int, Fraction]:
         """Bilinear extension of the bracket to sparse coordinate vectors."""
-        out: dict[int, Fraction] = {}
-        for i, qa in a.items():
-            for j, qb in b.items():
-                vec = self.bracket_basis(i, j)
-                if not vec:
-                    continue
-                c = qa * qb
-                for k, q in vec.items():
-                    v = out.get(k, Fraction(0)) + c * q
-                    if v:
-                        out[k] = v
-                    else:
-                        out.pop(k, None)
-        return out
+        return bracket_coordinates(self.brackets, a, b)
 
     def _check_weights(self) -> None:
         for (i, j), vec in self.brackets.items():
@@ -184,21 +172,10 @@ def free_nilpotent_lie(rank_: int, cls: int) -> GradedLieAlgebra:
     if cls < 1:
         raise ValueError("class must be at least 1")
     basis = hall_basis(rank_, cls)
-    elements = basis.elements
-    labels = tuple(basis.label(w) for w in elements)
-    weights = tuple(basis.multiweight(w) for w in elements)
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for i, wi in enumerate(elements):
-        ei = LieElement(basis, {wi: 1})
-        for j in range(i + 1, len(elements)):
-            wj = elements[j]
-            if len(wi) + len(wj) > cls:
-                continue
-            img = bracket(ei, LieElement(basis, {wj: 1}))
-            if not img.is_zero:
-                brackets[(i, j)] = {basis.index[w]: q for w, q in img.coords.items()}
+    labels = tuple(basis.label(w) for w in basis.elements)
+    weights = tuple(basis.multiweight(w) for w in basis.elements)
     return GradedLieAlgebra(
-        labels, weights, brackets, weight_length=rank_, check=True, hall=basis
+        labels, weights, basis.structure_constants(), weight_length=rank_, check=True, hall=basis
     )
 
 

@@ -383,7 +383,9 @@ def degree_estimate(dims: Sequence[int]) -> tuple[int, bool]:
     difference row vanishes the estimate is the largest testable degree
     and the flag is False.
     """
-    values = [int(v) for v in dims]
+    values = list(dims)
+    if any(not isinstance(v, int) for v in values):
+        raise TypeError("dimensions must be ints")
     if len(values) < 2:
         raise ValueError("need at least two sequence values")
     row = values

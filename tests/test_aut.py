@@ -77,7 +77,6 @@ def test_derivation_examples():
     assert zero.matrix.is_zero
     d = derivation_from_images(algebra, {0: LieElement(basis, {(1, 2): 1})})
     assert d.matrix.entries == {(basis.index[(1, 2)], 0): Fraction(1)}
-    assert d.shift == 1  # homogeneous: raises every degree by exactly one
     with pytest.raises(ValueError):
         derivation_from_images(algebra, {0: LieElement(basis, {(2,): 1})})
 

@@ -21,6 +21,7 @@ from nilhom.free_lie import (
     witt_dimension,
 )
 from nilhom.invariants import brute_lyndon_words
+from nilhom.lie_homology import free_nilpotent_lie
 
 
 def brute_bracket_expansion(tree):
@@ -284,3 +285,95 @@ def test_degree_layers_are_free_abelian():
                         entries[(index[w], col)] = v
             m = RationalMatrix(len(layer), len(layer), entries)
             assert determinant(m) == 1
+
+
+# -- the tensor-algebra routes, kept as oracles ---------------------------------
+
+
+def tensor_bracket(a, b):
+    """[a, b] through the tensor algebra: commutator of the expansions, truncated, projected back."""
+    cap = a.basis.cls
+    ta, tb = expand_to_tensor(a).coords, expand_to_tensor(b).coords
+    acc = {}
+    for wa, ca in ta.items():
+        for wb, cb in tb.items():
+            if len(wa) + len(wb) <= cap:
+                acc[wa + wb] = acc.get(wa + wb, 0) + ca * cb
+                acc[wb + wa] = acc.get(wb + wa, 0) - ca * cb
+    return tensor_to_hall(TensorElement(a.basis.rank, acc), a.basis)
+
+
+def tensor_induced_map(matrix, degree):
+    """Degree-``degree`` Lie functor by substituting columns for letters in the expanded words."""
+    s = len(matrix)
+    r = len(matrix[0]) if s else 0
+    src = hall_basis(r, degree)
+    dst = hall_basis(s, degree)
+    src_elems = src.elements_of_degree(degree)
+    dst_offset = dst.degree_start[degree]
+    entries = {}
+    for col, w in enumerate(src_elems):
+        acc = {}
+        for word, n in src.expansion(w).items():
+            cur = {(): Fraction(n)}
+            for letter in word:
+                nxt = {}
+                for u, q in cur.items():
+                    for j in range(s):
+                        if matrix[j][letter - 1]:
+                            nxt[u + (j + 1,)] = nxt.get(u + (j + 1,), 0) + q * matrix[j][letter - 1]
+                cur = nxt
+            for u, q in cur.items():
+                acc[u] = acc.get(u, 0) + q
+        for word, q in tensor_to_hall(TensorElement(s, acc), dst).coords.items():
+            entries[(dst.index[word] - dst_offset, col)] = q
+    return RationalMatrix(len(dst.elements_of_degree(degree)), len(src_elems), entries)
+
+
+def random_lie_element(rng, basis):
+    """About half the coordinates set, numerators and denominators up to 10^6."""
+    return LieElement(basis, {
+        w: Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+        for w in basis.elements
+        if rng.random() < 0.5
+    })
+
+
+def test_bracket_matches_tensor_route():
+    rng = random.Random(2025)
+    for r, c in ((2, 5), (3, 4), (4, 4)):
+        basis = hall_basis(r, c)
+        for _ in range(8):
+            a, b = random_lie_element(rng, basis), random_lie_element(rng, basis)
+            assert bracket(a, b) == tensor_bracket(a, b)
+
+
+def test_induced_map_matches_substitution():
+    rng = random.Random(404)
+    for s in (1, 2, 3):
+        for r in (1, 2, 3):
+            for degree in (1, 2, 3, 4):
+                dense = [[rng.choice((-2, -1, 1, 2, Fraction(1, 3))) for _ in range(r)] for _ in range(s)]
+                # a repeated row makes the map singular
+                singular = [list(dense[0]) for _ in range(s)]
+                sparse = [[rng.choice((0, 0, 1, -1)) for _ in range(r)] for _ in range(s)]
+                for matrix in (dense, singular, sparse):
+                    assert induced_map_lie(matrix, degree) == tensor_induced_map(matrix, degree)
+
+
+def test_free_nilpotent_structure_constants_match_tensor_route():
+    for r, c in ((2, 4), (3, 3), (4, 2)):
+        g = free_nilpotent_lie(r, c)
+        basis = g.hall
+        for i, wi in enumerate(basis.elements):
+            for j in range(i + 1, len(basis.elements)):
+                ej = LieElement(basis, {basis.elements[j]: 1})
+                image = tensor_bracket(LieElement(basis, {wi: 1}), ej)
+                assert g.brackets.get((i, j), {}) == {basis.index[w]: q for w, q in image.coords.items()}
+
+
+def test_induced_map_rejects_ragged_rows():
+    with pytest.raises(ValueError, match="ragged rows"):
+        induced_map_lie([[1], [2, 3]], 1)
+    with pytest.raises(ValueError, match="ragged rows"):
+        induced_map_lie([[1, 2], [3]], 1)

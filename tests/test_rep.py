@@ -1,6 +1,7 @@
 """Representation calculus: weights, actions, Weyl multiplicities, coinvariants, degree."""
 
 import random
+from fractions import Fraction
 from itertools import combinations
 from math import comb, prod
 
@@ -360,6 +361,11 @@ def test_degree_estimate():
     assert est == 2 and ok
     with pytest.raises(ValueError):
         degree_estimate([3])
+    # a dimension is an integer: no silent truncation of 1/2 or 2.5
+    with pytest.raises(TypeError):
+        degree_estimate([0, Fraction(1, 2), 1])
+    with pytest.raises(TypeError):
+        degree_estimate([0, 2.5, 5])
 
 
 def test_parse_and_print():
