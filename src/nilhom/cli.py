@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -36,16 +37,30 @@ def _check_label_rank(rank: int) -> None:
         raise ValueError(f"rank {rank} is above 9: words are written one digit per generator")
 
 
+# exact coefficients only: no exponent to expand, no zero denominator
+_WORD = re.compile(r"[0-9]+")
+_COEFFICIENT = re.compile(r"[+-]?([0-9]+(/[0-9]*[1-9][0-9]*)?|[0-9]+\.[0-9]*|\.[0-9]+)")
+
+
 def _parse_coords(basis, text: str) -> "nilgroup.MalcevElement":
     coords = {}
     text = text.strip()
     if text:
         for item in text.split(","):
             word_part, _, value_part = item.partition(":")
-            word = tuple(int(ch) for ch in word_part.strip())
+            word_part, value_part = word_part.strip(), value_part.strip() or "1"
+            if not _WORD.fullmatch(word_part) or not _COEFFICIENT.fullmatch(value_part):
+                raise ValueError(
+                    f"item {item.strip()!r} is not word:coefficient with an integer, "
+                    "n/d (d nonzero) or plain decimal coefficient"
+                )
+            word = tuple(int(ch) for ch in word_part)
             if word in coords:
-                raise ValueError(f"word {word_part.strip()} is given more than once")
-            coords[word] = Fraction(value_part.strip() or "1")
+                raise ValueError(f"word {word_part} is given more than once")
+            try:
+                coords[word] = Fraction(value_part)
+            except ValueError:  # more digits than int() converts from a string
+                raise ValueError(f"item {item.strip()!r} has too many digits") from None
     return nilgroup.malcev_element(basis, coords)
 
 

@@ -2,11 +2,14 @@
 
 Group elements are stored through their logarithms: sparse rational
 coordinate vectors over the Lyndon basis (coordinates of the first kind).
-The group law is the truncated Baker-Campbell-Hausdorff product, computed
-by exponentiating in the degree-truncated tensor algebra, multiplying,
-taking the logarithm, and projecting back to Hall coordinates, never from
-a hard-coded coefficient table.  The projection step doubles as a
-certificate: it raises if the logarithm were not a Lie element.
+The group law is the truncated Baker-Campbell-Hausdorff product.  The
+universal series z(X, Y) = log(e^X e^Y) is computed once per class, never
+from a hard-coded coefficient table: exponentiate in the degree-truncated
+tensor algebra on two letters, multiply, take the logarithm and project
+back to Hall coordinates on hall_basis(2, c).  The projection doubles as a
+certificate: it raises if the logarithm were not a Lie element.  A product
+evaluates that series at (log u, log v) through the structure constants of
+the element's own Hall basis.
 
 The integral group itself appears only through its generators; no lattice
 membership test is provided.  Pure functions on immutable values
@@ -16,6 +19,7 @@ throughout.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping
 
 from .exact_linalg import RationalMatrix, exp_nilpotent, nullspace_basis, rank
@@ -23,10 +27,11 @@ from .free_lie import (
     HallBasis,
     LieElement,
     _add_frac,
-    _expansion_dict,
-    _lie_coords_from_tensor,
+    _expansion_dict,  # unused here; perfbench/tracing.py wraps nilgroup._expansion_dict by name
+    _lie_coords_from_tensor,  # certifies the universal BCH series in _bch_series
+    bracket,  # adjoint_matrix; perfbench/tracing.py also wraps it by name
+    bracket_coordinates,
     hall_basis,
-    bracket,
 )
 from .lie_homology import free_nilpotent_lie
 from .aut import LieAutomorphism
@@ -156,15 +161,50 @@ def _tensor_log(g: dict[Word, Fraction], cap: int) -> dict[Word, Fraction]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _bch_series(cls: int) -> tuple[tuple[Word, Fraction], ...]:
+    """Hall coordinates of log(e^X e^Y) on hall_basis(2, cls), in basis order, zeros included."""
+    x = _tensor_exp({(1,): Fraction(1)}, cls)
+    y = _tensor_exp({(2,): Fraction(1)}, cls)
+    basis = hall_basis(2, cls)
+    coords = _lie_coords_from_tensor(basis, _tensor_log(_tensor_mul(x, y, cls), cls))
+    return tuple((w, coords.get(w, Fraction(0))) for w in basis.elements)
+
+
 def multiply(u: MalcevElement, v: MalcevElement) -> MalcevElement:
-    """The group law log(exp(u) exp(v)), truncated at the class."""
+    """The group law log(exp(u) exp(v)), truncated at the class.
+
+    The universal series z(X, Y) is computed once per class through the
+    tensor algebra, and the projection to Hall coordinates certifies it.
+    Each product evaluates it at X = log u, Y = log v: each 2-letter
+    Lyndon word w with standard factorization (a, b) maps to
+    [image(a), image(b)] through the structure constants of u's basis.
+    """
     _require_same_basis(u, v)
     basis = u.basis
-    cap = basis.cls
-    eu = _tensor_exp(_expansion_dict(u.log()), cap)
-    ev = _tensor_exp(_expansion_dict(v.log()), cap)
-    z = _tensor_log(_tensor_mul(eu, ev, cap), cap)
-    return MalcevElement(basis, _lie_coords_from_tensor(basis, z))
+    index = basis.index
+    start = basis.degree_start
+    cls = basis.cls
+    table = basis.structure_constants()
+    factorization = hall_basis(2, cls).factorization
+    images = {
+        (1,): {index[w]: q for w, q in u.coords.items()},
+        (2,): {index[w]: q for w, q in v.coords.items()},
+    }
+    out: dict[int, Fraction] = {}
+    for word, coefficient in _bch_series(cls):
+        if len(word) > 1:
+            a, b = factorization[word]
+            # image(w) starts in degree len(w): drop the terms whose bracket passes the class
+            images[word] = bracket_coordinates(
+                table,
+                {k: q for k, q in images[a].items() if k < start[cls - len(b) + 1]},
+                {k: q for k, q in images[b].items() if k < start[cls - len(a) + 1]},
+            )
+        if coefficient:
+            for k, q in images[word].items():
+                _add_frac(out, k, coefficient * q)
+    return MalcevElement(basis, {basis.elements[k]: out[k] for k in sorted(out)})
 
 
 def inverse(u: MalcevElement) -> MalcevElement:

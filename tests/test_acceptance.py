@@ -31,7 +31,7 @@ def test_criterion_01_witt_lyndon_agreement():
 
 def test_criterion_02_group_law():
     _report(2, "BCH group law: associativity, units, inverses, commutator coordinate",
-            invariants.bch_group_law(((2, 2), (2, 3), (3, 2), (2, 4)), 100, 987654321, 3),
+            invariants.bch_group_law(((2, 2), (2, 3), (3, 2), (2, 4), (2, 5), (3, 4)), 100, 987654321, 3),
             invariants.bch_commutator((2, 3, 4)),
             invariants.bch_commutator((2,), rank=3))
 

@@ -4,7 +4,10 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -72,6 +75,43 @@ def test_bch_rejects_repeated_word(monkeypatch, capsys):
     assert code == 1
     assert out == ""
     assert "word 1 is given more than once" in capsys.readouterr().err
+
+
+def test_bch_refuses_coefficients_it_cannot_read_exactly(monkeypatch, capsys):
+    for u, item in (
+        ("1:1e999999999", "1:1e999999999"),
+        ("1:1e99999", "1:1e99999"),
+        ("1:1/0", "1:1/0"),
+        ("1:1,", ""),
+    ):
+        code, out = run_cli(
+            ["bch", "-r", "2", "-c", "3", "--u", u, "--v", "2:1", "--no-cache"], monkeypatch
+        )
+        assert code == 1
+        assert out == ""
+        assert f"item {item!r} is not word:coefficient" in capsys.readouterr().err
+
+
+def test_bch_refuses_an_exponent_at_once():
+    # in a child process, so a parser that expands the exponent fails the timeout instead of hanging
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    argv = ["bch", "-r", "2", "-c", "3", "--u", "1:1e999999999", "--v", "2:1", "--no-cache"]
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "nilhom.cli", *argv], env=env, capture_output=True, text=True, timeout=10
+    )
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 1
+    assert "item '1:1e999999999'" in proc.stderr
+
+
+def test_bch_reads_integers_fractions_and_decimals(monkeypatch):
+    code, records = run_records(
+        ["bch", "-r", "2", "-c", "2", "--u", "1:-0.5, 12 : 3/04", "--v", "2:2.,1:.25", "--no-cache"],
+        monkeypatch,
+    )
+    assert code == 0
+    assert records[0]["result"]["coords"] == [["1", "-1/4"], ["2", "2"], ["12", "1/4"]]
 
 
 def test_word_label_commands_reject_rank_ten(monkeypatch, capsys):

@@ -1,13 +1,17 @@
-"""Group law via truncated exp/log against the literature series, plus structure checks."""
+"""Group law against the tensor exp/log route and the literature series, plus structure checks."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilhom.exact_linalg import RationalMatrix, rank
-from nilhom.free_lie import bracket, hall_basis, witt_dimension
+from nilhom.free_lie import _expansion_dict, _lie_coords_from_tensor, bracket, hall_basis, witt_dimension
 from nilhom.nilgroup import (
+    _tensor_exp,
+    _tensor_log,
+    _tensor_mul,
     center_basis,
     group_commutator,
     group_generator,
@@ -38,6 +42,15 @@ def bch_series_oracle(x, y):
     z += (nc(x, x, y) + nc(y, y, x)).scaled(Fraction(1, 12))
     z += nc(y, x, x, y).scaled(Fraction(-1, 24))
     return z
+
+
+def tensor_multiply(u, v):
+    """log(exp(u) exp(v)) by exponentiating, multiplying and taking the log in the tensor algebra."""
+    cap = u.basis.cls
+    eu = _tensor_exp(_expansion_dict(u.log()), cap)
+    ev = _tensor_exp(_expansion_dict(v.log()), cap)
+    z = _tensor_log(_tensor_mul(eu, ev, cap), cap)
+    return malcev_element(u.basis, _lie_coords_from_tensor(u.basis, z))
 
 
 def random_element(rng, basis):
@@ -78,6 +91,26 @@ def test_multiply_matches_series_oracle():
             v = random_element(rng, basis)
             expected = bch_series_oracle(u.log(), v.log())
             assert multiply(u, v).log() == expected
+
+
+def test_multiply_matches_tensor_route():
+    rng = random.Random(2009)
+    for r, c in ((1, 3), (2, 5), (3, 4), (4, 4), (2, 6)):
+        basis = hall_basis(r, c)
+        for _ in range(4):
+            u, v = (
+                malcev_element(
+                    basis,
+                    {
+                        w: Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 1000))
+                        for w in basis.elements
+                        if rng.random() < 0.5
+                    },
+                )
+                for _ in range(2)
+            )
+            product, expected = multiply(u, v), tensor_multiply(u, v)
+            assert list(product.coords.items()) == list(expected.coords.items())
 
 
 def test_multiply_basis_mismatch():
@@ -212,3 +245,27 @@ def test_associativity_sample():
         for _ in range(5):
             u, v, w = (random_element(rng, basis) for _ in range(3))
             assert multiply(multiply(u, v), w) == multiply(u, multiply(v, w))
+
+
+@st.composite
+def sparse_elements(draw, count):
+    """``count`` elements of one random shape r <= 4, c <= 5, each with a few rational coordinates."""
+    basis = hall_basis(draw(st.integers(1, 4)), draw(st.integers(1, 5)))
+    words = st.sampled_from(basis.elements)
+    values = st.fractions(min_value=-100, max_value=100, max_denominator=12)
+    return [
+        malcev_element(basis, draw(st.dictionaries(words, values, max_size=6)))
+        for _ in range(count)
+    ]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(sparse_elements(3))
+def test_group_law_properties(elements):
+    u, v, w = elements
+    e = group_identity(u.basis)
+    assert multiply(multiply(u, v), w) == multiply(u, multiply(v, w))
+    assert multiply(u, e) == u and multiply(e, u) == u
+    assert multiply(u, inverse(u)).is_identity
+    comm = group_commutator(u, v).log().homogeneous_part(2)
+    assert comm == bracket(u.log().homogeneous_part(1), v.log().homogeneous_part(1))
