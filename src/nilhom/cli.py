@@ -66,11 +66,17 @@ def _parse_coords(basis, text: str) -> "nilgroup.MalcevElement":
 
 def _coords_payload(element) -> list[list[str]]:
     basis = element.basis
-    return [
-        [basis.label(w), str(element.coords[w])]
-        for w in basis.elements
-        if w in element.coords
-    ]
+    payload = []
+    for w in basis.elements:
+        if w in element.coords:
+            try:
+                payload.append([basis.label(w), str(element.coords[w])])
+            except ValueError:  # more digits than str() converts from an int
+                raise ValueError(
+                    f"the coefficient of word {basis.label(w)} has a numerator or denominator of more "
+                    f"than {sys.get_int_max_str_digits()} digits, Python's limit for printing an integer"
+                ) from None
+    return payload
 
 
 def _weights_payload(weights: dict) -> list[list]:

@@ -6,12 +6,15 @@ on any code path here: every downstream quantity (homology ranks, weight
 multiplicities, group-law coefficients) must come out as an exact integer
 or rational.
 
-All of them run one elimination kernel, fraction-free in the Bareiss
-style: rows are cleared to integers, and each elimination step divides
-by the previous pivot, which is exact by Sylvester's determinant
-identity.  Pivots are chosen by a Markowitz minimum-fill score with a
-deterministic (row, column) tie-break, so results are reproducible byte
-for byte.
+All of them run one fraction-free elimination kernel on primitive
+rows: rows are cleared to integers and divided by their content (the gcd
+of their entries), and each elimination step cross-multiplies only the
+rows that meet the pivot column, then divides each of them by its content
+again.  No row is rescaled by a pivot it does not meet, and nothing is
+divided by the previous pivot.  The determinant keeps the product of those
+row factors exactly.  Pivots are chosen by a Markowitz minimum-fill score
+with a deterministic (row, column) tie-break, the same pivots classical
+Bareiss elimination picks, so results are reproducible byte for byte.
 
 All values are immutable after construction and all operations are pure
 functions; everything in this module is safe to use concurrently.
@@ -20,7 +23,8 @@ functions; everything in this module is safe to use concurrently.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
 __all__ = [
@@ -73,7 +77,9 @@ class RationalMatrix:
         for (i, j), value in items:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"entry ({i}, {j}) outside a {rows}x{cols} matrix")
-            q = data.get((i, j), Fraction(0)) + _as_fraction(value)
+            q = _as_fraction(value)
+            if (i, j) in data:
+                q += data[i, j]
             if q:
                 data[(i, j)] = q
             else:
@@ -235,76 +241,123 @@ def _integer_rows(m: RationalMatrix) -> list[dict[int, int]]:
     out: list[dict[int, int]] = []
     for row in rows:
         mult = lcm(*(v.denominator for v in row.values())) if row else 1
-        out.append({j: int(v * mult) for j, v in row.items()})
+        if mult == 1:
+            out.append({j: v.numerator for j, v in row.items()})
+        else:
+            out.append({j: v.numerator * (mult // v.denominator) for j, v in row.items()})
     return out
 
 
-def _bareiss(rows: list[dict[int, int]], ncols: int) -> list[tuple[int, int]]:
-    """Fraction-free elimination with Markowitz pivoting, in place.
+def _eliminate(
+    rows: list[dict[int, int]], ncols: int, track_scale: bool = False
+) -> tuple[list[tuple[int, int]], Fraction | None]:
+    """Primitive-row fraction-free elimination with Markowitz pivoting, in place.
 
-    Returns the pivot list [(row, col), ...] in elimination order.  Columns
-    with index >= ncols (augmented right-hand sides) ride along and are
-    never chosen as pivots.  The pivot with the least (nnz_row - 1) *
-    (nnz_col - 1) score wins, ties broken by lowest row then lowest column,
-    which makes the whole elimination deterministic.
+    Returns (pivots, scale): the pivot list [(row, col), ...] in elimination
+    order, and, when ``track_scale``, the factor by which the row operations
+    multiplied the determinant (None otherwise).  Columns with index >=
+    ncols (augmented right-hand sides) ride along and are never chosen as
+    pivots.  The pivot with the least (nnz_row - 1) * (nnz_col - 1) score
+    wins, ties broken by lowest row then lowest column, which makes the
+    whole elimination deterministic.
+
+    Every row is kept primitive: divided by the gcd of all its entries,
+    ride-along columns included.  A pivot step rewrites only the rows that
+    meet the pivot column, as (p/g) row - (f/g) pivot_row with g = gcd(p, f).
+    Each non-pivot row therefore stays a nonzero rational multiple of the
+    row classical Bareiss elimination would hold, and supports, scores and
+    pivots are the same as Bareiss's.  Each non-pivot row's best candidate
+    sits in a heap and is rescored only when its row or the count of one of
+    its columns changes.
     """
-    nrows = len(rows)
+    scale = Fraction(1) if track_scale else None
+    nnz = [0] * len(rows)  # pivotable nonzeros of each non-pivot row
+    by_col: dict[int, set[int]] = {}  # column -> non-pivot rows meeting it
+    for i, row in enumerate(rows):
+        if not row:
+            continue
+        content = gcd(*row.values())
+        if content != 1:
+            rows[i] = row = {c: v // content for c, v in row.items()}
+            if scale is not None:
+                scale /= content
+        for c in row:
+            if c < ncols:
+                by_col.setdefault(c, set()).add(i)
+                nnz[i] += 1
+
+    def entry(i: int) -> tuple[int, int, int]:
+        # (score, row, column) of row i's best pivot: its column met by fewest rows, lowest first
+        bk = bc = -1
+        for c in rows[i]:
+            if c < ncols:
+                k = len(by_col[c])
+                if bc < 0 or k < bk or (k == bk and c < bc):
+                    bk, bc = k, c
+        return (nnz[i] - 1) * (bk - 1), i, bc
+
+    current = {i: entry(i) for i, n in enumerate(nnz) if n}
+    heap = list(current.values())
+    heapify(heap)
     pivots: list[tuple[int, int]] = []
-    pivot_rows: set[int] = set()
-    prev = 1
-    while True:
-        col_count: dict[int, int] = {}
-        for i in range(nrows):
-            if i in pivot_rows:
-                continue
-            for c in rows[i]:
-                if c < ncols:
-                    col_count[c] = col_count.get(c, 0) + 1
-        if not col_count:
-            break
-        best: tuple[int, int, int] | None = None
-        for i in range(nrows):
-            if i in pivot_rows:
-                continue
-            row = rows[i]
-            nnz = sum(1 for c in row if c < ncols)
-            if not nnz:
-                continue
-            for c in row:
-                if c >= ncols:
-                    continue
-                cand = ((nnz - 1) * (col_count[c] - 1), i, c)
-                if best is None or cand < best:
-                    best = cand
-        assert best is not None
-        _, pi, pj = best
-        pval = rows[pi][pj]
-        prow = rows[pi]
-        for k in range(nrows):
-            if k == pi or k in pivot_rows:
-                continue
-            row = rows[k]
-            if not row:
-                continue
-            f = row.get(pj)
-            new_row: dict[int, int] = {}
-            if f is None:
-                # Bareiss scales untouched rows too; division stays exact.
-                if pval == prev:
-                    new_row = row
-                else:
-                    for c, v in row.items():
-                        new_row[c] = v * pval // prev
-            else:
-                for c in row.keys() | prow.keys():
-                    v = (row.get(c, 0) * pval - f * prow.get(c, 0)) // prev
-                    if v:
-                        new_row[c] = v
-            rows[k] = new_row
+    while heap:
+        top = heappop(heap)
+        _, pi, pj = top
+        if current.get(pi) != top:
+            continue  # stale: the row has been rescored or has left
+        del current[pi]
         pivots.append((pi, pj))
-        pivot_rows.add(pi)
-        prev = pval
-    return pivots
+        prow = rows[pi]
+        p = prow[pj]
+        nnz[pi] = 0
+        pcols = [c for c in prow if c < ncols and c != pj]
+        for c in pcols:
+            by_col[c].discard(pi)
+        targets = by_col.pop(pj)
+        targets.discard(pi)
+        for k in targets:
+            row = rows[k]
+            f = row[pj]
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            new = {c: a * v for c, v in row.items()} if a != 1 else row
+            count = nnz[k]
+            for c, v in prow.items():
+                w = new.get(c)
+                if w is None:
+                    new[c] = -b * v
+                    if c < ncols:
+                        by_col[c].add(k)
+                        count += 1
+                    continue
+                w -= b * v
+                if w:
+                    new[c] = w
+                    continue
+                del new[c]
+                if c < ncols:
+                    count -= 1
+                    if c != pj:
+                        by_col[c].discard(k)
+            nnz[k] = count
+            content = gcd(*new.values()) if new else 1
+            if content != 1:
+                new = {c: v // content for c, v in new.items()}
+            if scale is not None:
+                scale *= Fraction(a, content)
+            rows[k] = new
+        # rescore the rows whose own count or one of whose column counts moved
+        for c in pcols:
+            targets |= by_col[c]
+        for k in targets:
+            if nnz[k]:
+                e = entry(k)
+                if current.get(k) != e:
+                    current[k] = e
+                    heappush(heap, e)
+            else:
+                current.pop(k, None)
+    return pivots, scale
 
 
 def _back_substitute(
@@ -335,8 +388,8 @@ def _back_substitute(
 
 def rank(m: RationalMatrix) -> int:
     """Rank over the rationals by fraction-free elimination."""
-    rows = _integer_rows(m)
-    return len(_bareiss(rows, m.cols))
+    pivots, _ = _eliminate(_integer_rows(m), m.cols)
+    return len(pivots)
 
 
 def nullspace_basis(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
@@ -347,7 +400,7 @@ def nullspace_basis(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
     the rest.
     """
     rows = _integer_rows(m)
-    pivots = _bareiss(rows, m.cols)
+    pivots, _ = _eliminate(rows, m.cols)
     pivot_cols = {c for _, c in pivots}
     basis = []
     for free in range(m.cols):
@@ -361,7 +414,7 @@ def nullspace_basis(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
 def row_space_basis(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
     """Echelon pivot rows, a deterministic basis of the row space."""
     rows = _integer_rows(m)
-    pivots = _bareiss(rows, m.cols)
+    pivots, _ = _eliminate(rows, m.cols)
     return [
         tuple(Fraction(rows[ri].get(c, 0)) for c in range(m.cols)) for ri, _ in pivots
     ]
@@ -370,10 +423,11 @@ def row_space_basis(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
 def determinant(m: RationalMatrix) -> Fraction:
     """Exact determinant; 1 for the empty matrix.
 
-    After full-rank elimination the last pivot is the determinant of the
-    cleared matrix with rows and columns taken in pivot order, so it is
-    corrected by the sign of the row-to-column pivot permutation and by
-    the row multipliers used to clear denominators.
+    After full-rank elimination the pivot rows, taken in pivot order, form
+    a triangular matrix whose determinant is the product of the pivots.
+    It is corrected by the sign of the row-to-column pivot permutation, by
+    the scale the elimination's row operations applied, and by the row
+    multipliers used to clear denominators.
     """
     if m.rows != m.cols:
         raise ValueError("determinant needs a square matrix")
@@ -386,15 +440,16 @@ def determinant(m: RationalMatrix) -> Fraction:
         if row:
             j, v = next(iter(row.items()))
             scale *= v / m.entries[i, j]
-    pivots = _bareiss(rows, n)
+    pivots, row_scale = _eliminate(rows, n, track_scale=True)
     if len(pivots) < n:
         return Fraction(0)
     col_of = [0] * n
+    product = 1
     for ri, ci in pivots:
         col_of[ri] = ci
+        product *= rows[ri][ci]
     inversions = sum(a > b for k, a in enumerate(col_of) for b in col_of[k + 1 :])
-    last = rows[pivots[-1][0]][pivots[-1][1]] if pivots else 1
-    return (-last if inversions % 2 else last) / scale
+    return (-product if inversions % 2 else product) / (scale * row_scale)
 
 
 def invert(m: RationalMatrix) -> RationalMatrix:
@@ -408,7 +463,7 @@ def invert(m: RationalMatrix) -> RationalMatrix:
         raise ValueError("only square matrices can be inverted")
     n = m.rows
     rows = _integer_rows(RationalMatrix.hstack([m, RationalMatrix.identity(n)]))
-    pivots = _bareiss(rows, n)
+    pivots, _ = _eliminate(rows, n)
     if len(pivots) < n:
         raise ValueError("matrix is singular")
     entries = {}

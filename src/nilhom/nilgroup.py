@@ -29,7 +29,7 @@ from .free_lie import (
     _add_frac,
     _expansion_dict,  # unused here; perfbench/tracing.py wraps nilgroup._expansion_dict by name
     _lie_coords_from_tensor,  # certifies the universal BCH series in _bch_series
-    bracket,  # adjoint_matrix; perfbench/tracing.py also wraps it by name
+    bracket,  # unused here; perfbench/tracing.py wraps nilgroup.bracket by name
     bracket_coordinates,
     hall_basis,
 )
@@ -248,12 +248,14 @@ def adjoint_matrix(u: MalcevElement) -> RationalMatrix:
     """Matrix of x -> [log u, x] on the Hall basis; strictly degree-raising."""
     basis = u.basis
     m = len(basis.elements)
-    u_lie = u.log()
+    table = basis.structure_constants()
+    x = {basis.index[w]: q for w, q in u.coords.items()}
+    one = Fraction(1)
     entries: dict[tuple[int, int], Fraction] = {}
-    for j, w in enumerate(basis.elements):
-        img = bracket(u_lie, LieElement(basis, {w: 1}))
-        for w2, q in img.coords.items():
-            entries[(basis.index[w2], j)] = q
+    for j in range(m):
+        column = bracket_coordinates(table, x, {j: one})
+        for k in sorted(column):
+            entries[(k, j)] = column[k]
     return RationalMatrix(m, m, entries)
 
 

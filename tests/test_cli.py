@@ -92,6 +92,22 @@ def test_bch_refuses_coefficients_it_cannot_read_exactly(monkeypatch, capsys):
         assert f"item {item!r} is not word:coefficient" in capsys.readouterr().err
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this Python prints integers of any length")
+def test_bch_names_the_coefficient_it_cannot_print(monkeypatch, capsys):
+    nines = "9" * 3000
+    code, out = run_cli(
+        ["bch", "-r", "2", "-c", "3", "--u", f"1:{nines},2:1", "--v", f"2:{nines},1:1", "--no-cache"],
+        monkeypatch,
+    )
+    assert code == 1
+    assert out == ""
+    err = capsys.readouterr().err
+    assert "the coefficient of word 12 " in err
+    assert f"more than {sys.get_int_max_str_digits()} digits" in err
+    assert "set_int_max_str_digits" not in err
+
+
 def test_bch_refuses_an_exponent_at_once():
     # in a child process, so a parser that expands the exponent fails the timeout instead of hanging
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))

@@ -1,13 +1,19 @@
 """Exact linear algebra: examples, invariants, and an independent oracle."""
 
+import copy
 import random
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from nilhom import lie_homology
+from nilhom.aut import ia_lie_algebra
 from nilhom.exact_linalg import (
     RationalMatrix,
+    _eliminate,
+    _integer_rows,
     determinant,
     exp_nilpotent,
     invert,
@@ -50,6 +56,74 @@ def leibniz_det(rows):
             term *= rows[i][j]
         total += term
     return total
+
+
+def bareiss_oracle(rows: list[dict[int, int]], ncols: int) -> list[tuple[int, int]]:
+    """Fraction-free elimination with Markowitz pivoting, in place.
+
+    Returns the pivot list [(row, col), ...] in elimination order.  Columns
+    with index >= ncols (augmented right-hand sides) ride along and are
+    never chosen as pivots.  The pivot with the least (nnz_row - 1) *
+    (nnz_col - 1) score wins, ties broken by lowest row then lowest column,
+    which makes the whole elimination deterministic.
+    """
+    nrows = len(rows)
+    pivots: list[tuple[int, int]] = []
+    pivot_rows: set[int] = set()
+    prev = 1
+    while True:
+        col_count: dict[int, int] = {}
+        for i in range(nrows):
+            if i in pivot_rows:
+                continue
+            for c in rows[i]:
+                if c < ncols:
+                    col_count[c] = col_count.get(c, 0) + 1
+        if not col_count:
+            break
+        best: tuple[int, int, int] | None = None
+        for i in range(nrows):
+            if i in pivot_rows:
+                continue
+            row = rows[i]
+            nnz = sum(1 for c in row if c < ncols)
+            if not nnz:
+                continue
+            for c in row:
+                if c >= ncols:
+                    continue
+                cand = ((nnz - 1) * (col_count[c] - 1), i, c)
+                if best is None or cand < best:
+                    best = cand
+        assert best is not None
+        _, pi, pj = best
+        pval = rows[pi][pj]
+        prow = rows[pi]
+        for k in range(nrows):
+            if k == pi or k in pivot_rows:
+                continue
+            row = rows[k]
+            if not row:
+                continue
+            f = row.get(pj)
+            new_row: dict[int, int] = {}
+            if f is None:
+                # Bareiss scales untouched rows too; division stays exact.
+                if pval == prev:
+                    new_row = row
+                else:
+                    for c, v in row.items():
+                        new_row[c] = v * pval // prev
+            else:
+                for c in row.keys() | prow.keys():
+                    v = (row.get(c, 0) * pval - f * prow.get(c, 0)) // prev
+                    if v:
+                        new_row[c] = v
+            rows[k] = new_row
+        pivots.append((pi, pj))
+        pivot_rows.add(pi)
+        prev = pval
+    return pivots
 
 
 def random_matrix(rng, nrows, ncols, density=0.7):
@@ -191,3 +265,75 @@ def test_matrix_canonical_form():
         RationalMatrix(1, 1, {(0, 1): 1})
     with pytest.raises(TypeError):
         RationalMatrix(1, 1, {(0, 0): 0.5})
+
+
+def weight_blocks(g, max_degree, dominant):
+    """Integer rows of each weight block of g's boundary, assembled as lie_homology._blocks does."""
+    for d in range(1, max_degree + 1):
+        for combos in lie_homology._wedge_buckets(g, d, dominant).values():
+            row_index = {}
+            entries = {}
+            for col, combo in enumerate(combos):
+                for target, q in lie_homology._boundary_of_wedge(g, combo).items():
+                    entries[(row_index.setdefault(target, len(row_index)), col)] = q
+            yield _integer_rows(RationalMatrix(len(row_index), len(combos), entries)), len(combos)
+
+
+def random_integer_rows(rng, nrows, ncols, extra):
+    """Integer rows over ncols pivotable and ``extra`` ride-along columns, some zero or dependent."""
+    density = rng.choice([0.15, 0.4, 0.7, 1.0])
+    rows = []
+    for _ in range(nrows):
+        if rng.random() < 0.1:
+            rows.append({})
+            continue
+        bound = rng.choice([2, 12, 10**6])
+        rows.append(
+            {c: rng.choice([-1, 1]) * rng.randint(1, bound)
+             for c in range(ncols + extra) if rng.random() < density}
+        )
+    if nrows > 2 and rng.random() < 0.4:
+        a, b = rng.randint(-3, 3), rng.randint(1, 3)
+        combo = {c: a * rows[0].get(c, 0) + b * rows[1].get(c, 0) for c in rows[0].keys() | rows[1].keys()}
+        rows[-1] = {c: v for c, v in combo.items() if v}
+    return rows
+
+
+def test_eliminate_pivots_match_bareiss_oracle():
+    cases = []
+    for r, c in ((5, 2), (3, 3), (2, 5)):
+        g = lie_homology.free_nilpotent_lie(r, c)
+        cases.extend(weight_blocks(g, g.dim, dominant=True))
+    cases.extend(weight_blocks(ia_lie_algebra(3, 3), 3, dominant=False))
+    rng = random.Random(4242)
+    for _ in range(400):
+        ncols = rng.randint(1, 10)
+        cases.append((random_integer_rows(rng, rng.randint(0, 10), ncols, rng.randint(0, 3)), ncols))
+    pivoted = 0
+    for rows, ncols in cases:
+        expected = bareiss_oracle(copy.deepcopy(rows), ncols)
+        pivots, scale = _eliminate(rows, ncols)
+        assert pivots == expected
+        assert scale is None
+        pivoted += bool(pivots)
+    assert pivoted > 900
+
+
+def rational_squares(max_n):
+    entry = st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(min_value=-50, max_value=50, max_denominator=12),
+    )
+    return st.integers(0, max_n).flatmap(
+        lambda n: st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(rational_squares(5))
+def test_determinant_and_inverse_properties(rows):
+    m = RationalMatrix.from_rows(rows) if rows else RationalMatrix(0, 0)
+    det = determinant(m)
+    assert det == leibniz_det(rows)
+    if det:
+        assert invert(m) @ m == RationalMatrix.identity(m.rows)

@@ -7,11 +7,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilhom.exact_linalg import RationalMatrix, rank
-from nilhom.free_lie import _expansion_dict, _lie_coords_from_tensor, bracket, hall_basis, witt_dimension
+from nilhom.free_lie import (
+    LieElement,
+    _expansion_dict,
+    _lie_coords_from_tensor,
+    bracket,
+    hall_basis,
+    witt_dimension,
+)
 from nilhom.nilgroup import (
     _tensor_exp,
     _tensor_log,
     _tensor_mul,
+    adjoint_matrix,
     center_basis,
     group_commutator,
     group_generator,
@@ -196,6 +204,33 @@ def test_inner_action_examples():
     # x2 -> x2 + [x1 x2]
     image = act.matrix.column(basis.index[(2,)])
     assert image == {basis.index[(2,)]: 1, basis.index[(1, 2)]: 1}
+
+
+def bracket_adjoint_matrix(u):
+    """ad(log u) with one bracket call per basis element."""
+    basis = u.basis
+    entries = {}
+    for j, w in enumerate(basis.elements):
+        for w2, q in bracket(u.log(), LieElement(basis, {w: 1})).coords.items():
+            entries[(basis.index[w2], j)] = q
+    return RationalMatrix(len(basis.elements), len(basis.elements), entries)
+
+
+def test_adjoint_matrix_matches_bracket_route():
+    basis = hall_basis(4, 4)
+    cases = [group_generator(basis, i) for i in range(1, 5)]
+    rng = random.Random(604)
+    basis = hall_basis(3, 4)
+    for _ in range(4):
+        cases.append(malcev_element(basis, {
+            w: Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+            for w in basis.elements if rng.random() < 0.5
+        }))
+    for u in cases:
+        expected = bracket_adjoint_matrix(u)
+        got = adjoint_matrix(u)
+        assert got == expected
+        assert list(got.entries) == list(expected.entries)
 
 
 def test_inner_action_kernel_is_center():
