@@ -38,7 +38,8 @@ from .exact_linalg import (
     invert,
     rank,
 )
-from .free_lie import LieElement, hall_basis, bracket, induced_map_lie
+from .free_lie import LieElement, bracket_coordinates, hall_basis, induced_map_lie
+from .free_lie import bracket  # noqa: F401 - perfbench wraps it by name
 from .lie_homology import (
     GradedLieAlgebra,
     betti_number,
@@ -59,10 +60,31 @@ __all__ = [
 ]
 
 
-def _apply(matrix: RationalMatrix, vec: Mapping[int, Fraction]) -> dict[int, Fraction]:
+_ONE = Fraction(1)
+
+
+def _columns(matrix: RationalMatrix) -> list[dict[int, Fraction]]:
+    """Every column of a matrix as a sparse row-keyed dict, in one pass over its entries."""
+    cols: list[dict[int, Fraction]] = [{} for _ in range(matrix.cols)]
+    for (i, j), q in matrix.entries.items():
+        cols[j][i] = q
+    return cols
+
+
+def _add_into(out: dict[int, Fraction], vec: Mapping[int, Fraction]) -> None:
+    for k, q in vec.items():
+        v = out.get(k, 0) + q
+        if v:
+            out[k] = v
+        else:
+            del out[k]
+
+
+def _apply(cols: list[dict[int, Fraction]], vec: Mapping[int, Fraction]) -> dict[int, Fraction]:
+    """A matrix, given by its columns, applied to a sparse vector."""
     out: dict[int, Fraction] = {}
     for j, q in vec.items():
-        for i, a in matrix.column(j).items():
+        for i, a in cols[j].items():
             v = out.get(i, Fraction(0)) + a * q
             if v:
                 out[i] = v
@@ -95,10 +117,10 @@ class LieAutomorphism:
         for (i, j), q in mat.entries.items():
             if g.degree(i) < g.degree(j):
                 raise ValueError("matrix does not respect the degree filtration")
-        cols = [mat.column(j) for j in range(g.dim)]
+        cols = _columns(mat)
         for i in range(g.dim):
             for j in range(i + 1, g.dim):
-                lhs = _apply(mat, g.bracket_basis(i, j))
+                lhs = _apply(cols, g.bracket_basis(i, j))
                 rhs = g.bracket_vectors(cols[i], cols[j])
                 if lhs != rhs:
                     raise ValueError(
@@ -151,17 +173,14 @@ class DerivationMatrix:
         for (i, j), q in mat.entries.items():
             if g.degree(i) <= g.degree(j):
                 raise ValueError("derivation is not strictly filtration-raising")
-        cols = [mat.column(j) for j in range(g.dim)]
+        cols = _columns(mat)
+        units = [{j: _ONE} for j in range(g.dim)]
         for i in range(g.dim):
             for j in range(i + 1, g.dim):
-                lhs = _apply(mat, g.bracket_basis(i, j))
-                rhs = g.bracket_vectors(cols[i], {j: Fraction(1)})
-                for k, q in g.bracket_vectors({i: Fraction(1)}, cols[j]).items():
-                    v = rhs.get(k, Fraction(0)) + q
-                    if v:
-                        rhs[k] = v
-                    else:
-                        rhs.pop(k, None)
+                lhs = _apply(cols, g.bracket_basis(i, j))
+                rhs = g.bracket_vectors(cols[i], units[j]) if cols[i] else {}
+                if cols[j]:
+                    _add_into(rhs, g.bracket_vectors(units[i], cols[j]))
                 if lhs != rhs:
                     raise ValueError(f"Leibniz rule fails on basis pair ({i}, {j})")
 
@@ -220,8 +239,7 @@ def derivation_from_images(algebra: GradedLieAlgebra, images: Mapping[int, LieEl
     if basis is None:
         raise ValueError("derivations need a free nilpotent algebra with a word basis")
     r = basis.rank
-    zero = LieElement(basis)
-    assigned: dict[tuple[int, ...], LieElement] = {}
+    assigned: dict[int, dict[int, Fraction]] = {}
     for pos, img in images.items():
         if not 0 <= pos < r:
             raise ValueError(f"generator index {pos} outside 0..{r - 1}")
@@ -229,20 +247,21 @@ def derivation_from_images(algebra: GradedLieAlgebra, images: Mapping[int, LieEl
             raise ValueError("image lives over a different basis")
         if any(len(w) < 2 for w in img.coords):
             raise ValueError("generator images must have coordinates in degrees 2..c only")
-        assigned[basis.elements[pos]] = img
-    memo: dict[tuple[int, ...], LieElement] = {}
+        assigned[pos] = {basis.index[w]: q for w, q in img.coords.items()}
+    table = basis.structure_constants()
+    columns: list[dict[int, Fraction]] = []
     entries: dict[tuple[int, int], Fraction] = {}
     for col, word in enumerate(basis.elements):
         if len(word) == 1:
-            value = assigned.get(word, zero)
+            value = assigned.get(col, {})  # the generator in position col
         else:
-            u, v = basis.factorization[word]
-            value = bracket(memo[u], LieElement(basis, {v: 1})) + bracket(
-                LieElement(basis, {u: 1}), memo[v]
-            )
-        memo[word] = value
-        for w, q in value.coords.items():
-            entries[(basis.index[w], col)] = q
+            # D[e_u, e_v] = [D e_u, e_v] + [e_u, D e_v]
+            u, v = (basis.index[x] for x in basis.factorization[word])
+            value = bracket_coordinates(table, columns[u], {v: _ONE})
+            _add_into(value, bracket_coordinates(table, {u: _ONE}, columns[v]))
+        columns.append(value)
+        for k in sorted(value):
+            entries[(k, col)] = value[k]
     return DerivationMatrix(algebra, RationalMatrix(algebra.dim, algebra.dim, entries))
 
 
@@ -275,7 +294,9 @@ def ia_lie_algebra(r: int, c: int) -> GradedLieAlgebra:
     Dimension r * sum_{b=2}^{c} witt_dimension(r, b); the bracket is the
     matrix commutator read back through generator images; the multiweight
     of the pair (i, w) is weight(w) minus the i-th unit vector.  Nilpotent
-    of class at most c - 1; class 1 gives the zero algebra.
+    of class at most c - 1; class 1 gives the zero algebra.  Permuting the
+    generators acts by Lie automorphisms that permute the weights; that is
+    certified here, once, so homology ranks only non-increasing weights.
     """
     if r < 1:
         raise ValueError("rank must be at least 1")
@@ -287,6 +308,7 @@ def ia_lie_algebra(r: int, c: int) -> GradedLieAlgebra:
     basis = algebra.hall
     pairs, derivations = _ia_generators(r, c)
     pair_index = {pair: n for n, pair in enumerate(pairs)}
+    columns = [_columns(d.matrix) for d in derivations]
     labels = tuple(f"x{i + 1}->{basis.label(w)}" for i, w in pairs)
     weights = tuple(
         tuple(wt - (1 if t == i else 0) for t, wt in enumerate(basis.multiweight(w)))
@@ -300,16 +322,46 @@ def ia_lie_algebra(r: int, c: int) -> GradedLieAlgebra:
             coords: dict[int, Fraction] = {}
             # [Da, Db] sends the generator of Db to Da(wb) and the
             # generator of Da to -Db(wa); all other generators to zero.
-            for row, q in derivations[a].matrix.column(basis.index[wb]).items():
+            for row, q in columns[a][basis.index[wb]].items():
                 key = pair_index[(ib_gen, basis.elements[row])]
                 coords[key] = coords.get(key, Fraction(0)) + q
-            for row, q in derivations[b].matrix.column(basis.index[wa]).items():
+            for row, q in columns[b][basis.index[wa]].items():
                 key = pair_index[(ia_gen, basis.elements[row])]
                 coords[key] = coords.get(key, Fraction(0)) - q
             coords = {k: q for k, q in coords.items() if q}
             if coords:
                 brackets[(a, b)] = coords
-    return GradedLieAlgebra(labels, weights, brackets, weight_length=r, check=True)
+    g = GradedLieAlgebra(labels, weights, brackets, weight_length=r, check=True)
+    _certify_generator_symmetry(g, c)
+    return g
+
+
+def _certify_generator_symmetry(g: GradedLieAlgebra, c: int) -> bool:
+    """Certify that permuting the generators permutes the weight blocks of g.
+
+    g carries the pair basis of ia_lie_algebra(r, c), r = g.weight_length.
+    For each adjacent transposition s_t, the conjugation action of its
+    permutation matrix must map each weight w to s_t w and pass the
+    LieAutomorphism check (invertible, filtration, every bracket pair).  Such
+    a map carries weight block w of every exterior power onto block s_t w
+    and commutes with the boundary; the s_t generate S_r.  Only a passing
+    certificate marks g, which lets homology rank only non-increasing
+    weights.
+    """
+    r = g.weight_length
+    for t in range(r - 1):
+        swap = [*range(t), t + 1, t, *range(t + 2, r)]
+        matrix = gl_conjugation_on_ia([[int(j == swap[i]) for j in range(r)] for i in range(r)], r, c)
+        for i, j in matrix.entries:
+            w = g.weights[j]
+            if g.weights[i] != (*w[:t], w[t + 1], w[t], *w[t + 2 :]):
+                return False
+        try:
+            LieAutomorphism(g, matrix)
+        except ValueError:
+            return False
+    g._cache["permutes_generators"] = True
+    return True
 
 
 def ia_betti(r: int, c: int, q: int) -> tuple[int, dict[tuple[int, ...], int]]:

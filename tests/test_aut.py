@@ -1,5 +1,6 @@
 """Automorphisms, derivations, and the derivation algebras of the IA subgroups."""
 
+import hashlib
 import random
 from fractions import Fraction
 from math import comb
@@ -18,7 +19,7 @@ from nilhom.aut import (
     ia_lie_algebra,
 )
 from nilhom.exact_linalg import RationalMatrix
-from nilhom.free_lie import LieElement, hall_basis, witt_dimension
+from nilhom.free_lie import LieElement, bracket, hall_basis, witt_dimension
 from nilhom.lie_homology import free_nilpotent_lie, nilpotency_class
 from nilhom import rep
 
@@ -108,6 +109,47 @@ def test_derivation_leibniz_and_raising_verified():
     bad = RationalMatrix(algebra.dim, algebra.dim, {(basis.index[(1, 2)], 0): 1, (basis.index[(1, 1, 2)], 1): 1})
     with pytest.raises(ValueError):
         DerivationMatrix(algebra, bad)  # not a derivation: Leibniz fails on (x1, x2)
+
+
+def word_route_derivation(algebra, images):
+    """Matrix entries of the derivation extending ``images``, one LieElement per basis word.
+
+    The reference route: D[e_u, e_v] = [D e_u, e_v] + [e_u, D e_v] through
+    bracket and LieElement addition along the standard factorizations.
+    """
+    basis = algebra.hall
+    memo = {}
+    entries = {}
+    for col, word in enumerate(basis.elements):
+        if len(word) == 1:
+            value = images.get(col, LieElement(basis))
+        else:
+            u, v = basis.factorization[word]
+            value = bracket(memo[u], LieElement(basis, {v: 1})) + bracket(LieElement(basis, {u: 1}), memo[v])
+        memo[word] = value
+        for w, q in value.coords.items():
+            entries[(basis.index[w], col)] = q
+    return entries
+
+
+def test_derivation_from_images_matches_word_route():
+    for r, c in ((2, 3), (3, 3), (3, 4)):
+        algebra = free_nilpotent_lie(r, c)
+        basis = algebra.hall
+        for i, w in ia_basis_pairs(r, c):
+            images = {i: LieElement(basis, {w: 1})}
+            assert derivation_from_images(algebra, images).matrix.entries == word_route_derivation(algebra, images)
+    rng = random.Random(4099)
+    for r, c in ((2, 4), (3, 3), (2, 5), (3, 4)):
+        algebra = free_nilpotent_lie(r, c)
+        basis = algebra.hall
+        higher = [w for w in basis.elements if len(w) >= 2]
+        for _ in range(3):
+            images = {
+                pos: LieElement(basis, {w: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for w in rng.sample(higher, 3)})
+                for pos in rng.sample(range(r), rng.randint(1, r))
+            }
+            assert derivation_from_images(algebra, images).matrix.entries == word_route_derivation(algebra, images)
 
 
 def test_exp_derivation():
@@ -210,6 +252,28 @@ def test_ia_betti_2_3_degree_one():
     assert total == g.dim - commutator_dim
     assert sum(weights.values()) == total
     assert ia_betti(2, 3, 0)[0] == 1
+
+
+# Betti numbers by degree and the sha256 of repr([list(table.items()) for each degree])
+# of the ia_betti tables, as computed before generator symmetry was certified for IA
+# algebras, when every weight block was ranked.
+IA_BETTI_PINNED = {
+    (2, 3): ([1, 5, 11, 14, 11, 5, 1], "36dbc1021e305e9a61875a553fd6a00790cc39fa2e1e11af49f9fa5a0ad70722"),
+    (2, 4): ([1, 9, 38, 101, 191, 274, 308, 274, 191, 101, 38, 9, 1],
+             "5b27974adb37498a3d06bc2976b6af5a04c6993c937fac5aee6c635a450181de"),
+    (3, 2): ([1, 9, 36, 84, 126, 126, 84, 36, 9, 1], "790abb7eee81f7eb489c11fb689e039a1b59b4e1b06bd29603bdac02f728e0e1"),
+    (3, 3): ([1, 15, 165, 1436, 9438], "16648159d5e7ceae620e4cb73fea2246888711a713fbbf706827bb1d5b047395"),
+    (3, 4): ([1, 25, 445], "eb522fa6ec8ad2328078ccd4933e631551daec29acf0f6133a4e4b29cdef4d16"),
+}
+
+
+def test_ia_betti_tables_pinned():
+    # items and order of every table; (3, 3) and (3, 4) stop where the
+    # degrees get expensive (degree 5 of IA(3, 3) lists a million wedges)
+    for (r, c), (bettis, digest) in IA_BETTI_PINNED.items():
+        tables = [ia_betti(r, c, q) for q in range(len(bettis))]
+        assert [total for total, _ in tables] == bettis
+        assert hashlib.sha256(repr([list(t.items()) for _, t in tables]).encode()).hexdigest() == digest
 
 
 def test_gl_conjugation_identity_and_permutation():

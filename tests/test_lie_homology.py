@@ -1,16 +1,19 @@
 """Chevalley-Eilenberg homology: boundary structure, Betti vectors, weight refinement."""
 
+import random
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations
 from math import comb, prod
 
 import pytest
 
-from nilhom.aut import ia_lie_algebra
+from nilhom.aut import _certify_generator_symmetry, ia_lie_algebra
 from nilhom.exact_linalg import RationalMatrix, rank
 from nilhom.free_lie import hall_basis, witt_dimension
 from nilhom.lie_homology import (
     GradedLieAlgebra,
+    _permutes_generators,
     betti_number,
     betti_numbers,
     ce_boundary,
@@ -67,6 +70,66 @@ def test_jacobi_check_catches_wrong_sign():
     tampered[key] = {idx: -q for idx, q in tampered[key].items()}
     with pytest.raises(ValueError):
         GradedLieAlgebra(g.labels, g.weights, tampered)
+
+
+def dense_jacobi_oracle(g):
+    """The first basis triple i < j < k, lexicographically, whose Jacobiator is nonzero, or None.
+
+    Visits every triple and sums the three double brackets directly.
+    """
+    m = g.dim
+    for i in range(m):
+        for j in range(i + 1, m):
+            for k in range(j + 1, m):
+                acc = {}
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    for l, q in g.bracket_basis(a, b).items():
+                        for t, q2 in g.bracket_basis(l, c).items():
+                            v = acc.get(t, Fraction(0)) + q * q2
+                            if v:
+                                acc[t] = v
+                            else:
+                                acc.pop(t, None)
+                if acc:
+                    return (i, j, k)
+    return None
+
+
+def mutated_brackets(g, rng):
+    """A copy of g's structure constants with one seeded change: scale, drop or add a coefficient."""
+    table = {key: dict(vec) for key, vec in g.brackets.items()}
+    key = rng.choice(sorted(table))
+    kind = rng.randrange(4)
+    if kind == 0:
+        k = rng.choice(sorted(table[key]))
+        table[key][k] *= rng.choice((-1, 2, Fraction(1, 3)))
+    elif kind == 1:
+        del table[key][rng.choice(sorted(table[key]))]
+    elif kind == 2:
+        del table[key]
+    else:
+        i, j = sorted(rng.sample(range(g.dim), 2))
+        k = rng.randrange(g.dim)
+        table.setdefault((i, j), {})[k] = table.get((i, j), {}).get(k, 0) + rng.choice((1, -2))
+    return table
+
+
+def test_jacobi_check_matches_dense_oracle():
+    # the check visits only nonzero double brackets; on seeded mutations it
+    # must name the same first failing triple as the all-triples loop
+    rng = random.Random(20261018)
+    outcomes = set()
+    for g in (free_nilpotent_lie(3, 4), free_nilpotent_lie(2, 5), ia_lie_algebra(3, 3)):
+        for _ in range(40):
+            h = GradedLieAlgebra(g.labels, g.weights, mutated_brackets(g, rng), g.weight_length, check=False)
+            expected = dense_jacobi_oracle(h)
+            if expected is None:
+                h._check_jacobi()
+            else:
+                with pytest.raises(ValueError, match=rf"^Jacobi identity fails on basis triple \({', '.join(map(str, expected))}\)$"):
+                    h._check_jacobi()
+            outcomes.add(expected is None)
+    assert outcomes == {True, False}
 
 
 def test_ce_boundary_examples():
@@ -213,16 +276,19 @@ def direct_weighted_betti(g, d):
     each weight's rows and columns are cut out of the full boundary matrices.
     """
 
+    @cache
     def wedge_weights(k):
         return [
             tuple(sum(g.weights[i][t] for i in combo) for t in range(g.weight_length))
             for combo in combinations(range(g.dim), k)
         ]
 
+    boundary = cache(lambda k: ce_boundary(g, k))
+
     def restricted_rank(k, w):
         if not 1 <= k <= g.dim:
             return 0
-        matrix = ce_boundary(g, k)
+        matrix = boundary(k)
         rows = [i for i, v in enumerate(wedge_weights(k - 1)) if v == w]
         cols = [j for j, v in enumerate(wedge_weights(k)) if v == w]
         entries = {(a, b): matrix.entry(i, j) for a, i in enumerate(rows) for b, j in enumerate(cols)}
@@ -245,7 +311,9 @@ def assert_matches_direct_oracle(g):
 
 
 def test_direct_ranks_match_weighted_tables():
-    for g in (free_nilpotent_lie(2, 3), free_nilpotent_lie(3, 2), free_nilpotent_lie(2, 4), ia_lie_algebra(2, 3)):
+    ia = (ia_lie_algebra(2, 3), ia_lie_algebra(3, 2), ia_lie_algebra(2, 4))
+    assert all(map(_permutes_generators, ia))  # certified: only dominant blocks are ranked
+    for g in (free_nilpotent_lie(2, 3), free_nilpotent_lie(3, 2), free_nilpotent_lie(2, 4), *ia):
         assert_matches_direct_oracle(g)
 
 
@@ -267,4 +335,17 @@ def test_symmetry_needs_free_nilpotent_algebra():
         hall=basis,
     )
     assert weighted_betti(g, 1) == {(0, 1): 1, (1, 0): 1, (1, 2): 1}
+    assert_matches_direct_oracle(g)
+
+
+def test_symmetry_certificate_rejects_a_non_automorphic_swap():
+    # IA(2,4)'s pair basis and weights with only [x1->12, x2->12] = x1->112 and
+    # [x1->12, x1->112] = x1->122: Jacobi holds (degree 3 is central), but
+    # swapping the generators is no automorphism, and H_1 has weight (2,1)
+    # twice and (1,2) once
+    ia = ia_lie_algebra(2, 4)
+    g = GradedLieAlgebra(ia.labels, ia.weights, {(0, 6): {1: 1}, (0, 1): {4: 1}})
+    assert not _certify_generator_symmetry(g, 4)
+    assert not _permutes_generators(g)
+    assert weighted_betti(g, 1)[(2, 1)] == 2 and weighted_betti(g, 1)[(1, 2)] == 1
     assert_matches_direct_oracle(g)
