@@ -96,7 +96,7 @@ def dense_jacobi_oracle(g):
 
 
 def mutated_brackets(g, rng):
-    """A copy of g's structure constants with one seeded change: scale, drop or add a coefficient."""
+    """A copy of g's structure constants with one seeded change to a coefficient or a whole bracket."""
     table = {key: dict(vec) for key, vec in g.brackets.items()}
     key = rng.choice(sorted(table))
     kind = rng.randrange(4)
@@ -340,7 +340,7 @@ def test_symmetry_needs_free_nilpotent_algebra():
 
 def test_symmetry_certificate_rejects_a_non_automorphic_swap():
     # IA(2,4)'s pair basis and weights with only [x1->12, x2->12] = x1->112 and
-    # [x1->12, x1->112] = x1->122: Jacobi holds (degree 3 is central), but
+    # [x1->12, x1->112] = x1->1122: Jacobi holds (degree 3 is central), but
     # swapping the generators is no automorphism, and H_1 has weight (2,1)
     # twice and (1,2) once
     ia = ia_lie_algebra(2, 4)
