@@ -27,14 +27,12 @@ from .free_lie import (
     hall_basis,
     induced_map_lie,
     lyndon_words,
-    tensor_to_hall,
     witt_dimension,
 )
 from .lie_homology import (
     GradedLieAlgebra,
     betti_number,
     betti_numbers,
-    ce_boundary,
     free_nilpotent_lie,
     group_betti,
     lower_central_series_dims,
@@ -46,7 +44,6 @@ from .aut import (
     LieAutomorphism,
     automorphism_from_gl,
     derivation_from_images,
-    exp_derivation,
     gl_conjugation_on_ia,
     ia_basis_pairs,
     ia_betti,

@@ -33,11 +33,11 @@ from typing import Mapping
 from .exact_linalg import (
     RationalMatrix,
     determinant,
-    exp_nilpotent,
     fraction_rows,
     invert,
     rank,
 )
+from .exact_linalg import exp_nilpotent  # noqa: F401 - perfbench wraps it by name
 from .free_lie import LieElement, bracket_coordinates, hall_basis, induced_map_lie
 from .free_lie import bracket  # noqa: F401 - perfbench wraps it by name
 from .lie_homology import (
@@ -52,7 +52,6 @@ __all__ = [
     "DerivationMatrix",
     "automorphism_from_gl",
     "derivation_from_images",
-    "exp_derivation",
     "ia_basis_pairs",
     "ia_lie_algebra",
     "ia_betti",
@@ -85,7 +84,9 @@ def _apply(cols: list[dict[int, Fraction]], vec: Mapping[int, Fraction]) -> dict
     out: dict[int, Fraction] = {}
     for j, q in vec.items():
         for i, a in cols[j].items():
-            v = out.get(i, Fraction(0)) + a * q
+            v = a * q
+            if i in out:
+                v += out[i]
             if v:
                 out[i] = v
             else:
@@ -263,11 +264,6 @@ def derivation_from_images(algebra: GradedLieAlgebra, images: Mapping[int, LieEl
         for k in sorted(value):
             entries[(k, col)] = value[k]
     return DerivationMatrix(algebra, RationalMatrix(algebra.dim, algebra.dim, entries))
-
-
-def exp_derivation(d: DerivationMatrix) -> LieAutomorphism:
-    """Exact exponential of a strictly raising derivation: an automorphism fixing degree 1."""
-    return LieAutomorphism(d.algebra, exp_nilpotent(d.matrix))
 
 
 def ia_basis_pairs(r: int, c: int) -> list[tuple[int, tuple[int, ...]]]:

@@ -169,9 +169,10 @@ class RationalMatrix:
             raise ValueError("shape mismatch")
         data = dict(self.entries)
         for k, q in other.entries.items():
-            s = data.get(k, Fraction(0)) + q
-            if s:
-                data[k] = s
+            if k in data:
+                q += data[k]
+            if q:
+                data[k] = q
             else:
                 data.pop(k, None)
         return RationalMatrix(self.rows, self.cols, data)
@@ -189,9 +190,11 @@ class RationalMatrix:
         for (i, k), a in self.entries.items():
             for j, b in by_row.get(k, ()):
                 key = (i, j)
-                s = data.get(key, Fraction(0)) + a * b
-                if s:
-                    data[key] = s
+                q = a * b
+                if key in data:
+                    q += data[key]
+                if q:
+                    data[key] = q
                 else:
                     data.pop(key, None)
         return RationalMatrix(self.rows, other.cols, data)

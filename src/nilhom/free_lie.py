@@ -39,7 +39,6 @@ __all__ = [
     "bracket",
     "bracket_coordinates",
     "expand_to_tensor",
-    "tensor_to_hall",
     "dynkin",
     "induced_map_lie",
 ]
@@ -133,7 +132,7 @@ class HallBasis:
             factorization[w] = (w[:split], w[split:])
         self.factorization = factorization
         self._expansions: dict[Word, dict[Word, int]] = {}
-        self._structure: dict[tuple[int, int], dict[int, Fraction]] | None = None
+        self._structure: dict[tuple[int, int], dict[int, int]] | None = None
 
     def elements_of_degree(self, n: int) -> tuple[Word, ...]:
         if not 1 <= n <= self.cls:
@@ -162,15 +161,18 @@ class HallBasis:
             for wu, cu in self.expansion(u).items():
                 for wv, cv in self.expansion(v).items():
                     c = cu * cv
-                    _add_int(out, wu + wv, c)
-                    _add_int(out, wv + wu, -c)
+                    _add(out, wu + wv, c)
+                    _add(out, wv + wu, -c)
         self._expansions[word] = out
         return out
 
-    def structure_constants(self) -> dict[tuple[int, int], dict[int, Fraction]]:
+    def structure_constants(self) -> dict[tuple[int, int], dict[int, int]]:
         """Nonzero [e_i, e_j], i < j, keyed as GradedLieAlgebra.brackets; read-only.
 
-        Built once by the certifying tensor route and published whole.
+        Built once by the certifying tensor route and published whole.  The
+        values are plain ints: the Lyndon basis is a Z-basis of the free Lie
+        ring, so the projection of an integer commutator, a unit-triangular
+        solve, has integer coordinates.  That is checked here, once.
         """
         table = self._structure
         if table is not None:
@@ -184,11 +186,13 @@ class HallBasis:
                 for wa, ca in ti.items():
                     for wb, cb in tj.items():
                         c = ca * cb
-                        _add_int(acc, wa + wb, c)
-                        _add_int(acc, wb + wa, -c)
+                        _add(acc, wa + wb, c)
+                        _add(acc, wb + wa, -c)
                 if acc:
                     coords = _lie_coords_from_tensor(self, acc)
-                    table[(i, j)] = {self.index[w]: Fraction(q) for w, q in coords.items()}
+                    table[(i, j)] = {self.index[w]: q for w, q in coords.items()}
+        if any(type(q) is not int for vec in table.values() for q in vec.values()):
+            raise ArithmeticError("a structure constant of the Lyndon basis is not an integer")
         self._structure = table
         return table
 
@@ -211,20 +215,16 @@ def hall_basis(rank: int, cls: int) -> HallBasis:
     return HallBasis(rank, cls)
 
 
-def _add_int(d: dict, key, value: int) -> None:
-    v = d.get(key, 0) + value
-    if v:
-        d[key] = v
-    else:
-        d.pop(key, None)
-
-
-def _add_frac(d: dict, key, value: Fraction) -> None:
-    v = d.get(key, Fraction(0)) + value
-    if v:
-        d[key] = v
-    else:
-        d.pop(key, None)
+def _add(d: dict, key, value) -> None:
+    """d[key] += value for int or Fraction values, keeping no zero entry."""
+    if key in d:
+        value = d[key] + value
+        if not value:
+            del d[key]
+            return
+    elif not value:
+        return
+    d[key] = value
 
 
 class LieElement:
@@ -238,11 +238,7 @@ class LieElement:
         for word, value in items:
             if word not in basis.index:
                 raise ValueError(f"{word} is not a word of {basis!r}")
-            q = data.get(word, Fraction(0)) + _as_fraction(value)
-            if q:
-                data[word] = q
-            else:
-                data.pop(word, None)
+            _add(data, word, _as_fraction(value))
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "coords", data)
 
@@ -256,9 +252,6 @@ class LieElement:
     def degrees(self) -> tuple[int, ...]:
         return tuple(sorted({len(w) for w in self.coords}))
 
-    def homogeneous_part(self, n: int) -> "LieElement":
-        return LieElement(self.basis, {w: q for w, q in self.coords.items() if len(w) == n})
-
     def scaled(self, factor) -> "LieElement":
         f = _as_fraction(factor)
         if not f:
@@ -269,7 +262,7 @@ class LieElement:
         _require_same_basis(self, other)
         data = dict(self.coords)
         for w, q in other.coords.items():
-            _add_frac(data, w, q)
+            _add(data, w, q)
         return LieElement(self.basis, data)
 
     def __sub__(self, other: "LieElement") -> "LieElement":
@@ -307,11 +300,7 @@ class TensorElement:
         for word, value in items:
             if any(not 1 <= letter <= rank for letter in word):
                 raise ValueError(f"word {word} uses letters outside 1..{rank}")
-            q = data.get(word, Fraction(0)) + _as_fraction(value)
-            if q:
-                data[word] = q
-            else:
-                data.pop(word, None)
+            _add(data, word, _as_fraction(value))
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "coords", data)
 
@@ -358,7 +347,7 @@ def _expansion_dict(a: LieElement) -> dict[Word, Fraction]:
     out: dict[Word, Fraction] = {}
     for w, q in a.coords.items():
         for word, n in a.basis.expansion(w).items():
-            _add_frac(out, word, q * n)
+            _add(out, word, q * n)
     return out
 
 
@@ -380,7 +369,7 @@ def _lie_coords_from_tensor(basis: HallBasis, tensor: Mapping[Word, Fraction]) -
         c = work[w]
         coords[w] = c
         for word, n in basis.expansion(w).items():
-            _add_frac(work, word, -c * n)
+            _add(work, word, -c * n)
     return coords
 
 
@@ -393,7 +382,13 @@ def bracket_coordinates(table: Mapping, a: Mapping[int, Fraction], b: Mapping[in
             if vec:
                 c = qa * qb if i < j else -qa * qb
                 for k, q in vec.items():
-                    _add_frac(out, k, c * q)
+                    q *= c
+                    if k in out:
+                        q += out[k]
+                        if not q:
+                            del out[k]
+                            continue
+                    out[k] = q
     return out
 
 
@@ -413,20 +408,6 @@ def bracket(a: LieElement, b: LieElement) -> LieElement:
 def expand_to_tensor(a: LieElement) -> TensorElement:
     """Image under the canonical inclusion into the tensor algebra."""
     return TensorElement(a.basis.rank, _expansion_dict(a))
-
-
-def tensor_to_hall(t: TensorElement, basis: HallBasis) -> LieElement:
-    """Inverse of expand_to_tensor on the Lie subspace.
-
-    Raises NotLieElementError when some homogeneous component is not a
-    Lie element, and ValueError when a word exceeds the basis class.
-    """
-    if t.rank != basis.rank:
-        raise ValueError("rank mismatch between tensor and basis")
-    for w in t.coords:
-        if len(w) > basis.cls:
-            raise ValueError(f"word of degree {len(w)} exceeds class {basis.cls}")
-    return LieElement(basis, _lie_coords_from_tensor(basis, t.coords))
 
 
 def dynkin(t: TensorElement, basis: HallBasis | None = None) -> LieElement:
@@ -454,11 +435,11 @@ def dynkin(t: TensorElement, basis: HallBasis | None = None) -> LieElement:
         for letter in w[1:]:
             nxt: dict[Word, int] = {}
             for u, n in cur.items():
-                _add_int(nxt, u + (letter,), n)
-                _add_int(nxt, (letter,) + u, -n)
+                _add(nxt, u + (letter,), n)
+                _add(nxt, (letter,) + u, -n)
             cur = nxt
         for u, n in cur.items():
-            _add_frac(acc, u, q * n)
+            _add(acc, u, q * n)
     coords = _lie_coords_from_tensor(basis, acc)
     return LieElement(basis, {w: q / degree for w, q in coords.items()})
 

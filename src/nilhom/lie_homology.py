@@ -32,7 +32,6 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import comb
 from typing import Mapping
 
 from .exact_linalg import RationalMatrix, _as_fraction, rank, row_space_basis
@@ -42,7 +41,6 @@ from .free_lie import bracket  # noqa: F401 - perfbench wraps it by name
 __all__ = [
     "GradedLieAlgebra",
     "free_nilpotent_lie",
-    "ce_boundary",
     "betti_number",
     "betti_numbers",
     "group_betti",
@@ -248,20 +246,6 @@ def _boundary_of_wedge(g: GradedLieAlgebra, combo: tuple[int, ...]) -> dict[tupl
                 else:
                     del out[target]
     return out
-
-
-def ce_boundary(g: GradedLieAlgebra, d: int) -> RationalMatrix:
-    """Boundary matrix from d-wedges to (d-1)-wedges, lexicographic wedge order."""
-    if not 0 <= d <= g.dim:
-        raise ValueError(f"degree {d} outside 0..{g.dim}")
-    if d == 0:
-        return RationalMatrix(0, 1)
-    row_index = {combo: i for i, combo in enumerate(combinations(range(g.dim), d - 1))}
-    entries: dict[tuple[int, int], Fraction] = {}
-    for col, combo in enumerate(combinations(range(g.dim), d)):
-        for target, q in _boundary_of_wedge(g, combo).items():
-            entries[(row_index[target], col)] = q
-    return RationalMatrix(len(row_index), comb(g.dim, d), entries)
 
 
 def _permutes_generators(g: GradedLieAlgebra) -> bool:

@@ -8,8 +8,11 @@ from a hard-coded coefficient table: exponentiate in the degree-truncated
 tensor algebra on two letters, multiply, take the logarithm and project
 back to Hall coordinates on hall_basis(2, c).  The projection doubles as a
 certificate: it raises if the logarithm were not a Lie element.  A product
-evaluates that series at (log u, log v) through the structure constants of
-the element's own Hall basis.
+evaluates that series at (log u, log v) in integer arithmetic: each
+argument is cleared once by the lcm of its denominators, the integer
+vectors go through the integer structure constants of the element's own
+Hall basis, and the terms of each degree are summed over one known common
+denominator, so each output coordinate becomes a Fraction exactly once.
 
 The integral group itself appears only through its generators; no lattice
 membership test is provided.  Pure functions on immutable values
@@ -20,13 +23,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Mapping
 
 from .exact_linalg import RationalMatrix, exp_nilpotent, nullspace_basis, rank
 from .free_lie import (
     HallBasis,
     LieElement,
-    _add_frac,
+    _add,
     _expansion_dict,  # unused here; perfbench/tracing.py wraps nilgroup._expansion_dict by name
     _lie_coords_from_tensor,  # certifies the universal BCH series in _bch_series
     bracket,  # unused here; perfbench/tracing.py wraps nilgroup.bracket by name
@@ -128,7 +132,7 @@ def _tensor_mul(a: dict[Word, Fraction], b: dict[Word, Fraction], cap: int) -> d
         la = len(wa)
         for wb, cb in b.items():
             if la + len(wb) <= cap:
-                _add_frac(out, wa + wb, ca * cb)
+                _add(out, wa + wb, ca * cb)
     return out
 
 
@@ -141,7 +145,7 @@ def _tensor_exp(u: dict[Word, Fraction], cap: int) -> dict[Word, Fraction]:
             break
         term = {w: q / k for w, q in term.items()}
         for w, q in term.items():
-            _add_frac(out, w, q)
+            _add(out, w, q)
     return out
 
 
@@ -157,54 +161,100 @@ def _tensor_log(g: dict[Word, Fraction], cap: int) -> dict[Word, Fraction]:
             break
         factor = Fraction(-1 if k % 2 == 0 else 1, k)
         for w, q in term.items():
-            _add_frac(out, w, q * factor)
+            _add(out, w, q * factor)
     return out
 
 
 @lru_cache(maxsize=None)
-def _bch_series(cls: int) -> tuple[tuple[Word, Fraction], ...]:
-    """Hall coordinates of log(e^X e^Y) on hall_basis(2, cls), in basis order, zeros included."""
+def _bch_series(cls: int) -> tuple[tuple, tuple]:
+    """log(e^X e^Y) on hall_basis(2, cls), as integers over one denominator per degree.
+
+    Returns (terms, levels).  For n = 1..cls, levels[n] = (L_n, a_n, b_n):
+    L_n is the lcm of the denominators of the nonzero coefficients on words
+    of length at most n, and a_n, b_n are the largest numbers of letters X
+    and Y among those words; levels[0] = (1, 0, 0).  terms holds, for every
+    basis word in order, (word, i, numerators): i is the word's number of
+    letters X, and numerators[n] is its coefficient times L_n for
+    len(word) <= n <= cls, and 0 below.
+    """
     x = _tensor_exp({(1,): Fraction(1)}, cls)
     y = _tensor_exp({(2,): Fraction(1)}, cls)
     basis = hall_basis(2, cls)
     coords = _lie_coords_from_tensor(basis, _tensor_log(_tensor_mul(x, y, cls), cls))
-    return tuple((w, coords.get(w, Fraction(0))) for w in basis.elements)
+    levels = [(1, 0, 0)]
+    for n in range(1, cls + 1):
+        words = [w for w in coords if len(w) <= n]
+        levels.append((
+            lcm(*(coords[w].denominator for w in words)),
+            max(w.count(1) for w in words),
+            max(w.count(2) for w in words),
+        ))
+    terms = tuple(
+        (w, w.count(1), tuple(
+            int(coords[w] * levels[n][0]) if w in coords and n >= len(w) else 0 for n in range(cls + 1)
+        ))
+        for w in basis.elements
+    )
+    return terms, tuple(levels)
+
+
+def _cleared(u: MalcevElement) -> tuple[int, dict[int, int]]:
+    """(D, x): D the lcm of u's coordinate denominators, log u = x / D with x integral."""
+    denominator = 1
+    for q in u.coords.values():
+        denominator = lcm(denominator, q.denominator)
+    index = u.basis.index
+    return denominator, {
+        index[w]: q.numerator * (denominator // q.denominator) for w, q in u.coords.items()
+    }
 
 
 def multiply(u: MalcevElement, v: MalcevElement) -> MalcevElement:
-    """The group law log(exp(u) exp(v)), truncated at the class.
+    """The group law log(exp(u) exp(v)), truncated at the class, in integer arithmetic.
 
     The universal series z(X, Y) is computed once per class through the
     tensor algebra, and the projection to Hall coordinates certifies it.
-    Each product evaluates it at X = log u, Y = log v: each 2-letter
-    Lyndon word w with standard factorization (a, b) maps to
-    [image(a), image(b)] through the structure constants of u's basis.
+    Each product evaluates it at X = log u, Y = log v on integer vectors:
+    log u = x / D_u and log v = y / D_v with x, y integral, and each
+    2-letter Lyndon word w with standard factorization (a, b) maps to
+    [image(a), image(b)] through the integer structure constants of u's
+    basis.  The image of a word with i letters X and j letters Y is then
+    an integer vector over D_u^i D_v^j.  A degree-n output coordinate
+    collects only words of length at most n, so it is summed as one
+    integer over the denominator L_n D_u^a_n D_v^b_n of _bch_series, and
+    becomes a Fraction once, at the end.
     """
     _require_same_basis(u, v)
     basis = u.basis
-    index = basis.index
     start = basis.degree_start
     cls = basis.cls
     table = basis.structure_constants()
     factorization = hall_basis(2, cls).factorization
-    images = {
-        (1,): {index[w]: q for w, q in u.coords.items()},
-        (2,): {index[w]: q for w, q in v.coords.items()},
-    }
-    out: dict[int, Fraction] = {}
-    for word, coefficient in _bch_series(cls):
+    du, x = _cleared(u)
+    dv, y = _cleared(v)
+    terms, levels = _bch_series(cls)
+    degree = [n for n in range(1, cls + 1) for _ in range(start[n], start[n + 1])]
+    images = {(1,): x, (2,): y}
+    out: dict[int, int] = {}
+    for word, i, numerators in terms:
         if len(word) > 1:
             a, b = factorization[word]
             # image(w) starts in degree len(w): drop the terms whose bracket passes the class
             images[word] = bracket_coordinates(
                 table,
-                {k: q for k, q in images[a].items() if k < start[cls - len(b) + 1]},
-                {k: q for k, q in images[b].items() if k < start[cls - len(a) + 1]},
+                {k: n for k, n in images[a].items() if k < start[cls - len(b) + 1]},
+                {k: n for k, n in images[b].items() if k < start[cls - len(a) + 1]},
             )
-        if coefficient:
-            for k, q in images[word].items():
-                _add_frac(out, k, coefficient * q)
-    return MalcevElement(basis, {basis.elements[k]: out[k] for k in sorted(out)})
+        if numerators[cls]:  # zero when the word only feeds longer words
+            j = len(word) - i
+            scale = [q * du ** (a_n - i) * dv ** (b_n - j) if q else 0
+                     for q, (_, a_n, b_n) in zip(numerators, levels)]
+            for k, n in images[word].items():
+                out[k] = out.get(k, 0) + scale[degree[k]] * n
+    denominators = [l_n * du**a_n * dv**b_n for l_n, a_n, b_n in levels]
+    return MalcevElement(
+        basis, {basis.elements[k]: Fraction(out[k], denominators[degree[k]]) for k in sorted(out) if out[k]}
+    )
 
 
 def inverse(u: MalcevElement) -> MalcevElement:

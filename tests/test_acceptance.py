@@ -13,8 +13,9 @@ from nilhom.aut import ia_basis_pairs, ia_lie_algebra
 from nilhom.cli import main as cli_main
 from nilhom.exact_linalg import RationalMatrix, nullspace_basis, rank
 from nilhom.free_lie import hall_basis, witt_dimension
-from nilhom.lie_homology import ce_boundary, free_nilpotent_lie
+from nilhom.lie_homology import free_nilpotent_lie
 from nilhom.nilgroup import center_basis, group_generator, inner_action
+from test_lie_homology import ce_boundary
 
 
 def _report(number, name, *checks):

@@ -12,16 +12,20 @@ from nilhom.aut import (
     LieAutomorphism,
     automorphism_from_gl,
     derivation_from_images,
-    exp_derivation,
     gl_conjugation_on_ia,
     ia_basis_pairs,
     ia_betti,
     ia_lie_algebra,
 )
-from nilhom.exact_linalg import RationalMatrix
+from nilhom.exact_linalg import RationalMatrix, exp_nilpotent
 from nilhom.free_lie import LieElement, bracket, hall_basis, witt_dimension
 from nilhom.lie_homology import free_nilpotent_lie, nilpotency_class
 from nilhom import rep
+
+
+def exp_derivation(d):
+    """Exact exponential of a strictly raising derivation: an automorphism fixing degree 1."""
+    return LieAutomorphism(d.algebra, exp_nilpotent(d.matrix))
 
 
 def random_unimodular(rng, n):

@@ -10,6 +10,7 @@ from nilhom.free_lie import (
     LieElement,
     NotLieElementError,
     TensorElement,
+    _lie_coords_from_tensor,
     bracket,
     dynkin,
     expand_to_tensor,
@@ -17,11 +18,24 @@ from nilhom.free_lie import (
     hall_basis,
     induced_map_lie,
     lyndon_words,
-    tensor_to_hall,
     witt_dimension,
 )
 from nilhom.invariants import brute_lyndon_words
 from nilhom.lie_homology import free_nilpotent_lie
+
+
+def tensor_to_hall(t, basis):
+    """Inverse of expand_to_tensor on the Lie subspace.
+
+    Raises NotLieElementError when some homogeneous component is not a
+    Lie element, and ValueError when a word exceeds the basis class.
+    """
+    if t.rank != basis.rank:
+        raise ValueError("rank mismatch between tensor and basis")
+    for w in t.coords:
+        if len(w) > basis.cls:
+            raise ValueError(f"word of degree {len(w)} exceeds class {basis.cls}")
+    return LieElement(basis, _lie_coords_from_tensor(basis, t.coords))
 
 
 def brute_bracket_expansion(tree):
@@ -248,8 +262,7 @@ def test_induced_maps_intertwine_brackets():
         def apply_map(element):
             coords = {}
             for n in element.degrees():
-                part = element.homogeneous_part(n)
-                vec = [part.coords.get(w, Fraction(0)) for w in src.elements_of_degree(n)]
+                vec = [element.coords.get(w, Fraction(0)) for w in src.elements_of_degree(n)]
                 image = blocks[n].mul_vector(vec)
                 for w, q in zip(dst.elements_of_degree(n), image):
                     if q:

@@ -13,16 +13,34 @@ from nilhom.exact_linalg import RationalMatrix, rank
 from nilhom.free_lie import hall_basis, witt_dimension
 from nilhom.lie_homology import (
     GradedLieAlgebra,
+    _boundary_of_wedge,
     _permutes_generators,
     betti_number,
     betti_numbers,
-    ce_boundary,
     free_nilpotent_lie,
     group_betti,
     lower_central_series_dims,
     nilpotency_class,
     weighted_betti,
 )
+
+
+def ce_boundary(g, d):
+    """The whole boundary matrix from d-wedges to (d-1)-wedges, lexicographic wedge order.
+
+    The oracle for the weight-block ranks of the homology engine, which
+    never assembles this matrix.
+    """
+    if not 0 <= d <= g.dim:
+        raise ValueError(f"degree {d} outside 0..{g.dim}")
+    if d == 0:
+        return RationalMatrix(0, 1)
+    row_index = {combo: i for i, combo in enumerate(combinations(range(g.dim), d - 1))}
+    entries = {}
+    for col, combo in enumerate(combinations(range(g.dim), d)):
+        for target, q in _boundary_of_wedge(g, combo).items():
+            entries[(row_index[target], col)] = q
+    return RationalMatrix(len(row_index), comb(g.dim, d), entries)
 
 
 def abelian(m):

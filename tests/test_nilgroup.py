@@ -61,6 +61,11 @@ def tensor_multiply(u, v):
     return malcev_element(u.basis, _lie_coords_from_tensor(u.basis, z))
 
 
+def homogeneous_part(a, n):
+    """The degree-n part of a Lie element."""
+    return LieElement(a.basis, {w: q for w, q in a.coords.items() if len(w) == n})
+
+
 def random_element(rng, basis):
     return malcev_element(
         basis,
@@ -143,8 +148,8 @@ def test_group_commutator_matches_bracket_on_degree_one():
         u = random_element(rng, basis)
         v = random_element(rng, basis)
         comm = group_commutator(u, v)
-        expected = bracket(u.log().homogeneous_part(1), v.log().homogeneous_part(1))
-        assert comm.log().homogeneous_part(2) == expected.homogeneous_part(2)
+        expected = bracket(homogeneous_part(u.log(), 1), homogeneous_part(v.log(), 1))
+        assert homogeneous_part(comm.log(), 2) == homogeneous_part(expected, 2)
 
 
 def test_degree_one_truncation_is_addition():
@@ -302,5 +307,61 @@ def test_group_law_properties(elements):
     assert multiply(multiply(u, v), w) == multiply(u, multiply(v, w))
     assert multiply(u, e) == u and multiply(e, u) == u
     assert multiply(u, inverse(u)).is_identity
-    comm = group_commutator(u, v).log().homogeneous_part(2)
-    assert comm == bracket(u.log().homogeneous_part(1), v.log().homogeneous_part(1))
+    comm = homogeneous_part(group_commutator(u, v).log(), 2)
+    assert comm == bracket(homogeneous_part(u.log(), 1), homogeneous_part(v.log(), 1))
+
+
+BCH_SHAPES = [(r, c) for r in range(1, 5) for c in range(1, 6)] + [(2, 6)]
+
+
+@st.composite
+def bch_pairs(draw):
+    """(u, v) on one shape of BCH_SHAPES: large numerators and unlike, large denominators.
+
+    Each coordinate picks its degree first, so generators and low degrees
+    are as likely as the many top-degree words.  v is another such element,
+    or one of the edge cases: the identity, u itself, or the inverse of u.
+    """
+    basis = hall_basis(*draw(st.sampled_from(BCH_SHAPES)))
+    values = st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 10**6))
+
+    def element():
+        layers = [layer for n in range(1, basis.cls + 1) if (layer := basis.elements_of_degree(n))]
+        words = st.sampled_from(layers).flatmap(st.sampled_from)
+        return malcev_element(basis, draw(st.dictionaries(words, values, max_size=4)))
+
+    u = element()
+    edge = draw(st.sampled_from(("other", "identity", "same", "inverse")))
+    v = {"other": element, "identity": lambda: group_identity(basis),
+         "same": lambda: u, "inverse": lambda: inverse(u)}[edge]()
+    return u, v
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(bch_pairs())
+def test_integer_kernel_matches_tensor_oracle(pair):
+    u, v = pair
+    product, expected = multiply(u, v), tensor_multiply(u, v)
+    assert list(product.coords.items()) == list(expected.coords.items())
+    assert all(type(q) is Fraction for q in product.coords.values())
+
+
+def test_multiply_edge_cases_with_unlike_denominators():
+    basis = hall_basis(3, 4)
+    u = malcev_element(basis, {
+        (1,): Fraction(10**12 - 1, 10**6), (2,): Fraction(-7, 999_983), (3,): Fraction(1, 2),
+        (1, 2): Fraction(3, 10**6 - 1), (1, 1, 3): Fraction(-10**12, 7), (1, 2, 2, 3): Fraction(5, 11),
+    })
+    e = group_identity(basis)
+    assert multiply(u, e) == u and multiply(e, u) == u
+    assert multiply(u, inverse(u)).is_identity and multiply(inverse(u), u).is_identity
+    square = multiply(u, u)
+    assert list(square.coords.items()) == list(tensor_multiply(u, u).coords.items())
+    # exp(X) exp(X) = exp(2X): the series has no term beyond X + Y on equal arguments
+    assert square == malcev_element(basis, {w: 2 * q for w, q in u.coords.items()})
+
+
+@pytest.mark.parametrize("shape", BCH_SHAPES + [(5, 2), (5, 3), (6, 2)])
+def test_structure_constants_are_ints(shape):
+    table = hall_basis(*shape).structure_constants()
+    assert all(type(q) is int for vec in table.values() for q in vec.values())
