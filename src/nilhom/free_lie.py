@@ -381,7 +381,7 @@ def bracket_coordinates(table: Mapping, a: Mapping[int, Fraction], b: Mapping[in
             vec = table.get((i, j)) if i < j else table.get((j, i))
             if vec:
                 c = qa * qb if i < j else -qa * qb
-                for k, q in vec.items():
+                for k, q in vec.items():  # _add, inlined: this loop carries every BCH product
                     q *= c
                     if k in out:
                         q += out[k]
