@@ -415,6 +415,10 @@ def main(argv=None) -> int:
         elapsed = int((time.perf_counter() - start) * 1000)
     except (KeyboardInterrupt, SystemExit):
         raise
+    except MemoryError:
+        # str(MemoryError()) is empty
+        print("nilhom: error: out of memory", file=sys.stderr)
+        return 1
     except Exception as exc:
         print(f"nilhom: error: {exc}", file=sys.stderr)
         return 1

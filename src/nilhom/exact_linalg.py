@@ -269,9 +269,16 @@ def _eliminate(
     meet the pivot column, as (p/g) row - (f/g) pivot_row with g = gcd(p, f).
     Each non-pivot row therefore stays a nonzero rational multiple of the
     row classical Bareiss elimination would hold, and supports, scores and
-    pivots are the same as Bareiss's.  Each non-pivot row's best candidate
-    sits in a heap and is rescored only when its row or the count of one of
-    its columns changes.
+    pivots are the same as Bareiss's.
+
+    Each non-pivot row's best candidate sits in a heap.  After a pivot
+    step only the counts of the pivot row's other columns have moved, so a
+    rewritten row is rescanned in full, and a row the step did not rewrite
+    is rescored only through the pivot row's columns it meets: when its
+    best column's count did not grow, its new best is the least of that
+    column at its new count and those changed columns, because every other
+    column it meets kept a count that already lost to the best; when the
+    best column's count grew through fill-in, it is rescanned in full.
     """
     scale = Fraction(1) if track_scale else None
     nnz = [0] * len(rows)  # pivotable nonzeros of each non-pivot row
@@ -314,8 +321,11 @@ def _eliminate(
         p = prow[pj]
         nnz[pi] = 0
         pcols = [c for c in prow if c < ncols and c != pj]
+        before = {}  # each changed column's count before the step
         for c in pcols:
-            by_col[c].discard(pi)
+            col = by_col[c]
+            before[c] = len(col)
+            col.discard(pi)
         targets = by_col.pop(pj)
         targets.discard(pi)
         for k in targets:
@@ -349,9 +359,6 @@ def _eliminate(
             if scale is not None:
                 scale *= Fraction(a, content)
             rows[k] = new
-        # rescore the rows whose own count or one of whose column counts moved
-        for c in pcols:
-            targets |= by_col[c]
         for k in targets:
             if nnz[k]:
                 e = entry(k)
@@ -360,6 +367,26 @@ def _eliminate(
                     heappush(heap, e)
             else:
                 current.pop(k, None)
+        # each other row meeting a changed column: its least (count, column) among them
+        through: dict[int, tuple[int, int]] = {}
+        for c in pcols:
+            kc = (len(by_col[c]), c)
+            for k in by_col[c]:
+                if k not in targets:
+                    old = through.get(k)
+                    if old is None or kc < old:
+                        through[k] = kc
+        for k, kc in through.items():
+            bc = current[k][2]
+            bk = len(by_col[bc])
+            if bk > before.get(bc, bk):
+                e = entry(k)
+            else:
+                bk, bc = min((bk, bc), kc)
+                e = ((nnz[k] - 1) * (bk - 1), k, bc)
+            if current[k] != e:
+                current[k] = e
+                heappush(heap, e)
     return pivots, scale
 
 

@@ -18,9 +18,13 @@ weight, so only non-increasing weights are computed; and when no basis
 weight is zero the algebra is unimodular, so Poincare duality gives the
 degrees above half the dimension.
 
+Each block's boundary is assembled as integer rows, the bracket table
+scaled once by the lcm of its denominators, and eliminated by
+exact_linalg's kernel directly.
+
 Practical envelope: the full Betti vector of F(6,2), dimension 21, takes
-about 2-3.5 s and 24 MB, and the degree-3 weight table of IA(3,4),
-dimension 87, about 12 s and 88 MB (2-core Xeon VM, Python 3.11);
+about 2-3 s and 24 MB, and the degree-3 weight table of IA(3,4),
+dimension 87, about 8 s and 77 MB (2-core Xeon VM, Python 3.11);
 per-weight blocks reach further.  All values immutable, all functions
 pure; cached derived data is memoized idempotently, so concurrent use is
 safe.
@@ -32,9 +36,11 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
+from math import lcm
 from typing import Mapping
 
-from .exact_linalg import RationalMatrix, _as_fraction, rank, row_space_basis
+from .exact_linalg import RationalMatrix, _as_fraction, _eliminate, row_space_basis
+from .exact_linalg import rank  # noqa: F401 - perfbench wraps it by name
 from .free_lie import HallBasis, bracket_coordinates, hall_basis
 from .free_lie import bracket  # noqa: F401 - perfbench wraps it by name
 
@@ -203,24 +209,31 @@ def free_nilpotent_lie(rank_: int, cls: int) -> GradedLieAlgebra:
     return g
 
 
-def _adjacency(g: GradedLieAlgebra) -> list[list[tuple[int, dict[int, Fraction]]]]:
-    """For each basis index i, the pairs (j, [e_i, e_j]) with j > i and a nonzero bracket."""
+def _adjacency(g: GradedLieAlgebra) -> list[list[tuple[int, dict[int, int]]]]:
+    """For each basis index i, the pairs (j, L[e_i, e_j]) with j > i and a nonzero bracket.
+
+    L is the lcm of every bracket denominator, 1 for a free nilpotent
+    algebra, so the scaled brackets have integer coefficients.  Scaling
+    the bracket by L scales every boundary by L, which changes no rank.
+    """
     adj = g._cache.get("adjacency")
     if adj is None:
+        scale = lcm(*(q.denominator for vec in g.brackets.values() for q in vec.values()))
         adj = [[] for _ in range(g.dim)]
         for (i, j), vec in sorted(g.brackets.items()):
-            adj[i].append((j, vec))
+            adj[i].append((j, {k: q.numerator * (scale // q.denominator) for k, q in vec.items()}))
         g._cache["adjacency"] = adj  # published whole, for concurrent readers
     return adj
 
 
-def _boundary_of_wedge(g: GradedLieAlgebra, combo: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
-    """Boundary of one wedge generator as a sparse vector over (d-1)-wedges.
+def _boundary_of_wedge(g: GradedLieAlgebra, combo: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """L times the boundary of one wedge generator, as a sparse vector over (d-1)-wedges.
 
+    L is the bracket scale of _adjacency, so the coefficients are integers.
     Only the pairs of the wedge with a nonzero bracket are visited, found
     through the adjacency lists of its members.
     """
-    out: dict[tuple[int, ...], Fraction] = {}
+    out: dict[tuple[int, ...], int] = {}
     adj = _adjacency(g)
     position = {i: s for s, i in enumerate(combo)}
     for s, i in enumerate(combo):
@@ -297,6 +310,24 @@ def _wedge_buckets(g: GradedLieAlgebra, d: int, dominant: bool) -> dict[Weight, 
     return {weight(key): bucket for key, bucket in buckets.items() if bucket is not None}
 
 
+def _block_rows(g: GradedLieAlgebra, combos: list[tuple[int, ...]]) -> list[dict[int, int]]:
+    """The integer rows of L times the boundary on the d-wedges ``combos``.
+
+    Column j is combos[j]; there is one row per (d-1)-wedge the boundary
+    reaches, in order of first appearance.
+    """
+    row_index: dict[tuple[int, ...], int] = {}
+    rows: list[dict[int, int]] = []
+    for col, combo in enumerate(combos):
+        for target, v in _boundary_of_wedge(g, combo).items():
+            i = row_index.get(target)
+            if i is None:
+                i = row_index[target] = len(rows)
+                rows.append({})
+            rows[i][col] = v
+    return rows
+
+
 def _blocks(g: GradedLieAlgebra, d: int) -> dict[Weight, tuple[int, int]]:
     """(number of d-wedges, rank of the degree-d boundary) for each weight block.
 
@@ -309,14 +340,8 @@ def _blocks(g: GradedLieAlgebra, d: int) -> dict[Weight, tuple[int, int]]:
         return cached
     out: dict[Weight, tuple[int, int]] = {}
     for weight, combos in _wedge_buckets(g, d, _permutes_generators(g)).items():
-        row_index: dict[tuple[int, ...], int] = {}
-        entries: dict[tuple[int, int], Fraction] = {}
-        for col, combo in enumerate(combos):
-            for target, q in _boundary_of_wedge(g, combo).items():
-                row = row_index.setdefault(target, len(row_index))
-                entries[(row, col)] = q
-        r = rank(RationalMatrix(len(row_index), len(combos), entries)) if entries else 0
-        out[weight] = (len(combos), r)
+        pivots, _ = _eliminate(_block_rows(g, combos), len(combos))
+        out[weight] = (len(combos), len(pivots))
     g._cache[("blocks", d)] = out
     return out
 

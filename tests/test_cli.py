@@ -160,6 +160,17 @@ def test_computation_error_exit_code(monkeypatch):
     assert out == ""
 
 
+def test_out_of_memory_exits_1_with_a_message(monkeypatch, capsys):
+    def exhausted(args, cache):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._HANDLERS, "betti", exhausted)
+    code, out = run_cli(["betti", "group", "--rank", "2", "--class", "2", "--no-cache"], monkeypatch)
+    assert code == 1
+    assert out == ""
+    assert capsys.readouterr().err == "nilhom: error: out of memory\n"
+
+
 def test_csv_format(monkeypatch):
     code, out = run_cli(
         ["witt", "--rank", "2", "--max-degree", "3", "--format", "csv", "--no-cache"],

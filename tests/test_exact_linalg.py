@@ -13,7 +13,6 @@ from nilhom.aut import ia_lie_algebra
 from nilhom.exact_linalg import (
     RationalMatrix,
     _eliminate,
-    _integer_rows,
     determinant,
     exp_nilpotent,
     invert,
@@ -43,6 +42,42 @@ def naive_rank(rows):
         if r == nrows:
             break
     return r
+
+
+def fraction_det(rows):
+    """Determinant by dense Gaussian elimination over Fraction."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
+    for col in range(len(a)):
+        piv = next((i for i in range(col, len(a)) if a[i][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        for i in range(col + 1, len(a)):
+            if a[i][col]:
+                f = a[i][col] / a[col][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+    return det
+
+
+def fraction_inverse(rows):
+    """Inverse by Gauss-Jordan elimination of [rows | I] over Fraction; None when singular."""
+    n = len(rows)
+    a = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if a[i][col]), None)
+        if piv is None:
+            return None
+        a[col], a[piv] = a[piv], a[col]
+        a[col] = [x / a[col][col] for x in a[col]]
+        for i in range(n):
+            if i != col and a[i][col]:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+    return [row[n:] for row in a]
 
 
 def leibniz_det(rows):
@@ -268,15 +303,10 @@ def test_matrix_canonical_form():
 
 
 def weight_blocks(g, max_degree, dominant):
-    """Integer rows of each weight block of g's boundary, assembled as lie_homology._blocks does."""
+    """The integer rows lie_homology._blocks eliminates for each weight block of g's boundary."""
     for d in range(1, max_degree + 1):
         for combos in lie_homology._wedge_buckets(g, d, dominant).values():
-            row_index = {}
-            entries = {}
-            for col, combo in enumerate(combos):
-                for target, q in lie_homology._boundary_of_wedge(g, combo).items():
-                    entries[(row_index.setdefault(target, len(row_index)), col)] = q
-            yield _integer_rows(RationalMatrix(len(row_index), len(combos), entries)), len(combos)
+            yield lie_homology._block_rows(g, combos), len(combos)
 
 
 def random_integer_rows(rng, nrows, ncols, extra):
@@ -299,6 +329,16 @@ def random_integer_rows(rng, nrows, ncols, extra):
     return rows
 
 
+def fill_in_rows(rng, nrows, ncols, extra):
+    """Random integer rows dense enough that eliminating them fills in and columns' counts grow."""
+    density = rng.uniform(0.3, 0.7)
+    return [
+        {c: rng.choice([-1, 1]) * rng.randint(1, rng.choice([3, 50]))
+         for c in range(ncols + extra) if rng.random() < density}
+        for _ in range(nrows)
+    ]
+
+
 def test_eliminate_pivots_match_bareiss_oracle():
     cases = []
     for r, c in ((5, 2), (3, 3), (2, 5)):
@@ -309,6 +349,12 @@ def test_eliminate_pivots_match_bareiss_oracle():
     for _ in range(400):
         ncols = rng.randint(1, 10)
         cases.append((random_integer_rows(rng, rng.randint(0, 10), ncols, rng.randint(0, 3)), ncols))
+    # rescoring a row only through the pivot row's columns must still find
+    # Bareiss's pivots when fill-in raises the count of a row's best column
+    for _ in range(60):
+        nrows = rng.randint(20, 40)
+        ncols = rng.randint(nrows // 2, nrows + 10)
+        cases.append((fill_in_rows(rng, nrows, ncols, rng.randint(1, 4)), ncols))
     pivoted = 0
     for rows, ncols in cases:
         expected = bareiss_oracle(copy.deepcopy(rows), ncols)
@@ -317,6 +363,24 @@ def test_eliminate_pivots_match_bareiss_oracle():
         assert scale is None
         pivoted += bool(pivots)
     assert pivoted > 900
+
+
+def test_determinant_and_invert_with_fill_in_match_fraction_oracles():
+    rng = random.Random(1957)
+    for _ in range(8):
+        n = rng.randint(20, 24)
+        rows = fill_in_rows(rng, n, n, 0)
+        if rng.random() < 0.3:
+            rows[-1] = {c: 2 * rows[0].get(c, 0) - rows[1].get(c, 0) for c in range(n)}
+        dense = [[row.get(c, 0) for c in range(n)] for row in rows]
+        m = RationalMatrix.from_rows(dense)
+        assert determinant(m) == fraction_det(dense)
+        expected = fraction_inverse(dense)
+        if expected is None:
+            with pytest.raises(ValueError, match="singular"):
+                invert(m)
+        else:
+            assert invert(m) == RationalMatrix.from_rows(expected)
 
 
 def rational_squares(max_n):

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
-from math import comb, prod
+from math import comb, lcm, prod
 
 import pytest
 
@@ -13,6 +13,7 @@ from nilhom.exact_linalg import RationalMatrix, rank
 from nilhom.free_lie import hall_basis, witt_dimension
 from nilhom.lie_homology import (
     GradedLieAlgebra,
+    _adjacency,
     _boundary_of_wedge,
     _permutes_generators,
     betti_number,
@@ -26,7 +27,9 @@ from nilhom.lie_homology import (
 
 
 def ce_boundary(g, d):
-    """The whole boundary matrix from d-wedges to (d-1)-wedges, lexicographic wedge order.
+    """L times the whole boundary matrix from d-wedges to (d-1)-wedges, lexicographic wedge order.
+
+    L is the lcm of the bracket denominators, the scale _boundary_of_wedge applies.
 
     The oracle for the weight-block ranks of the homology engine, which
     never assembles this matrix.
@@ -168,6 +171,38 @@ def test_boundary_squares_to_zero():
     for g in (free_nilpotent_lie(2, 3), free_nilpotent_lie(3, 2), free_nilpotent_lie(2, 4)):
         for d in range(2, g.dim + 1):
             assert (ce_boundary(g, d - 1) @ ce_boundary(g, d)).is_zero
+
+
+def rescaled(g, rng):
+    """g on the basis e'_i = s_i e_i for seeded nonzero rationals s_i.
+
+    [e'_i, e'_j] = sum_k (s_i s_j / s_k) c_ijk e'_k.
+    """
+    s = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)) for _ in range(g.dim)]
+    brackets = {
+        (i, j): {k: q * s[i] * s[j] / s[k] for k, q in vec.items()} for (i, j), vec in g.brackets.items()
+    }
+    return GradedLieAlgebra(g.labels, g.weights, brackets, weight_length=g.weight_length)
+
+
+def test_rescaled_basis_keeps_weight_tables_and_boundary_squares_to_zero():
+    # the rescaled brackets have denominators, so the blocks are eliminated as
+    # L times the boundary with L > 1; no rank, and so no weight table, may move
+    rng = random.Random(1829)
+    for r, c in ((2, 3), (3, 2), (2, 4), (4, 2), (2, 5)):
+        g = free_nilpotent_lie(r, c)
+        scale = 1
+        while scale == 1:  # redraw the rare scaling whose brackets stay integral
+            h = rescaled(g, rng)
+            scale = lcm(*(q.denominator for vec in h.brackets.values() for q in vec.values()))
+        for i, row in enumerate(_adjacency(h)):
+            for j, vec in row:
+                assert vec == {k: scale * q for k, q in h.bracket_basis(i, j).items()}
+                assert all(type(v) is int for v in vec.values())
+        for d in range(g.dim + 1):
+            assert weighted_betti(h, d) == weighted_betti(g, d)
+        for d in range(2, h.dim + 1):
+            assert (ce_boundary(h, d - 1) @ ce_boundary(h, d)).is_zero
 
 
 def test_betti_examples():
