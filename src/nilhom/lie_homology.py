@@ -212,9 +212,10 @@ def free_nilpotent_lie(rank_: int, cls: int) -> GradedLieAlgebra:
 def _adjacency(g: GradedLieAlgebra) -> list[list[tuple[int, dict[int, int]]]]:
     """For each basis index i, the pairs (j, L[e_i, e_j]) with j > i and a nonzero bracket.
 
-    L is the lcm of every bracket denominator, 1 for a free nilpotent
-    algebra, so the scaled brackets have integer coefficients.  Scaling
-    the bracket by L scales every boundary by L, which changes no rank.
+    L is the lcm of every bracket denominator (1 for the free nilpotent
+    and IA algebras), so the scaled brackets have integer coefficients.
+    Scaling the bracket by L scales every boundary by L, which changes no
+    rank.
     """
     adj = g._cache.get("adjacency")
     if adj is None:
