@@ -19,6 +19,10 @@ something re-proved here.  Outer automorphisms are represented only
 through quotient data (center, inner action, coinvariants); they carry no
 natural coordinates of their own.
 
+Both actions of the integral general linear group, on the algebra and on
+the derivations, are read from ``rep.action_matrix``; the definition of
+the latter by conjugation lives in ``invariants.conjugation_consistency``.
+
 Everything is pure and immutable; construction of an object verifies its
 defining identities (bracket preservation, Leibniz rule, filtration) on
 all basis pairs, exactly.
@@ -30,16 +34,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .exact_linalg import (
-    RationalMatrix,
-    determinant,
-    fraction_rows,
-    invert,
-    rank,
-)
-from .exact_linalg import exp_nilpotent  # noqa: F401 - perfbench wraps it by name
-from .free_lie import LieElement, bracket_coordinates, hall_basis, induced_map_lie
-from .free_lie import bracket  # noqa: F401 - perfbench wraps it by name
+from . import rep
+from .exact_linalg import RationalMatrix, determinant, fraction_rows, rank
+from .exact_linalg import exp_nilpotent, invert  # noqa: F401 - perfbench wraps them by name
+from .free_lie import LieElement, bracket_coordinates, hall_basis
+from .free_lie import bracket, induced_map_lie  # noqa: F401 - perfbench wraps them by name
 from .lie_homology import (
     GradedLieAlgebra,
     betti_number,
@@ -60,14 +59,6 @@ __all__ = [
 
 
 _ONE = Fraction(1)
-
-
-def _columns(matrix: RationalMatrix) -> list[dict[int, Fraction]]:
-    """Every column of a matrix as a sparse row-keyed dict, in one pass over its entries."""
-    cols: list[dict[int, Fraction]] = [{} for _ in range(matrix.cols)]
-    for (i, j), q in matrix.entries.items():
-        cols[j][i] = q
-    return cols
 
 
 def _add_into(out: dict[int, Fraction], vec: Mapping[int, Fraction]) -> None:
@@ -118,7 +109,7 @@ class LieAutomorphism:
         for (i, j), q in mat.entries.items():
             if g.degree(i) < g.degree(j):
                 raise ValueError("matrix does not respect the degree filtration")
-        cols = _columns(mat)
+        cols = mat.columns()
         for i in range(g.dim):
             for j in range(i + 1, g.dim):
                 lhs = _apply(cols, g.bracket_basis(i, j))
@@ -133,9 +124,7 @@ class LieAutomorphism:
             raise ValueError("automorphisms live on different algebras")
         return LieAutomorphism(self.algebra, self.matrix @ other.matrix, check=False)
 
-    def inverse(self) -> "LieAutomorphism":
-        return LieAutomorphism(self.algebra, invert(self.matrix), check=False)
-
+    @property
     def is_identity(self) -> bool:
         return self.matrix == RationalMatrix.identity(self.algebra.dim)
 
@@ -174,7 +163,7 @@ class DerivationMatrix:
         for (i, j), q in mat.entries.items():
             if g.degree(i) <= g.degree(j):
                 raise ValueError("derivation is not strictly filtration-raising")
-        cols = _columns(mat)
+        cols = mat.columns()
         units = [{j: _ONE} for j in range(g.dim)]
         for i in range(g.dim):
             for j in range(i + 1, g.dim):
@@ -210,7 +199,8 @@ def _normalize_square(matrix) -> list[list[Fraction]]:
 def automorphism_from_gl(matrix, cls: int) -> LieAutomorphism:
     """Block-diagonal automorphism induced degreewise by a unimodular matrix.
 
-    The degree-n block is the degree-n Lie functor applied to the matrix.
+    The degree-n block is the degree-n Lie functor applied to the matrix,
+    read from ``rep.action_matrix`` on lie[1..cls] and certified as above.
     """
     rows = _normalize_square(matrix)
     r = len(rows)
@@ -218,14 +208,7 @@ def automorphism_from_gl(matrix, cls: int) -> LieAutomorphism:
     if det not in (Fraction(1), Fraction(-1)):
         raise ValueError(f"matrix must be unimodular, determinant is {det}")
     algebra = free_nilpotent_lie(r, cls)
-    basis = algebra.hall
-    entries: dict[tuple[int, int], Fraction] = {}
-    for n in range(1, cls + 1):
-        block = induced_map_lie(rows, n)
-        offset = basis.degree_start[n]
-        for (i, j), q in block.entries.items():
-            entries[(offset + i, offset + j)] = q
-    return LieAutomorphism(algebra, RationalMatrix(algebra.dim, algebra.dim, entries))
+    return LieAutomorphism(algebra, rep.action_matrix(rep.lie_interval(1, cls), rows, r))
 
 
 def derivation_from_images(algebra: GradedLieAlgebra, images: Mapping[int, LieElement]) -> DerivationMatrix:
@@ -273,17 +256,6 @@ def ia_basis_pairs(r: int, c: int) -> list[tuple[int, tuple[int, ...]]]:
 
 
 @lru_cache(maxsize=None)
-def _ia_generators(r: int, c: int):
-    algebra = free_nilpotent_lie(r, c)
-    basis = algebra.hall
-    pairs = tuple(ia_basis_pairs(r, c))
-    derivations = tuple(
-        derivation_from_images(algebra, {i: LieElement(basis, {w: 1})}) for i, w in pairs
-    )
-    return pairs, derivations
-
-
-@lru_cache(maxsize=None)
 def ia_lie_algebra(r: int, c: int) -> GradedLieAlgebra:
     """Lie algebra of strictly filtration-raising derivations, in the pair basis.
 
@@ -302,9 +274,10 @@ def ia_lie_algebra(r: int, c: int) -> GradedLieAlgebra:
         return GradedLieAlgebra((), (), {}, weight_length=r)
     algebra = free_nilpotent_lie(r, c)
     basis = algebra.hall
-    pairs, derivations = _ia_generators(r, c)
+    pairs = ia_basis_pairs(r, c)
     pair_index = {pair: n for n, pair in enumerate(pairs)}
-    columns = [_columns(d.matrix) for d in derivations]
+    columns = [derivation_from_images(algebra, {i: LieElement(basis, {w: 1})}).matrix.columns()
+               for i, w in pairs]
     labels = tuple(f"x{i + 1}->{basis.label(w)}" for i, w in pairs)
     weights = tuple(
         tuple(wt - (1 if t == i else 0) for t, wt in enumerate(basis.multiweight(w)))
@@ -369,22 +342,15 @@ def ia_betti(r: int, c: int, q: int) -> tuple[int, dict[tuple[int, ...], int]]:
 def gl_conjugation_on_ia(matrix, r: int, c: int) -> RationalMatrix:
     """Conjugation action of a unimodular matrix on the derivation pair basis.
 
-    Equals the natural action on Hom(standard, degree-[2..c] part) under
-    the identification of the pair (i, w) with (dual generator i) tensor w.
+    Read from ``rep.action_matrix`` on Hom(standard, degree-[2..c] part),
+    the pair (i, w) being (dual generator i) tensor w, once the matrix has
+    induced an automorphism; ``invariants.conjugation_consistency`` checks
+    it against the definition, A D A^-1 on each basis derivation D.
     """
     rows = _normalize_square(matrix)
     if len(rows) != r:
         raise ValueError(f"matrix must be {r}x{r}")
-    auto = automorphism_from_gl(rows, c)
-    auto_inv = invert(auto.matrix)
-    basis = auto.algebra.hall
-    pairs, derivations = _ia_generators(r, c)
-    pair_index = {pair: n for n, pair in enumerate(pairs)}
-    entries: dict[tuple[int, int], Fraction] = {}
-    for col, der in enumerate(derivations):
-        conj = auto.matrix @ der.matrix @ auto_inv
-        for k in range(r):
-            for row, q in conj.column(k).items():
-                word = basis.elements[row]
-                entries[(pair_index[(k, word)], col)] = q
-    return RationalMatrix(len(pairs), len(pairs), entries)
+    automorphism_from_gl(rows, c)
+    if c == 1:
+        return RationalMatrix(0, 0)
+    return rep.action_matrix(rep.HomStd(rep.lie_interval(2, c)), rows, r)

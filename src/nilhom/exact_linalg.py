@@ -148,8 +148,12 @@ class RationalMatrix:
             out[i][j] = q
         return out
 
-    def column(self, j: int) -> dict[int, Fraction]:
-        return {i: q for (i, jj), q in self.entries.items() if jj == j}
+    def columns(self) -> list[dict[int, Fraction]]:
+        """Every column as a sparse row-keyed dict, in one pass over the entries."""
+        cols: list[dict[int, Fraction]] = [{} for _ in range(self.cols)]
+        for (i, j), q in self.entries.items():
+            cols[j][i] = q
+        return cols
 
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix(

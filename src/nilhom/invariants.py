@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from . import aut, lie_homology, nilgroup, rep
+from . import aut, exact_linalg, lie_homology, nilgroup, rep
 from .free_lie import LieElement, dynkin, expand_to_tensor, hall_basis, witt_dimension
 
 __all__ = [
@@ -240,16 +240,42 @@ def coinvariants(exprs, ranks, constants):
     return True, {"exprs": list(exprs)}
 
 
+def _conjugation_by_definition(mats, r: int, c: int) -> list:
+    """For each matrix, A·D·A⁻¹ on the basis derivations D of IA(r, c), in the pair basis.
+
+    A is the induced automorphism; column (i, w) holds the conjugate of the
+    derivation sending generator i to w, read back through its generator images.
+    """
+    algebra = lie_homology.free_nilpotent_lie(r, c)
+    basis = algebra.hall
+    pairs = aut.ia_basis_pairs(r, c)
+    pair_index = {pair: n for n, pair in enumerate(pairs)}
+    derivations = [aut.derivation_from_images(algebra, {i: LieElement(basis, {w: 1})}).matrix
+                   for i, w in pairs]
+    out = []
+    for mat in mats:
+        auto = aut.automorphism_from_gl(mat, c).matrix
+        auto_inv = exact_linalg.invert(auto)
+        entries = {}
+        for col, der in enumerate(derivations):
+            images = (auto @ der @ auto_inv).columns()
+            for k in range(r):
+                for row, q in images[k].items():
+                    entries[(pair_index[(k, basis.elements[row])], col)] = q
+        out.append(exact_linalg.RationalMatrix(len(pairs), len(pairs), entries))
+    return out
+
+
 def conjugation_consistency(samples, classes):
-    """GL conjugation on IA derivations equals the action on Hom(std, lie[2..c]).
+    """GL conjugation on IA derivations, A·D·A⁻¹, equals the action on Hom(std, lie[2..c]).
 
     ``samples`` maps a rank to unimodular matrices of that size.
     """
     for r, mats in samples.items():
         for c in classes:
-            expr = rep.HomStd(rep.lie_interval(2, c))
-            for mat in mats:
-                if aut.gl_conjugation_on_ia(mat, r, c) != rep.action_matrix(expr, mat, r):
+            reference = _conjugation_by_definition(mats, r, c)
+            for mat, want in zip(mats, reference):
+                if aut.gl_conjugation_on_ia(mat, r, c) != want:
                     return False, {"rank": r, "cls": c}
     return True, {"ranks": list(samples), "classes": list(classes)}
 

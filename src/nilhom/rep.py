@@ -238,9 +238,7 @@ def action_matrix(expr: ReprExpr, matrix, rank_: int) -> RationalMatrix:
         return induced_map_lie(rows, expr.degree)
     if isinstance(expr, Wedge):
         inner = action_matrix(expr.inner, rows, rank_)
-        columns: list[dict[int, Fraction]] = [{} for _ in range(inner.cols)]
-        for (i, j), q in inner.entries.items():
-            columns[j][i] = q
+        columns = inner.columns()
         row_index = {
             combo: i for i, combo in enumerate(combinations(range(inner.rows), expr.power))
         }

@@ -82,10 +82,10 @@ def test_criterion_04_center_and_inner():
                 ok = False
         # the group-level statement: conjugation is trivial exactly on the span
         for v in vectors:
-            if not inner_action(v).is_identity():
+            if not inner_action(v).is_identity:
                 ok = False
         for i in range(1, r + 1):
-            if inner_action(group_generator(basis, i)).is_identity():
+            if inner_action(group_generator(basis, i)).is_identity:
                 ok = False
     _report(4, "center equals the top-degree layer and is ker(inner action)",
             invariants.center(cases),

@@ -18,7 +18,8 @@ from nilhom.aut import (
     ia_lie_algebra,
 )
 from nilhom.exact_linalg import RationalMatrix, exp_nilpotent
-from nilhom.free_lie import LieElement, bracket, hall_basis, witt_dimension
+from nilhom.free_lie import LieElement, bracket, hall_basis, induced_map_lie, witt_dimension
+from nilhom.invariants import _conjugation_by_definition
 from nilhom.lie_homology import free_nilpotent_lie, nilpotency_class
 from nilhom import rep
 
@@ -39,11 +40,30 @@ def random_unimodular(rng, n):
     return [[int(v) for v in row] for row in m]
 
 
+def random_signed_unimodular(rng, n):
+    """A random unimodular matrix of any size n >= 1, of determinant 1 or -1."""
+    m = random_unimodular(rng, n) if n > 1 else [[1]]
+    if rng.random() < 0.5:
+        m[0] = [-v for v in m[0]]
+    return m
+
+
+def degreewise_blocks(matrix, cls):
+    """The automorphism matrix assembled from the Lie functor's per-degree blocks."""
+    basis = hall_basis(len(matrix), cls)
+    entries = {}
+    for n in range(1, cls + 1):
+        offset = basis.degree_start[n]
+        for (i, j), q in induced_map_lie(matrix, n).entries.items():
+            entries[(offset + i, offset + j)] = q
+    return RationalMatrix(len(basis.elements), len(basis.elements), entries)
+
+
 def test_automorphism_from_gl_identity():
     for r, c in ((2, 2), (3, 3)):
         eye = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
         auto = automorphism_from_gl(eye, c)
-        assert auto.is_identity()
+        assert auto.is_identity
 
 
 def test_automorphism_from_gl_diagonal_sign():
@@ -52,7 +72,7 @@ def test_automorphism_from_gl_diagonal_sign():
     for idx, w in enumerate(basis.elements):
         ones = basis.multiweight(w)[0]
         expected = Fraction(-1 if ones % 2 else 1)
-        assert auto.matrix.column(idx) == {idx: expected}
+        assert auto.matrix.columns()[idx] == {idx: expected}
 
 
 def test_automorphism_from_gl_composition():
@@ -68,11 +88,35 @@ def test_automorphism_from_gl_composition():
             lhs = automorphism_from_gl(ba, c)
             rhs = automorphism_from_gl(b, c).compose(automorphism_from_gl(a, c))
             assert lhs.matrix == rhs.matrix
+    shear = automorphism_from_gl([[1, 1], [0, 1]], 3)
+    assert not shear.compose(shear).is_identity
+    assert shear.compose(automorphism_from_gl([[1, -1], [0, 1]], 3)).is_identity
+
+
+def test_automorphism_from_gl_matches_degreewise_blocks():
+    rng = random.Random(8191)
+    for r in range(1, 5):
+        for c in range(1, 5 if r < 4 else 4):
+            for _ in range(3):
+                a = random_signed_unimodular(rng, r)
+                assert automorphism_from_gl(a, c).matrix == degreewise_blocks(a, c)
 
 
 def test_automorphism_from_gl_rejects_non_unimodular():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^matrix must be unimodular, determinant is 2$"):
         automorphism_from_gl([[2, 0], [0, 1]], 2)
+
+
+def test_gl_input_error_messages():
+    for call in (lambda m: automorphism_from_gl(m, 2), lambda m: gl_conjugation_on_ia(m, 2, 2)):
+        with pytest.raises(ValueError, match=r"^matrix must be square$"):
+            call([[1, 0, 0], [0, 1, 0]])
+        with pytest.raises(ValueError, match=r"^matrix must be unimodular, determinant is 1/2$"):
+            call([[Fraction(1, 2), 0], [0, 1]])
+    with pytest.raises(ValueError, match=r"^matrix must be 3x3$"):
+        gl_conjugation_on_ia([[1, 0], [0, 1]], 3, 2)
+    with pytest.raises(ValueError, match=r"^matrix must be unimodular, determinant is -3$"):
+        gl_conjugation_on_ia([[1, 1], [2, -1]], 2, 1)
 
 
 def test_derivation_examples():
@@ -160,7 +204,7 @@ def test_exp_derivation():
     algebra = free_nilpotent_lie(2, 3)
     basis = algebra.hall
     zero = derivation_from_images(algebra, {})
-    assert exp_derivation(zero).is_identity()
+    assert exp_derivation(zero).is_identity
     d = derivation_from_images(
         algebra, {0: LieElement(basis, {(1, 2): 1}), 1: LieElement(basis, {(1, 1, 2): 1})}
     )
@@ -169,7 +213,7 @@ def test_exp_derivation():
     assert auto.matrix @ exp_derivation(neg).matrix == RationalMatrix.identity(algebra.dim)
     # degree-1 block is the identity (higher-degree rows may be populated)
     for i in range(2):
-        col = auto.matrix.column(i)
+        col = auto.matrix.columns()[i]
         assert {k: v for k, v in col.items() if algebra.degree(k) == 1} == {i: Fraction(1)}
 
 
@@ -303,7 +347,7 @@ def test_gl_conjugation_diagonal_scaling():
         basis = hall_basis(2, c)
         for col, (i, w) in enumerate(pairs):
             exponent = basis.multiweight(w)[0] - (1 if i == 0 else 0)
-            assert conj.column(col) == {col: Fraction((-1) ** exponent)}
+            assert conj.columns()[col] == {col: Fraction((-1) ** exponent)}
 
 
 def test_gl_conjugation_matches_rep_action():
@@ -319,6 +363,13 @@ def test_gl_conjugation_matches_rep_action():
             expr = rep.HomStd(rep.lie_interval(2, c))
             for mat in mats:
                 assert gl_conjugation_on_ia(mat, r, c) == rep.action_matrix(expr, mat, r)
+    # against the definition, A D A^-1 on every basis derivation D
+    rng = random.Random(6151)
+    for r in range(1, 5):
+        for c in range(1, 5):
+            mats = [random_signed_unimodular(rng, r) for _ in range(3 if r * c <= 9 else 1)]
+            for mat, want in zip(mats, _conjugation_by_definition(mats, r, c)):
+                assert gl_conjugation_on_ia(mat, r, c) == want
 
 
 def test_gl_conjugation_is_group_action():

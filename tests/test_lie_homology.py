@@ -159,7 +159,7 @@ def test_ce_boundary_examples():
     d2 = ce_boundary(heis, 2)
     assert rank(d2) == 1
     # x1 wedge x2 (the first of the three 2-wedges) maps to minus the bracket
-    assert d2.column(0) == {2: Fraction(-1)}
+    assert d2.columns()[0] == {2: Fraction(-1)}
     ab = abelian(3)
     for d in range(4):
         assert ce_boundary(ab, d).is_zero
