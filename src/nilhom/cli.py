@@ -10,6 +10,11 @@ elapsed_ms is null unless --timings is given, so identical invocations
 produce byte-identical output, warm or cold cache.  The cache directory
 defaults to .nilhom-cache and the NILHOM_CACHE_DIR environment variable
 overrides the flag.
+
+Each subcommand is declared once, by the @_command decorator on its
+handler: its help line, its arguments, its CSV layout and whether its
+result is cached.  The parser, the record params and the cache step in
+main are all read from those declarations.
 """
 
 from __future__ import annotations
@@ -23,12 +28,13 @@ import sys
 import time
 from fractions import Fraction
 from functools import partial
+from typing import Callable, NamedTuple
 
 from . import aut, invariants, lie_homology, nilgroup, rep
 from .cache import Cache, SCHEMA_VERSION, canonical_json
 from .free_lie import hall_basis, witt_dimension
 
-__all__ = ["main", "run"]
+__all__ = ["main"]
 
 
 def _check_label_rank(rank: int) -> None:
@@ -79,85 +85,99 @@ def _coords_payload(element) -> list[list[str]]:
     return payload
 
 
-def _weights_payload(weights: dict) -> list[list]:
-    return [[list(w), mult] for w, mult in sorted(weights.items())]
-
-
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns a list of (params, result) pairs, and
-# declares its CSV header and the CSV rows of one (params, result) pair
+# subcommands: each is declared once, by @_command.  The declaration holds
+# the help line, the arguments (flags and argparse options), the CSV header,
+# the CSV rows of one (params, result) pair, and whether main caches the
+# result.  A handler takes the parsed values of its arguments as keywords,
+# named by argparse dest; they are also the record's params.  It returns
+# the result.  Only selftest differs: it takes the cache and returns its
+# (params, result) records.
+
+
+class _Command(NamedTuple):
+    help: str
+    arguments: tuple
+    header: str
+    rows: Callable
+    cached: bool
 
 
 _HANDLERS = {}
-_CSV_LAYOUTS = {}
+_COMMANDS = {}
 
 
-def _command(name: str, header: str, rows):
+def _command(name: str, help: str, arguments: tuple, header: str, rows, cached: bool = False):
     def declare(handler):
         _HANDLERS[name] = handler
-        _CSV_LAYOUTS[name] = (header, rows)
+        _COMMANDS[name] = _Command(help, arguments, header, rows, cached)
         return handler
 
     return declare
 
 
-@_command("witt", "rank,degree,dimension",
+def _arg(*flags, **options) -> tuple:
+    return flags, options
+
+
+_RANK = _arg("-r", "--rank", type=int, required=True)
+_CLASS = _arg("-c", "--class", dest="cls", type=int, required=True)
+_DEGREE = _arg("-d", "--degree", type=int, required=True)
+_MAX_DEGREE = _arg("--max-degree", type=int, required=True)
+_TARGETS = ("group", "lie", "ia")
+
+
+@_command("witt", "dimensions of the free Lie algebra layers", (_RANK, _MAX_DEGREE),
+          "rank,degree,dimension",
           lambda p, res: [(p["rank"], n + 1, d) for n, d in enumerate(res["dims"])])
-def _cmd_witt(args, cache):
-    params = {"rank": args.rank, "max_degree": args.max_degree}
-    dims = [witt_dimension(args.rank, n) for n in range(1, args.max_degree + 1)]
-    return [(params, {"dims": dims})]
+def _cmd_witt(rank, max_degree):
+    return {"dims": [witt_dimension(rank, n) for n in range(1, max_degree + 1)]}
 
 
-@_command("hall", "rank,class,degree,word",
+@_command("hall", "the Lyndon-word basis", (_RANK, _CLASS), "rank,class,degree,word",
           lambda p, res: [(p["rank"], p["cls"], len(w), w) for w in res["words"]])
-def _cmd_hall(args, cache):
-    params = {"rank": args.rank, "cls": args.cls}
-    _check_label_rank(args.rank)
-    basis = hall_basis(args.rank, args.cls)
-    words = [basis.label(w) for w in basis.elements]
-    sizes = [len(basis.elements_of_degree(n)) for n in range(1, args.cls + 1)]
-    result = {
-        "words": words,
-        "degree_sizes": sizes,
-        "degree_offsets": list(basis.degree_start[1 : args.cls + 2]),
+def _cmd_hall(rank, cls):
+    _check_label_rank(rank)
+    basis = hall_basis(rank, cls)
+    return {
+        "words": [basis.label(w) for w in basis.elements],
+        "degree_sizes": [len(basis.elements_of_degree(n)) for n in range(1, cls + 1)],
+        "degree_offsets": list(basis.degree_start[1 : cls + 2]),
     }
-    return [(params, result)]
 
 
-@_command("bch", "rank,class,word,coefficient",
+@_command("bch", "group product in logarithmic coordinates",
+          (_RANK, _CLASS, _arg("--u", required=True, help='coordinates like "1:1,12:1/2"'),
+           _arg("--v", required=True)),
+          "rank,class,word,coefficient",
           lambda p, res: [(p["rank"], p["cls"], w, q) for w, q in res["coords"]])
-def _cmd_bch(args, cache):
-    params = {"rank": args.rank, "cls": args.cls, "u": args.u, "v": args.v}
-    _check_label_rank(args.rank)
-    basis = hall_basis(args.rank, args.cls)
-    product = nilgroup.multiply(_parse_coords(basis, args.u), _parse_coords(basis, args.v))
-    return [(params, {"coords": _coords_payload(product)})]
+def _cmd_bch(rank, cls, u, v):
+    _check_label_rank(rank)
+    basis = hall_basis(rank, cls)
+    product = nilgroup.multiply(_parse_coords(basis, u), _parse_coords(basis, v))
+    return {"coords": _coords_payload(product)}
 
 
-@_command("lcs-ranks", "rank,class,degree,rank_value",
+@_command("lcs-ranks", "lower central series ranks", (_RANK, _CLASS), "rank,class,degree,rank_value",
           lambda p, res: [(p["rank"], p["cls"], n + 1, v) for n, v in enumerate(res["ranks"])])
-def _cmd_lcs_ranks(args, cache):
-    params = {"rank": args.rank, "cls": args.cls}
-    ranks = nilgroup.lcs_ranks(args.rank, args.cls)
-    witt = [witt_dimension(args.rank, n) for n in range(1, args.cls + 1)]
-    return [(params, {"ranks": ranks, "witt": witt, "match": ranks == witt})]
+def _cmd_lcs_ranks(rank, cls):
+    ranks = nilgroup.lcs_ranks(rank, cls)
+    witt = [witt_dimension(rank, n) for n in range(1, cls + 1)]
+    return {"ranks": ranks, "witt": witt, "match": ranks == witt}
 
 
-@_command("center", "rank,class,vector,word,coefficient",
+@_command("center", "basis of the center", (_RANK, _CLASS), "rank,class,vector,word,coefficient",
           lambda p, res: [(p["rank"], p["cls"], i, w, q)
                           for i, vector in enumerate(res["basis"]) for w, q in vector])
-def _cmd_center(args, cache):
-    params = {"rank": args.rank, "cls": args.cls}
-    _check_label_rank(args.rank)
-    basis = hall_basis(args.rank, args.cls)
-    vectors = nilgroup.center_basis(args.rank, args.cls)
-    result = {
+def _cmd_center(rank, cls):
+    _check_label_rank(rank)
+    basis = hall_basis(rank, cls)
+    vectors = nilgroup.center_basis(rank, cls)
+    return {
         "dimension": len(vectors),
         "basis": [_coords_payload(v) for v in vectors],
-        "spans_top_degree": invariants.spans_top_degree(basis, vectors, args.cls),
+        "spans_top_degree": invariants.spans_top_degree(basis, vectors, cls),
     }
-    return [(params, result)]
 
 
 def _algebra(target: str, r: int, c: int) -> "lie_homology.GradedLieAlgebra":
@@ -166,84 +186,70 @@ def _algebra(target: str, r: int, c: int) -> "lie_homology.GradedLieAlgebra":
     return lie_homology.free_nilpotent_lie(r, c)
 
 
-def _betti_payload(target: str, r: int, c: int, degree) -> dict:
-    g = _algebra(target, r, c)
-    if degree is None:
-        return {"betti": lie_homology.betti_numbers(g)}
-    return {"degree": degree, "betti": lie_homology.betti_number(g, degree)}
-
-
 def _betti_rows(p, res):
     pairs = [(res["degree"], res["betti"])] if "degree" in res else enumerate(res["betti"])
     return [(p["target"], p["rank"], p["cls"], d, b) for d, b in pairs]
 
 
-@_command("betti", "target,rank,class,degree,betti", _betti_rows)
-def _cmd_betti(args, cache):
-    params = {"target": args.target, "rank": args.rank, "cls": args.cls, "degree": args.degree}
-    cached = cache.get("betti", params)
-    if cached is None:
-        cached = _betti_payload(args.target, args.rank, args.cls, args.degree)
-        cache.put("betti", params, cached)
-    return [(params, cached)]
+@_command("betti", "rational Betti numbers",
+          (_arg("target", choices=_TARGETS), _RANK, _CLASS, _arg("-d", "--degree", type=int)),
+          "target,rank,class,degree,betti", _betti_rows, cached=True)
+def _cmd_betti(target, rank, cls, degree):
+    g = _algebra(target, rank, cls)
+    if degree is None:
+        return {"betti": lie_homology.betti_numbers(g)}
+    return {"degree": degree, "betti": lie_homology.betti_number(g, degree)}
 
 
-@_command("weighted-betti", "target,rank,class,degree,weight,multiplicity",
+@_command("weighted-betti", "Betti numbers refined by weight",
+          (_arg("target", nargs="?", choices=_TARGETS, default="group"), _RANK, _CLASS, _DEGREE),
+          "target,rank,class,degree,weight,multiplicity",
           lambda p, res: [(p["target"], p["rank"], p["cls"], res["degree"],
-                           "|".join(map(str, weight)), mult) for weight, mult in res["weights"]])
-def _cmd_weighted_betti(args, cache):
-    params = {"target": args.target, "rank": args.rank, "cls": args.cls, "degree": args.degree}
-    cached = cache.get("weighted-betti", params)
-    if cached is None:
-        g = _algebra(args.target, args.rank, args.cls)
-        weights = lie_homology.weighted_betti(g, args.degree)
-        cached = {"degree": args.degree, "weights": _weights_payload(weights)}
-        cache.put("weighted-betti", params, cached)
-    return [(params, cached)]
+                           "|".join(map(str, weight)), mult) for weight, mult in res["weights"]],
+          cached=True)
+def _cmd_weighted_betti(target, rank, cls, degree):
+    weights = lie_homology.weighted_betti(_algebra(target, rank, cls), degree)
+    return {"degree": degree, "weights": [[list(w), mult] for w, mult in sorted(weights.items())]}
 
 
-@_command("dynkin-check", "rank,max_degree,checked,failures",
+@_command("dynkin-check", "verify the bracketing retract", (_RANK, _MAX_DEGREE),
+          "rank,max_degree,checked,failures",
           lambda p, res: [(p["rank"], p["max_degree"], res["checked"], ";".join(res["failures"]))])
-def _cmd_dynkin_check(args, cache):
-    params = {"rank": args.rank, "max_degree": args.max_degree}
-    basis = hall_basis(args.rank, args.max_degree)
-    failures = invariants.dynkin_failures(basis)
-    return [(params, {"checked": len(basis.elements), "failures": failures})]
+def _cmd_dynkin_check(rank, max_degree):
+    basis = hall_basis(rank, max_degree)
+    return {"checked": len(basis.elements), "failures": invariants.dynkin_failures(basis)}
 
 
-@_command("summand-check", "rank,class,degree,mode,holds",
+@_command("summand-check", "weight comparison for IA homology", (_RANK, _CLASS, _DEGREE),
+          "rank,class,degree,mode,holds",
           lambda p, res: [(p["rank"], p["cls"], p["degree"], res["mode"], res["holds"])])
-def _cmd_summand_check(args, cache):
-    params = {"rank": args.rank, "cls": args.cls, "degree": args.degree}
-    return [(params, invariants.summand_payload(args.rank, args.cls, args.degree))]
+def _cmd_summand_check(rank, cls, degree):
+    return invariants.summand_payload(rank, cls, degree)
 
 
-@_command("coinv", "expr,rank,dim", lambda p, res: [(p["expr"], p["rank"], res["dim"])])
-def _cmd_coinv(args, cache):
-    params = {"expr": args.expr, "rank": args.rank}
-    expr = rep.parse_expr(args.expr)
-    return [(params, {"dim": rep.coinvariants_dim(expr, args.rank)})]
+@_command("coinv", "GL(Z) coinvariants of an expression", (_arg("--expr", required=True), _RANK),
+          "expr,rank,dim", lambda p, res: [(p["expr"], p["rank"], res["dim"])])
+def _cmd_coinv(expr, rank):
+    return {"dim": rep.coinvariants_dim(rep.parse_expr(expr), rank)}
 
 
-@_command("degree-check", "class,degree,max_rank,estimate,bound,within_bound",
+@_command("degree-check", "polynomial degree of a Betti sequence",
+          (_CLASS, _DEGREE, _arg("--max-rank", type=int, default=5)),
+          "class,degree,max_rank,estimate,bound,within_bound",
           lambda p, res: [(p["cls"], p["degree"], p["max_rank"],
-                           res["estimate"], res["bound"], res["within_bound"])])
-def _cmd_degree_check(args, cache):
-    params = {"cls": args.cls, "degree": args.degree, "max_rank": args.max_rank}
-    cached = cache.get("degree-check", params)
-    if cached is None:
-        dims = invariants.betti_over_ranks(args.cls, args.degree, args.max_rank)
-        estimate, sufficient = rep.degree_estimate(dims)
-        bound = args.cls * args.degree
-        cached = {
-            "dims": dims,
-            "estimate": estimate,
-            "bound": bound,
-            "within_bound": estimate <= bound,
-            "window_sufficient": sufficient,
-        }
-        cache.put("degree-check", params, cached)
-    return [(params, cached)]
+                           res["estimate"], res["bound"], res["within_bound"])],
+          cached=True)
+def _cmd_degree_check(cls, degree, max_rank):
+    dims = invariants.betti_over_ranks(cls, degree, max_rank)
+    estimate, sufficient = rep.degree_estimate(dims)
+    bound = cls * degree
+    return {
+        "dims": dims,
+        "estimate": estimate,
+        "bound": bound,
+        "within_bound": estimate <= bound,
+        "window_sufficient": sufficient,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +281,8 @@ _SELFTEST_CHECKS = (
 def _betti_cache_check(cache):
     # exercised through the same key space as the betti subcommand: a
     # warm cache must agree with the fresh computation byte for byte
-    payload = _betti_payload("group", 2, 3, None)
     params = {"target": "group", "rank": 2, "cls": 3, "degree": None}
+    payload = _cmd_betti(**params)
     cached = cache.get("betti", params)
     if cached is not None and cached != payload:
         return False, {"reason": "cache disagrees with recomputation"}
@@ -284,8 +290,10 @@ def _betti_cache_check(cache):
     return True, payload
 
 
-@_command("selftest", "check,status", lambda p, res: [(res["check"], res["status"])])
-def _cmd_selftest(args, cache):
+@_command("selftest", "run the invariant suite", (), "check,status",
+          lambda p, res: [(res["check"], res["status"])])
+def _cmd_selftest(cache):
+    # the one command with a record per check, and the one handler given the cache
     checks = _SELFTEST_CHECKS + (("betti_cache", partial(_betti_cache_check, cache)),)
     records = []
     for name, check in checks:
@@ -302,12 +310,12 @@ def _cmd_selftest(args, cache):
 
 def _emit(args, records_with_timing) -> None:
     if args.format == "csv":
-        header, rows = _CSV_LAYOUTS[args.command]
+        command = _COMMANDS[args.command]
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(header.split(","))
+        writer.writerow(command.header.split(","))
         for params, result, _elapsed in records_with_timing:
-            writer.writerows(rows(params, result))
+            writer.writerows(command.rows(params, result))
         sys.stdout.write(buffer.getvalue())
         return
     for params, result, elapsed in records_with_timing:
@@ -337,66 +345,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="exact computations on free nilpotent groups and their symmetries",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def rank_arg(p, required=True):
-        p.add_argument("-r", "--rank", type=int, required=required)
-
-    def cls_arg(p, required=True):
-        p.add_argument("-c", "--class", dest="cls", type=int, required=required)
-
-    p = sub.add_parser("witt", parents=[common], help="dimensions of the free Lie algebra layers")
-    rank_arg(p)
-    p.add_argument("--max-degree", type=int, required=True)
-
-    p = sub.add_parser("hall", parents=[common], help="the Lyndon-word basis")
-    rank_arg(p)
-    cls_arg(p)
-
-    p = sub.add_parser("bch", parents=[common], help="group product in logarithmic coordinates")
-    rank_arg(p)
-    cls_arg(p)
-    p.add_argument("--u", required=True, help='coordinates like "1:1,12:1/2"')
-    p.add_argument("--v", required=True)
-
-    p = sub.add_parser("lcs-ranks", parents=[common], help="lower central series ranks")
-    rank_arg(p)
-    cls_arg(p)
-
-    p = sub.add_parser("center", parents=[common], help="basis of the center")
-    rank_arg(p)
-    cls_arg(p)
-
-    p = sub.add_parser("betti", parents=[common], help="rational Betti numbers")
-    p.add_argument("target", choices=("group", "lie", "ia"))
-    rank_arg(p)
-    cls_arg(p)
-    p.add_argument("-d", "--degree", type=int, default=None)
-
-    p = sub.add_parser("weighted-betti", parents=[common], help="Betti numbers refined by weight")
-    p.add_argument("target", nargs="?", choices=("group", "lie", "ia"), default="group")
-    rank_arg(p)
-    cls_arg(p)
-    p.add_argument("-d", "--degree", type=int, required=True)
-
-    p = sub.add_parser("dynkin-check", parents=[common], help="verify the bracketing retract")
-    rank_arg(p)
-    p.add_argument("--max-degree", type=int, required=True)
-
-    p = sub.add_parser("summand-check", parents=[common], help="weight comparison for IA homology")
-    rank_arg(p)
-    cls_arg(p)
-    p.add_argument("-d", "--degree", type=int, required=True)
-
-    p = sub.add_parser("coinv", parents=[common], help="GL(Z) coinvariants of an expression")
-    p.add_argument("--expr", required=True)
-    rank_arg(p)
-
-    p = sub.add_parser("degree-check", parents=[common], help="polynomial degree of a Betti sequence")
-    cls_arg(p)
-    p.add_argument("-d", "--degree", type=int, required=True)
-    p.add_argument("--max-rank", type=int, default=5)
-
-    sub.add_parser("selftest", parents=[common], help="run the invariant suite")
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=command.help)
+        # each command's params are the parsed values of its own arguments
+        p.set_defaults(dests=[p.add_argument(*flags, **options).dest
+                              for flags, options in command.arguments])
     return parser
 
 
@@ -408,10 +361,21 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     cache_dir = os.environ.get("NILHOM_CACHE_DIR") or args.cache_dir
     cache = Cache(cache_dir, enabled=not args.no_cache)
+    command = _COMMANDS[args.command]
+    params = {dest: getattr(args, dest) for dest in args.dests}
     handler = _HANDLERS[args.command]
     try:
         start = time.perf_counter()
-        records = handler(args, cache)
+        if args.command == "selftest":
+            records = handler(cache)
+        elif command.cached:
+            result = cache.get(args.command, params)
+            if result is None:
+                result = handler(**params)
+                cache.put(args.command, params, result)
+            records = [(params, result)]
+        else:
+            records = [(params, handler(**params))]
         elapsed = int((time.perf_counter() - start) * 1000)
     except (KeyboardInterrupt, SystemExit):
         raise
@@ -427,9 +391,6 @@ def main(argv=None) -> int:
         if any(result["status"] != "pass" for _, result in records):
             return 1
     return 0
-
-
-run = main
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -11,9 +11,9 @@ rows: rows are cleared to integers and divided by their content (the gcd
 of their entries), and each elimination step cross-multiplies only the
 rows that meet the pivot column, then divides each of them by its content
 again.  No row is rescaled by a pivot it does not meet, and nothing is
-divided by the previous pivot.  The determinant keeps the product of those
-row factors exactly.  Pivots are chosen by a Markowitz minimum-fill score
-with a deterministic (row, column) tie-break, the same pivots classical
+divided by the previous pivot.  The determinant reads the product of
+those row factors from an identity block riding along.  Pivots are chosen
+by a Markowitz minimum-fill score with a deterministic (row, column) tie-break, the same pivots classical
 Bareiss elimination picks, so results are reproducible byte for byte.
 
 All values are immutable after construction and all operations are pure
@@ -255,18 +255,14 @@ def _integer_rows(m: RationalMatrix) -> list[dict[int, int]]:
     return out
 
 
-def _eliminate(
-    rows: list[dict[int, int]], ncols: int, track_scale: bool = False
-) -> tuple[list[tuple[int, int]], Fraction | None]:
+def _eliminate(rows: list[dict[int, int]], ncols: int) -> list[tuple[int, int]]:
     """Primitive-row fraction-free elimination with Markowitz pivoting, in place.
 
-    Returns (pivots, scale): the pivot list [(row, col), ...] in elimination
-    order, and, when ``track_scale``, the factor by which the row operations
-    multiplied the determinant (None otherwise).  Columns with index >=
-    ncols (augmented right-hand sides) ride along and are never chosen as
-    pivots.  The pivot with the least (nnz_row - 1) * (nnz_col - 1) score
-    wins, ties broken by lowest row then lowest column, which makes the
-    whole elimination deterministic.
+    Returns the pivot list [(row, col), ...] in elimination order.  Columns
+    with index >= ncols (augmented right-hand sides) ride along and are
+    never chosen as pivots.  The pivot with the least
+    (nnz_row - 1) * (nnz_col - 1) score wins, ties broken by lowest row
+    then lowest column, which makes the whole elimination deterministic.
 
     Every row is kept primitive: divided by the gcd of all its entries,
     ride-along columns included.  A pivot step rewrites only the rows that
@@ -284,7 +280,6 @@ def _eliminate(
     column it meets kept a count that already lost to the best; when the
     best column's count grew through fill-in, it is rescanned in full.
     """
-    scale = Fraction(1) if track_scale else None
     nnz = [0] * len(rows)  # pivotable nonzeros of each non-pivot row
     by_col: dict[int, set[int]] = {}  # column -> non-pivot rows meeting it
     for i, row in enumerate(rows):
@@ -293,8 +288,6 @@ def _eliminate(
         content = gcd(*row.values())
         if content != 1:
             rows[i] = row = {c: v // content for c, v in row.items()}
-            if scale is not None:
-                scale /= content
         for c in row:
             if c < ncols:
                 by_col.setdefault(c, set()).add(i)
@@ -360,8 +353,6 @@ def _eliminate(
             content = gcd(*new.values()) if new else 1
             if content != 1:
                 new = {c: v // content for c, v in new.items()}
-            if scale is not None:
-                scale *= Fraction(a, content)
             rows[k] = new
         for k in targets:
             if nnz[k]:
@@ -391,7 +382,7 @@ def _eliminate(
             if current[k] != e:
                 current[k] = e
                 heappush(heap, e)
-    return pivots, scale
+    return pivots
 
 
 def _back_substitute(
@@ -422,8 +413,7 @@ def _back_substitute(
 
 def rank(m: RationalMatrix) -> int:
     """Rank over the rationals by fraction-free elimination."""
-    pivots, _ = _eliminate(_integer_rows(m), m.cols)
-    return len(pivots)
+    return len(_eliminate(_integer_rows(m), m.cols))
 
 
 def nullspace_basis(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
@@ -434,7 +424,7 @@ def nullspace_basis(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
     the rest.
     """
     rows = _integer_rows(m)
-    pivots, _ = _eliminate(rows, m.cols)
+    pivots = _eliminate(rows, m.cols)
     pivot_cols = {c for _, c in pivots}
     basis = []
     for free in range(m.cols):
@@ -448,7 +438,7 @@ def nullspace_basis(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
 def row_space_basis(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
     """Echelon pivot rows, a deterministic basis of the row space."""
     rows = _integer_rows(m)
-    pivots, _ = _eliminate(rows, m.cols)
+    pivots = _eliminate(rows, m.cols)
     return [
         tuple(Fraction(rows[ri].get(c, 0)) for c in range(m.cols)) for ri, _ in pivots
     ]
@@ -457,33 +447,33 @@ def row_space_basis(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
 def determinant(m: RationalMatrix) -> Fraction:
     """Exact determinant; 1 for the empty matrix.
 
-    After full-rank elimination the pivot rows, taken in pivot order, form
-    a triangular matrix whose determinant is the product of the pivots.
-    It is corrected by the sign of the row-to-column pivot permutation, by
-    the scale the elimination's row operations applied, and by the row
-    multipliers used to clear denominators.
+    [m | I] is eliminated once, as by ``invert``.  The pivot rows, taken
+    in pivot order, then form a triangular matrix whose determinant is the
+    product of the pivots times the sign of the row-to-column pivot
+    permutation.  Row i has become s_i times row i of m plus multiples of
+    rows pivoted before it, s_i being the product of the clearing and
+    elimination factors applied to it.  Those earlier rows carry
+    ride-along entries only in their own identity columns and in those of
+    rows pivoted before them, never in column n + i, so rows[i][n + i] is
+    s_i.  The determinant of m is the signed product of the pivots over
+    the product of the s_i.
     """
     if m.rows != m.cols:
         raise ValueError("determinant needs a square matrix")
     n = m.rows
-    rows = _integer_rows(m)
-    # clearing multiplied each nonzero row by the ratio of any one of its
-    # cleared entries to the original entry
-    scale = Fraction(1)
-    for i, row in enumerate(rows):
-        if row:
-            j, v = next(iter(row.items()))
-            scale *= v / m.entries[i, j]
-    pivots, row_scale = _eliminate(rows, n, track_scale=True)
+    rows = _integer_rows(RationalMatrix.hstack([m, RationalMatrix.identity(n)]))
+    pivots = _eliminate(rows, n)
     if len(pivots) < n:
         return Fraction(0)
     col_of = [0] * n
     product = 1
+    factors = 1
     for ri, ci in pivots:
         col_of[ri] = ci
         product *= rows[ri][ci]
+        factors *= rows[ri][n + ri]
     inversions = sum(a > b for k, a in enumerate(col_of) for b in col_of[k + 1 :])
-    return (-product if inversions % 2 else product) / (scale * row_scale)
+    return Fraction(-product if inversions % 2 else product, factors)
 
 
 def invert(m: RationalMatrix) -> RationalMatrix:
@@ -497,7 +487,7 @@ def invert(m: RationalMatrix) -> RationalMatrix:
         raise ValueError("only square matrices can be inverted")
     n = m.rows
     rows = _integer_rows(RationalMatrix.hstack([m, RationalMatrix.identity(n)]))
-    pivots, _ = _eliminate(rows, n)
+    pivots = _eliminate(rows, n)
     if len(pivots) < n:
         raise ValueError("matrix is singular")
     entries = {}

@@ -341,7 +341,7 @@ def _blocks(g: GradedLieAlgebra, d: int) -> dict[Weight, tuple[int, int]]:
         return cached
     out: dict[Weight, tuple[int, int]] = {}
     for weight, combos in _wedge_buckets(g, d, _permutes_generators(g)).items():
-        pivots, _ = _eliminate(_block_rows(g, combos), len(combos))
+        pivots = _eliminate(_block_rows(g, combos), len(combos))
         out[weight] = (len(combos), len(pivots))
     g._cache[("blocks", d)] = out
     return out

@@ -313,19 +313,16 @@ def center_basis(r: int, c: int) -> list[MalcevElement]:
     """Basis of the elements commuting with every generator.
 
     An element commutes with a generator exactly when the generator's
-    adjoint exponential fixes it, so the center is the joint kernel of
-    exp(ad generator) - identity, a single linear solve.  The result spans
-    the degree-c coordinate subspace.
+    adjoint exponential fixes it, i.e. lies in the kernel of
+    exp(ad x) - I = ad x (I + ad x/2! + ...).  The second factor is
+    unipotent, hence invertible, so that kernel is the kernel of ad x, and
+    the center is the joint kernel of the ad x_i, a single linear solve.
+    The result spans the degree-c coordinate subspace.
     """
     if r < 1 or c < 1:
         raise ValueError("rank and class must be at least 1")
     basis = hall_basis(r, c)
-    m = len(basis.elements)
-    eye = RationalMatrix.identity(m)
-    blocks = [
-        exp_nilpotent(adjoint_matrix(group_generator(basis, i))) - eye
-        for i in range(1, r + 1)
-    ]
+    blocks = [adjoint_matrix(group_generator(basis, i)) for i in range(1, r + 1)]
     vectors = nullspace_basis(RationalMatrix.vstack(blocks))
     return [
         MalcevElement(basis, {basis.elements[k]: q for k, q in enumerate(vec) if q})

@@ -161,7 +161,7 @@ def test_computation_error_exit_code(monkeypatch):
 
 
 def test_out_of_memory_exits_1_with_a_message(monkeypatch, capsys):
-    def exhausted(args, cache):
+    def exhausted(**params):
         raise MemoryError
 
     monkeypatch.setitem(cli._HANDLERS, "betti", exhausted)
@@ -415,6 +415,66 @@ def test_csv_golden(command, monkeypatch):
 
 def test_every_command_has_a_csv_golden():
     assert {command.split()[0] for command in CSV_GOLDEN} == set(cli._HANDLERS)
+
+
+# sha256 of the JSON records (params and result) of each CSV_GOLDEN command line
+JSON_GOLDEN = {
+    "bch -r 2 -c 3 --u 1:1,12:1/2 --v 2:-1,112:3": "babb430ab4aeb5d0a3d3f61919c3340231e50b786fcd0f232493befe6c4025e0",
+    "betti group -r 2 -c 2": "3e27198f1257920475585ba65a362fc98c8df8515052a32b5015170d52325b5d",
+    "betti lie -r 2 -c 3 -d 2": "492b9d0ae6ae931fe9999f2327db4d008e202bf4512c3fc0c6465f5821c9d5f7",
+    "center -r 2 -c 3": "4708482fabd778533e967deece3dc5a80551f066049927a8726e621860bf9052",
+    "coinv --expr const(2) -r 2": "acca6753695b90c3d380fd9b3ff742e99a6e6a12f8bea9497c08668fc706d27d",
+    "degree-check -c 2 -d 1 --max-rank 3": "76afef500313a132758d2a2c2f4744d1d8d55f6dbcc30588c239b84eb83d2787",
+    "dynkin-check -r 2 --max-degree 3": "cc9dab8ff8ef28aa783d5e15bb31fcbd2ac343078cc3c845ffdd7daca4e9a4a3",
+    "hall -r 3 -c 2": "4745b19de7bd5c18e54ee3cb2e40c84313a85b0adba8b582dad40326a97dc114",
+    "lcs-ranks -r 2 -c 4": "43a4c1e1a762763302fb07f8ca8dac195259bcba9b7d3bfb24513f71d2e09a6b",
+    "selftest": "74648a0fa549db66718860552772bdf412473a0f1249deb655a98c9c647f3c11",
+    "summand-check -r 2 -c 3 -d 1": "8b217f6738ad13b3d49e96ec139d21b49e33469c3c8714db63f5b3078a538611",
+    "weighted-betti group -r 2 -c 3 -d 2": "1b6a6ada2ea13fdb3dbeac97428cedf5a4585ca40a74c9e16a5ce5ced3768b6b",
+    "witt -r 3 --max-degree 4": "b32c37d9129151269ff28ec91f4f1990d3543c74708f97b8d9e5293c2f1f3c11",
+}
+
+
+def test_json_golden_cold_and_warm_and_only_declared_commands_cached(tmp_path, monkeypatch):
+    monkeypatch.delenv("NILHOM_CACHE_DIR", raising=False)
+    for command in sorted(CSV_GOLDEN):
+        for _cold_then_warm in range(2):
+            code, out = run_cli(command.split() + ["--cache-dir", str(tmp_path)], monkeypatch)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == JSON_GOLDEN[command], command
+    kinds = []
+    for entry in tmp_path.glob("*.nhc"):
+        blob = entry.read_bytes()  # section 0, the key JSON, starts at byte 20
+        kinds.append(json.loads(blob[20 : 20 + int.from_bytes(blob[12:20], "big")])["kind"])
+    # the two betti lines and selftest's betti_cache check each leave a betti entry
+    assert sorted(kinds) == ["betti", "betti", "betti", "degree-check", "weighted-betti"]
+
+
+# sha256 of `nilhom --help`, then of `nilhom <command> --help` for each command
+HELP_GOLDEN = {
+    "--help": "ec802cf2b3bb598689375b0157333f147239ff87183d262214170808871993ff",
+    "bch --help": "f88b322599b962cc7dc501793af515f8fef85697854f87fad9ddc05d66e27d95",
+    "betti --help": "2773f359a2f24e637d67a196ca59c44b3ed69dcdd85b2fb8028c6b56ff0f9af5",
+    "center --help": "eced361dcf69438d1144115a6dc43c9f52ad569cd01cf522927dba74914f7962",
+    "coinv --help": "0a09cfb36f059999b2f3244b93930df9c8207cbd791ef8bed7d37c3fb5d565aa",
+    "degree-check --help": "3e9703daf37e15191e6c192929518fb46957d9f94ddcd78a2f269d9da2fd260b",
+    "dynkin-check --help": "edaba4b011408e54bba4ceee761fe29cce36dbae4765409bcce0eb44e6a5d48a",
+    "hall --help": "74731de4dabab954d7d5d77bf2b4cb9e58908b7edfc75e4afa63208723f05ba5",
+    "lcs-ranks --help": "094ae868d853747c8ffe2bcbf2fb0dc921e26f49884bf34adcaf6a1fc22f93ec",
+    "selftest --help": "875fa7eeb21458b94447c36cedb6aaacb170e623770615ef87914dfaca6ee27a",
+    "summand-check --help": "e1e4a2b0fbd32d4cb6000b80a4d88f7a26fdfcd2511ae004f798f7b7cbc1515b",
+    "weighted-betti --help": "d0c2622e5d3c05face471cf6b9f9221c8689243b637ed10b662fab774f1b1a4d",
+    "witt --help": "a06aa67015628d0348b387406967dbc4e199b06c64f83effab6404c1f31dde12",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse words help differently by version")
+@pytest.mark.parametrize("command", sorted(HELP_GOLDEN))
+def test_help_golden(command, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out = run_cli(command.split(), monkeypatch)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_GOLDEN[command]
 
 
 def test_selftest_golden_digest(monkeypatch):
