@@ -37,7 +37,7 @@ from typing import Mapping
 from . import rep
 from .exact_linalg import RationalMatrix, determinant, fraction_rows, rank
 from .exact_linalg import exp_nilpotent, invert  # noqa: F401 - perfbench wraps them by name
-from .free_lie import LieElement, bracket_coordinates, hall_basis
+from .free_lie import LieElement, _add, bracket_coordinates, hall_basis
 from .free_lie import bracket, induced_map_lie  # noqa: F401 - perfbench wraps them by name
 from .lie_homology import (
     GradedLieAlgebra,
@@ -59,15 +59,6 @@ __all__ = [
 
 
 _ONE = Fraction(1)
-
-
-def _add_into(out: dict[int, Fraction], vec: Mapping[int, Fraction]) -> None:
-    for k, q in vec.items():
-        v = out.get(k, 0) + q
-        if v:
-            out[k] = v
-        else:
-            del out[k]
 
 
 def _apply(cols: list[dict[int, Fraction]], vec: Mapping[int, Fraction]) -> dict[int, Fraction]:
@@ -170,7 +161,8 @@ class DerivationMatrix:
                 lhs = _apply(cols, g.bracket_basis(i, j))
                 rhs = g.bracket_vectors(cols[i], units[j]) if cols[i] else {}
                 if cols[j]:
-                    _add_into(rhs, g.bracket_vectors(units[i], cols[j]))
+                    for k, q in g.bracket_vectors(units[i], cols[j]).items():
+                        _add(rhs, k, q)
                 if lhs != rhs:
                     raise ValueError(f"Leibniz rule fails on basis pair ({i}, {j})")
 
@@ -242,7 +234,8 @@ def derivation_from_images(algebra: GradedLieAlgebra, images: Mapping[int, LieEl
             # D[e_u, e_v] = [D e_u, e_v] + [e_u, D e_v]
             u, v = (basis.index[x] for x in basis.factorization[word])
             value = bracket_coordinates(table, columns[u], {v: _ONE})
-            _add_into(value, bracket_coordinates(table, {u: _ONE}, columns[v]))
+            for k, q in bracket_coordinates(table, {u: _ONE}, columns[v]).items():
+                _add(value, k, q)
         columns.append(value)
         for k in sorted(value):
             entries[(k, col)] = value[k]

@@ -20,7 +20,9 @@ degrees above half the dimension.
 
 Each block's boundary is assembled as integer rows, the bracket table
 scaled once by the lcm of its denominators, and eliminated by
-exact_linalg's kernel directly.
+exact_linalg's kernel directly.  Each boundary term is added straight
+into the row of its target wedge; terms that cancel inside one column
+can leave a row empty, which the kernel skips.
 
 Practical envelope: the full Betti vector of F(6,2), dimension 21, takes
 about 2-3 s and 24 MB, and the degree-3 weight table of IA(3,4),
@@ -41,7 +43,7 @@ from typing import Mapping
 
 from .exact_linalg import RationalMatrix, _as_fraction, _eliminate, row_space_basis
 from .exact_linalg import rank  # noqa: F401 - perfbench wraps it by name
-from .free_lie import HallBasis, bracket_coordinates, hall_basis
+from .free_lie import HallBasis, _add, bracket_coordinates, hall_basis
 from .free_lie import bracket  # noqa: F401 - perfbench wraps it by name
 
 __all__ = [
@@ -227,41 +229,6 @@ def _adjacency(g: GradedLieAlgebra) -> list[list[tuple[int, dict[int, int]]]]:
     return adj
 
 
-def _boundary_of_wedge(g: GradedLieAlgebra, combo: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """L times the boundary of one wedge generator, as a sparse vector over (d-1)-wedges.
-
-    L is the bracket scale of _adjacency, so the coefficients are integers.
-    Only the pairs of the wedge with a nonzero bracket are visited, found
-    through the adjacency lists of its members.
-    """
-    out: dict[tuple[int, ...], int] = {}
-    adj = _adjacency(g)
-    position = {i: s for s, i in enumerate(combo)}
-    for s, i in enumerate(combo):
-        for j, vec in adj[i]:
-            t = position.get(j)
-            if t is None:
-                continue
-            rest = combo[:s] + combo[s + 1 : t] + combo[t + 1 :]
-            sign_st = -1 if (s + t) % 2 else 1
-            for k, q in vec.items():
-                if k in position and k != i and k != j:
-                    continue
-                pos = bisect_left(rest, k)
-                target = rest[:pos] + (k,) + rest[pos:]
-                coeff = q if (sign_st > 0) == (pos % 2 == 0) else -q
-                v = out.get(target)
-                if v is None:
-                    out[target] = coeff
-                    continue
-                v += coeff
-                if v:
-                    out[target] = v
-                else:
-                    del out[target]
-    return out
-
-
 def _permutes_generators(g: GradedLieAlgebra) -> bool:
     """True when each permutation of the generators carries weight block w onto block σw.
 
@@ -314,18 +281,37 @@ def _wedge_buckets(g: GradedLieAlgebra, d: int, dominant: bool) -> dict[Weight, 
 def _block_rows(g: GradedLieAlgebra, combos: list[tuple[int, ...]]) -> list[dict[int, int]]:
     """The integer rows of L times the boundary on the d-wedges ``combos``.
 
-    Column j is combos[j]; there is one row per (d-1)-wedge the boundary
-    reaches, in order of first appearance.
+    L is the bracket scale of _adjacency.  Column j is combos[j]; the
+    boundary of x_1 ^ ... ^ x_d is the sum over s < t of
+    (-1)^(s+t) [x_s, x_t] ^ (the wedge without x_s and x_t).  Only the
+    pairs with a nonzero bracket are visited, found through the adjacency
+    lists of the wedge's members, and each term is added straight into the
+    row of its (d-1)-wedge, made when that wedge is first reached.  An
+    entry that cancels to 0 is deleted, so a row can be left empty.
     """
+    adj = _adjacency(g)
     row_index: dict[tuple[int, ...], int] = {}
     rows: list[dict[int, int]] = []
     for col, combo in enumerate(combos):
-        for target, v in _boundary_of_wedge(g, combo).items():
-            i = row_index.get(target)
-            if i is None:
-                i = row_index[target] = len(rows)
-                rows.append({})
-            rows[i][col] = v
+        position = {i: s for s, i in enumerate(combo)}
+        for s, i in enumerate(combo):
+            for j, vec in adj[i]:
+                t = position.get(j)
+                if t is None:
+                    continue
+                rest = combo[:s] + combo[s + 1 : t] + combo[t + 1 :]
+                for k, q in vec.items():
+                    if k in position and k != i and k != j:
+                        continue
+                    pos = bisect_left(rest, k)  # the sign of moving k into place is (-1)^pos
+                    target = rest[:pos] + (k,) + rest[pos:]
+                    coeff = -q if (s + t + pos) % 2 else q
+                    r = row_index.get(target)
+                    if r is None:
+                        row_index[target] = len(rows)
+                        rows.append({col: coeff})
+                    else:
+                        _add(rows[r], col, coeff)
     return rows
 
 

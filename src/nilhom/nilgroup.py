@@ -33,6 +33,7 @@ from .free_lie import (
     _add,
     _expansion_dict,  # unused here; perfbench/tracing.py wraps nilgroup._expansion_dict by name
     _lie_coords_from_tensor,  # certifies the universal BCH series in _bch_series
+    _require_same_basis,
     bracket,  # unused here; perfbench/tracing.py wraps nilgroup.bracket by name
     bracket_coordinates,
     hall_basis,
@@ -113,14 +114,6 @@ def group_generator(basis: HallBasis, letter: int) -> MalcevElement:
 
 def group_identity(basis: HallBasis) -> MalcevElement:
     return MalcevElement(basis)
-
-
-def _require_same_basis(u: MalcevElement, v: MalcevElement) -> None:
-    if not u.basis.same_as(v.basis):
-        raise ValueError(
-            f"basis mismatch: (rank={u.basis.rank}, cls={u.basis.cls}) vs "
-            f"(rank={v.basis.rank}, cls={v.basis.cls})"
-        )
 
 
 # -- truncated tensor algebra -----------------------------------------------

@@ -14,8 +14,9 @@ from nilhom.free_lie import hall_basis, witt_dimension
 from nilhom.lie_homology import (
     GradedLieAlgebra,
     _adjacency,
-    _boundary_of_wedge,
+    _block_rows,
     _permutes_generators,
+    _wedge_buckets,
     betti_number,
     betti_numbers,
     free_nilpotent_lie,
@@ -27,23 +28,38 @@ from nilhom.lie_homology import (
 
 
 def ce_boundary(g, d):
-    """L times the whole boundary matrix from d-wedges to (d-1)-wedges, lexicographic wedge order.
+    """The whole boundary matrix from d-wedges to (d-1)-wedges, lexicographic wedge order.
 
-    L is the lcm of the bracket denominators, the scale _boundary_of_wedge applies.
+    The textbook formula, written apart from the homology engine: the
+    boundary of x_1 ^ ... ^ x_d is the sum over s < t of
+    (-1)^(s+t) [x_s, x_t] ^ x_1 ^ ... ^ x_d, with x_s and x_t left out of
+    the tail.  Brackets are read from g.bracket_basis, unscaled, and each
+    target is sorted with the sign (-1)^(number of inversions).
 
-    The oracle for the weight-block ranks of the homology engine, which
-    never assembles this matrix.
+    The oracle for the weight-block ranks and rows of the homology engine,
+    which never assembles this matrix.
     """
     if not 0 <= d <= g.dim:
         raise ValueError(f"degree {d} outside 0..{g.dim}")
     if d == 0:
         return RationalMatrix(0, 1)
     row_index = {combo: i for i, combo in enumerate(combinations(range(g.dim), d - 1))}
-    entries = {}
+    brackets = {(i, j): g.bracket_basis(i, j) for i, j in combinations(range(g.dim), 2)}
+    terms = []  # ((row, col), value) pairs; RationalMatrix sums repeated positions
     for col, combo in enumerate(combinations(range(g.dim), d)):
-        for target, q in _boundary_of_wedge(g, combo).items():
-            entries[(row_index[target], col)] = q
-    return RationalMatrix(len(row_index), comb(g.dim, d), entries)
+        for (s, i), (t, j) in combinations(enumerate(combo), 2):
+            bracket = brackets[i, j]
+            if not bracket:
+                continue
+            tail = combo[:s] + combo[s + 1 : t] + combo[t + 1 :]
+            for k, q in bracket.items():
+                if k in tail:
+                    continue  # a repeated vector: the wedge is zero
+                # tail is increasing, so each inversion of (k, *tail) pairs k with a smaller x
+                inversions = sum(x < k for x in tail)
+                value = -q if (s + t + inversions) % 2 else q
+                terms.append(((row_index[tuple(sorted((k, *tail)))], col), value))
+    return RationalMatrix(len(row_index), comb(g.dim, d), terms)
 
 
 def abelian(m):
@@ -363,11 +379,46 @@ def assert_matches_direct_oracle(g):
         assert betti_number(g, d) == sum(direct.values())
 
 
-def test_direct_ranks_match_weighted_tables():
+def direct_oracle_algebras():
+    """The algebras whose weight tables are checked against direct_weighted_betti."""
     ia = (ia_lie_algebra(2, 3), ia_lie_algebra(3, 2), ia_lie_algebra(2, 4))
     assert all(map(_permutes_generators, ia))  # certified: only dominant blocks are ranked
-    for g in (free_nilpotent_lie(2, 3), free_nilpotent_lie(3, 2), free_nilpotent_lie(2, 4), *ia):
+    return (free_nilpotent_lie(2, 3), free_nilpotent_lie(3, 2), free_nilpotent_lie(2, 4), *ia)
+
+
+def test_direct_ranks_match_weighted_tables():
+    for g in direct_oracle_algebras():
         assert_matches_direct_oracle(g)
+
+
+def test_block_rows_match_oracle_entries():
+    # the engine's nonzero rows of each weight block, as a multiset, are L times
+    # the rows of ce_boundary restricted to that block's wedges
+    h = rescaled(free_nilpotent_lie(2, 4), random.Random(4))
+    assert any(q.denominator > 1 for vec in h.brackets.values() for q in vec.values())  # L > 1
+    for g in (*direct_oracle_algebras(), h):
+        scale = lcm(*(q.denominator for vec in g.brackets.values() for q in vec.values()))
+        for d in range(1, g.dim + 1):
+            columns = ce_boundary(g, d).columns()
+            col_of = {combo: j for j, combo in enumerate(combinations(range(g.dim), d))}
+            for combos in _wedge_buckets(g, d, False).values():
+                expected = {}
+                for j, combo in enumerate(combos):
+                    for i, q in columns[col_of[combo]].items():
+                        expected.setdefault(i, {})[j] = scale * q
+                engine = [row for row in _block_rows(g, combos) if row]
+                assert sorted(sorted(row.items()) for row in engine) == sorted(
+                    sorted(row.items()) for row in expected.values()
+                )
+
+
+def test_terms_cancelling_inside_one_column():
+    # [a, b] = b and [a, c] = -c give d(a^b^c) = -b^c + b^c = 0: the row of b^c
+    # is reached and then cancels
+    g = GradedLieAlgebra(("a", "b", "c"), ((0,), (1,), (-1,)), {(0, 1): {1: 1}, (0, 2): {2: -1}})
+    assert not any(_block_rows(g, [(0, 1, 2)]))
+    assert betti_numbers(g) == [1, 1, 1, 1]
+    assert_matches_direct_oracle(g)
 
 
 def test_duality_needs_unimodular_algebra():
