@@ -5,84 +5,29 @@ group arithmetic, Chevalley-Eilenberg homology with multiweight
 refinement, derivation algebras of the identity-on-abelianization
 automorphism subgroups, and a small polynomial GL-representation calculus,
 all over exact rationals.
+
+``import nilhom`` imports no submodule.  Names resolve on first use:
+``nilhom.rep`` imports that submodule, and any other ``nilhom.X`` is the
+``X`` of the first of exact_linalg, free_lie, lie_homology, aut, nilgroup
+and rep whose ``__all__`` lists it.
 """
 
-from .exact_linalg import (
-    RationalMatrix,
-    determinant,
-    exp_nilpotent,
-    invert,
-    nullspace_basis,
-    rank,
-)
-from .free_lie import (
-    HallBasis,
-    LieElement,
-    NotLieElementError,
-    TensorElement,
-    bracket,
-    dynkin,
-    expand_to_tensor,
-    generator,
-    hall_basis,
-    induced_map_lie,
-    lyndon_words,
-    witt_dimension,
-)
-from .lie_homology import (
-    GradedLieAlgebra,
-    betti_number,
-    betti_numbers,
-    free_nilpotent_lie,
-    group_betti,
-    lower_central_series_dims,
-    nilpotency_class,
-    weighted_betti,
-)
-from .aut import (
-    DerivationMatrix,
-    LieAutomorphism,
-    automorphism_from_gl,
-    derivation_from_images,
-    gl_conjugation_on_ia,
-    ia_basis_pairs,
-    ia_betti,
-    ia_lie_algebra,
-)
-from .nilgroup import (
-    MalcevElement,
-    adjoint_matrix,
-    center_basis,
-    group_commutator,
-    group_generator,
-    group_identity,
-    inner_action,
-    inverse,
-    lcs_ranks,
-    malcev_element,
-    multiply,
-)
-from .rep import (
-    Const,
-    DualStd,
-    HomStd,
-    Lie,
-    NotCharacterError,
-    ReprExpr,
-    Std,
-    Sum,
-    Tensor,
-    Wedge,
-    WeightModule,
-    action_matrix,
-    coinvariants_dim,
-    degree_estimate,
-    evaluate,
-    expr_text,
-    lie_interval,
-    parse_expr,
-    schur_decompose_gl2,
-    weight_dominance_compare,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+_PUBLIC_MODULES = ("exact_linalg", "free_lie", "lie_homology", "aut", "nilgroup", "rep")
+
+
+def __getattr__(name: str):
+    try:
+        return importlib.import_module(f"{__name__}.{name}")
+    except ModuleNotFoundError as exc:
+        if exc.name != f"{__name__}.{name}":
+            raise
+    for module_name in _PUBLIC_MODULES:
+        module = importlib.import_module(f"{__name__}.{module_name}")
+        if name in module.__all__:
+            value = globals()[name] = getattr(module, name)
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

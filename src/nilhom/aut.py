@@ -76,63 +76,11 @@ def _apply(cols: list[dict[int, Fraction]], vec: Mapping[int, Fraction]) -> dict
     return out
 
 
-class LieAutomorphism:
-    """Invertible, bracket-preserving, filtration-respecting matrix on a graded Lie algebra."""
+class _CertifiedMap:
+    """Matrix on a graded Lie algebra whose defining identity holds on all basis pairs.
 
-    __slots__ = ("algebra", "matrix")
-
-    def __init__(self, algebra: GradedLieAlgebra, matrix: RationalMatrix, check: bool = True) -> None:
-        m = algebra.dim
-        if matrix.rows != m or matrix.cols != m:
-            raise ValueError("matrix shape does not match the algebra dimension")
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "matrix", matrix)
-        if check:
-            self._check()
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("LieAutomorphism is immutable")
-
-    def _check(self) -> None:
-        g, mat = self.algebra, self.matrix
-        if rank(mat) != g.dim:
-            raise ValueError("matrix is not invertible")
-        for (i, j), q in mat.entries.items():
-            if g.degree(i) < g.degree(j):
-                raise ValueError("matrix does not respect the degree filtration")
-        cols = mat.columns()
-        for i in range(g.dim):
-            for j in range(i + 1, g.dim):
-                lhs = _apply(cols, g.bracket_basis(i, j))
-                rhs = g.bracket_vectors(cols[i], cols[j])
-                if lhs != rhs:
-                    raise ValueError(
-                        f"brackets are not preserved on basis pair ({i}, {j})"
-                    )
-
-    def compose(self, other: "LieAutomorphism") -> "LieAutomorphism":
-        if self.algebra is not other.algebra:
-            raise ValueError("automorphisms live on different algebras")
-        return LieAutomorphism(self.algebra, self.matrix @ other.matrix, check=False)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.matrix == RationalMatrix.identity(self.algebra.dim)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LieAutomorphism):
-            return NotImplemented
-        return self.algebra is other.algebra and self.matrix == other.matrix
-
-    def __repr__(self) -> str:
-        return f"LieAutomorphism(dim={self.algebra.dim})"
-
-
-class DerivationMatrix:
-    """Strictly filtration-raising derivation of a graded Lie algebra.
-
-    Satisfies the Leibniz rule on all basis pairs and sends every basis
-    vector into strictly higher degrees, hence is nilpotent as a matrix.
+    A subclass checks the whole matrix in ``_check_matrix`` and gives, in
+    ``_bracket_image``, what its identity makes the image of [e_i, e_j].
     """
 
     __slots__ = ("algebra", "matrix")
@@ -147,37 +95,83 @@ class DerivationMatrix:
             self._check()
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("DerivationMatrix is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _check(self) -> None:
-        g, mat = self.algebra, self.matrix
-        for (i, j), q in mat.entries.items():
-            if g.degree(i) <= g.degree(j):
-                raise ValueError("derivation is not strictly filtration-raising")
-        cols = mat.columns()
+        g = self.algebra
+        self._check_matrix()
+        cols = self.matrix.columns()
         units = [{j: _ONE} for j in range(g.dim)]
+        image = self._bracket_image
         for i in range(g.dim):
             for j in range(i + 1, g.dim):
-                lhs = _apply(cols, g.bracket_basis(i, j))
-                rhs = g.bracket_vectors(cols[i], units[j]) if cols[i] else {}
-                if cols[j]:
-                    for k, q in g.bracket_vectors(units[i], cols[j]).items():
-                        _add(rhs, k, q)
-                if lhs != rhs:
-                    raise ValueError(f"Leibniz rule fails on basis pair ({i}, {j})")
+                if _apply(cols, g.bracket_basis(i, j)) != image(cols, units, i, j):
+                    raise ValueError(f"{self._pair_failure} on basis pair ({i}, {j})")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.algebra is other.algebra and self.matrix == other.matrix
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(dim={self.algebra.dim})"
+
+
+class LieAutomorphism(_CertifiedMap):
+    """Invertible, bracket-preserving, filtration-respecting matrix on a graded Lie algebra."""
+
+    __slots__ = ()
+    _pair_failure = "brackets are not preserved"
+
+    def _check_matrix(self) -> None:
+        g, mat = self.algebra, self.matrix
+        if rank(mat) != g.dim:
+            raise ValueError("matrix is not invertible")
+        for i, j in mat.entries:
+            if g.degree(i) < g.degree(j):
+                raise ValueError("matrix does not respect the degree filtration")
+
+    def _bracket_image(self, cols, units, i, j) -> dict[int, Fraction]:
+        return self.algebra.bracket_vectors(cols[i], cols[j])
+
+    def compose(self, other: "LieAutomorphism") -> "LieAutomorphism":
+        if self.algebra is not other.algebra:
+            raise ValueError("automorphisms live on different algebras")
+        return LieAutomorphism(self.algebra, self.matrix @ other.matrix, check=False)
+
+    @property
+    def is_identity(self) -> bool:
+        return self.matrix == RationalMatrix.identity(self.algebra.dim)
+
+
+class DerivationMatrix(_CertifiedMap):
+    """Strictly filtration-raising derivation of a graded Lie algebra.
+
+    Satisfies the Leibniz rule on all basis pairs and sends every basis
+    vector into strictly higher degrees, hence is nilpotent as a matrix.
+    """
+
+    __slots__ = ()
+    _pair_failure = "Leibniz rule fails"
+
+    def _check_matrix(self) -> None:
+        g = self.algebra
+        for i, j in self.matrix.entries:
+            if g.degree(i) <= g.degree(j):
+                raise ValueError("derivation is not strictly filtration-raising")
+
+    def _bracket_image(self, cols, units, i, j) -> dict[int, Fraction]:
+        g = self.algebra
+        image = g.bracket_vectors(cols[i], units[j]) if cols[i] else {}
+        if cols[j]:
+            for k, q in g.bracket_vectors(units[i], cols[j]).items():
+                _add(image, k, q)
+        return image
 
     def __add__(self, other: "DerivationMatrix") -> "DerivationMatrix":
         if self.algebra is not other.algebra:
             raise ValueError("derivations live on different algebras")
         return DerivationMatrix(self.algebra, self.matrix + other.matrix, check=False)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DerivationMatrix):
-            return NotImplemented
-        return self.algebra is other.algebra and self.matrix == other.matrix
-
-    def __repr__(self) -> str:
-        return f"DerivationMatrix(dim={self.algebra.dim})"
 
 
 def _normalize_square(matrix) -> list[list[Fraction]]:

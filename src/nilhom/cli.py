@@ -30,7 +30,10 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, NamedTuple
 
-from . import aut, invariants, lie_homology, nilgroup, rep
+# lie_homology first, so the modules run in the order exact_linalg, free_lie,
+# lie_homology, rep, aut, nilgroup, invariants: a nilhom process's peak RSS
+# moves with that order
+from . import lie_homology, aut, invariants, nilgroup, rep
 from .cache import Cache, SCHEMA_VERSION, canonical_json
 from .free_lie import hall_basis, witt_dimension
 

@@ -63,7 +63,6 @@ __all__ = [
     "coinvariants_dim",
     "degree_estimate",
     "parse_expr",
-    "expr_text",
 ]
 
 Weight = tuple[int, ...]
@@ -492,22 +491,3 @@ def parse_expr(text: str) -> ReprExpr:
         raise ValueError(f"trailing input from {parser.peek()!r}")
     return expr
 
-
-def expr_text(expr: ReprExpr) -> str:
-    if isinstance(expr, Std):
-        return "std"
-    if isinstance(expr, DualStd):
-        return "dual"
-    if isinstance(expr, Const):
-        return f"const({expr.dimension})"
-    if isinstance(expr, Lie):
-        return f"lie({expr.degree})"
-    if isinstance(expr, Wedge):
-        return f"wedge({expr.power}, {expr_text(expr.inner)})"
-    if isinstance(expr, Tensor):
-        return f"tensor({expr_text(expr.left)}, {expr_text(expr.right)})"
-    if isinstance(expr, Sum):
-        return f"sum({expr_text(expr.left)}, {expr_text(expr.right)})"
-    if isinstance(expr, HomStd):
-        return f"hom(std, {expr_text(expr.inner)})"
-    raise TypeError(f"not a representation expression: {expr!r}")
