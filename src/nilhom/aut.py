@@ -35,9 +35,9 @@ from functools import lru_cache
 from typing import Mapping
 
 from . import rep
-from .exact_linalg import RationalMatrix, determinant, fraction_rows, rank
+from .exact_linalg import RationalMatrix, _add, determinant, fraction_rows, rank
 from .exact_linalg import exp_nilpotent, invert  # noqa: F401 - perfbench wraps them by name
-from .free_lie import LieElement, _add, bracket_coordinates, hall_basis
+from .free_lie import LieElement, bracket_coordinates, hall_basis
 from .free_lie import bracket, induced_map_lie  # noqa: F401 - perfbench wraps them by name
 from .lie_homology import (
     GradedLieAlgebra,
@@ -66,13 +66,7 @@ def _apply(cols: list[dict[int, Fraction]], vec: Mapping[int, Fraction]) -> dict
     out: dict[int, Fraction] = {}
     for j, q in vec.items():
         for i, a in cols[j].items():
-            v = a * q
-            if i in out:
-                v += out[i]
-            if v:
-                out[i] = v
-            else:
-                out.pop(i, None)
+            _add(out, i, a * q)
     return out
 
 
@@ -279,12 +273,9 @@ def ia_lie_algebra(r: int, c: int) -> GradedLieAlgebra:
             # [Da, Db] sends the generator of Db to Da(wb) and the
             # generator of Da to -Db(wa); all other generators to zero.
             for row, q in columns[a][basis.index[wb]].items():
-                key = pair_index[(ib_gen, basis.elements[row])]
-                coords[key] = coords.get(key, Fraction(0)) + q
+                _add(coords, pair_index[(ib_gen, basis.elements[row])], q)
             for row, q in columns[b][basis.index[wa]].items():
-                key = pair_index[(ia_gen, basis.elements[row])]
-                coords[key] = coords.get(key, Fraction(0)) - q
-            coords = {k: q for k, q in coords.items() if q}
+                _add(coords, pair_index[(ia_gen, basis.elements[row])], -q)
             if coords:
                 brackets[(a, b)] = coords
     g = GradedLieAlgebra(labels, weights, brackets, weight_length=r, check=True)

@@ -36,9 +36,9 @@ def canonical_json(obj) -> str:
 class Cache:
     """Content-checksummed store keyed by (schema version, kind, parameters)."""
 
-    def __init__(self, directory: str | Path | None, enabled: bool = True) -> None:
-        self.directory = Path(directory) if directory is not None else None
-        self.enabled = enabled and self.directory is not None
+    def __init__(self, directory: str | Path, enabled: bool = True) -> None:
+        self.directory = Path(directory)
+        self.enabled = enabled
 
     def _key(self, kind: str, params) -> bytes:
         return canonical_json(
@@ -63,17 +63,16 @@ class Cache:
             body, digest = blob[:-32], blob[-32:]
             if hashlib.sha256(body).digest() != digest:
                 return None
-            count = int.from_bytes(body[8:12], "big")
+            if int.from_bytes(body[8:12], "big") != 2:
+                return None
             sections = []
             pos = 12
-            for _ in range(count):
+            for _ in range(2):
                 size = int.from_bytes(body[pos : pos + 8], "big")
                 pos += 8
                 sections.append(body[pos : pos + size])
                 pos += size
-            if pos != len(body) or len(sections) != 2:
-                return None
-            if sections[0] != key:
+            if pos != len(body) or sections[0] != key:
                 return None
             return json.loads(sections[1].decode("utf-8"))
         except (ValueError, IndexError):

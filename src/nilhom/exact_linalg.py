@@ -16,6 +16,12 @@ those row factors from an identity block riding along.  Pivots are chosen
 by a Markowitz minimum-fill score with a deterministic (row, column) tie-break, the same pivots classical
 Bareiss elimination picks, so results are reproducible byte for byte.
 
+Sparse vectors throughout the package are dicts holding no zero value.
+Their one accumulator, ``_add``, lives here in the bottom module; the
+modules above import it rather than re-type the add-or-delete step.  Only
+the hot loops of elimination, boundary assembly and the Lie bracket inline
+it.
+
 All values are immutable after construction and all operations are pure
 functions; everything in this module is safe to use concurrently.
 """
@@ -49,6 +55,18 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"exact arithmetic only: cannot accept {type(value).__name__}")
 
 
+def _add(d: dict, key, value) -> None:
+    """d[key] += value for int or Fraction values, keeping no zero entry."""
+    if key in d:
+        value = d[key] + value
+        if not value:
+            del d[key]
+            return
+    elif not value:
+        return
+    d[key] = value
+
+
 def fraction_rows(matrix) -> list[list[Fraction]]:
     """Dense rows of Fractions of a RationalMatrix or of nested sequences."""
     if isinstance(matrix, RationalMatrix):
@@ -77,13 +95,7 @@ class RationalMatrix:
         for (i, j), value in items:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"entry ({i}, {j}) outside a {rows}x{cols} matrix")
-            q = _as_fraction(value)
-            if (i, j) in data:
-                q += data[i, j]
-            if q:
-                data[(i, j)] = q
-            else:
-                data.pop((i, j), None)
+            _add(data, (i, j), _as_fraction(value))
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", data)
@@ -173,12 +185,7 @@ class RationalMatrix:
             raise ValueError("shape mismatch")
         data = dict(self.entries)
         for k, q in other.entries.items():
-            if k in data:
-                q += data[k]
-            if q:
-                data[k] = q
-            else:
-                data.pop(k, None)
+            _add(data, k, q)
         return RationalMatrix(self.rows, self.cols, data)
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
@@ -193,14 +200,7 @@ class RationalMatrix:
         data: dict[tuple[int, int], Fraction] = {}
         for (i, k), a in self.entries.items():
             for j, b in by_row.get(k, ()):
-                key = (i, j)
-                q = a * b
-                if key in data:
-                    q += data[key]
-                if q:
-                    data[key] = q
-                else:
-                    data.pop(key, None)
+                _add(data, (i, j), a * b)
         return RationalMatrix(self.rows, other.cols, data)
 
     def mul_vector(self, vec: Sequence) -> tuple[Fraction, ...]:

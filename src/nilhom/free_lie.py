@@ -15,6 +15,13 @@ forward substitution; a remainder whose smallest word is not Lyndon
 certifies that the input was not a Lie element, so the projection certifies
 every constant.
 
+Lie elements and nilgroup's group elements hold the same data, sparse
+exact coordinates on the basis words, and share one base, ``_HallElement``,
+for it.  Its constructor checks outside input word by word; a result the
+package has just computed (a bracket, a sum, a multiple, a BCH product) is
+wrapped as it is, not checked again.  Sparse sums here go through
+exact_linalg's accumulator ``_add``, except in the bracket's inner loop.
+
 All values are immutable after construction; every function is pure and
 safe to call concurrently.
 """
@@ -25,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .exact_linalg import RationalMatrix, _as_fraction, fraction_rows
+from .exact_linalg import RationalMatrix, _add, _as_fraction, fraction_rows
 
 __all__ = [
     "NotLieElementError",
@@ -215,20 +222,13 @@ def hall_basis(rank: int, cls: int) -> HallBasis:
     return HallBasis(rank, cls)
 
 
-def _add(d: dict, key, value) -> None:
-    """d[key] += value for int or Fraction values, keeping no zero entry."""
-    if key in d:
-        value = d[key] + value
-        if not value:
-            del d[key]
-            return
-    elif not value:
-        return
-    d[key] = value
+class _HallElement:
+    """Exact sparse Hall coordinates: the data of a Lie or a group element.
 
-
-class LieElement:
-    """Element of the truncated free Lie algebra in Hall coordinates."""
+    ``coords`` maps basis words to nonzero Fractions.  The constructor
+    checks outside input; ``_computed`` wraps coordinates the package has
+    just produced in that form, without checking them again.
+    """
 
     __slots__ = ("basis", "coords")
 
@@ -242,8 +242,35 @@ class LieElement:
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "coords", data)
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("LieElement is immutable")
+    @classmethod
+    def _computed(cls, basis: HallBasis, coords: dict[Word, Fraction]):
+        element = object.__new__(cls)
+        object.__setattr__(element, "basis", basis)
+        object.__setattr__(element, "coords", coords)
+        return element
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.basis.same_as(other.basis) and self.coords == other.coords
+
+    def __hash__(self):
+        return hash((self.basis.rank, self.basis.cls, frozenset(self.coords.items())))
+
+    def _terms(self) -> str:
+        return " + ".join(
+            f"{q}*[{self.basis.label(w)}]"
+            for w, q in sorted(self.coords.items(), key=lambda kv: (len(kv[0]), kv[0]))
+        )
+
+
+class LieElement(_HallElement):
+    """Element of the truncated free Lie algebra in Hall coordinates."""
+
+    __slots__ = ()
 
     @property
     def is_zero(self) -> bool:
@@ -256,14 +283,14 @@ class LieElement:
         f = _as_fraction(factor)
         if not f:
             return LieElement(self.basis)
-        return LieElement(self.basis, {w: q * f for w, q in self.coords.items()})
+        return LieElement._computed(self.basis, {w: q * f for w, q in self.coords.items()})
 
     def __add__(self, other: "LieElement") -> "LieElement":
         _require_same_basis(self, other)
         data = dict(self.coords)
         for w, q in other.coords.items():
             _add(data, w, q)
-        return LieElement(self.basis, data)
+        return LieElement._computed(self.basis, data)
 
     def __sub__(self, other: "LieElement") -> "LieElement":
         return self + other.scaled(-1)
@@ -271,22 +298,8 @@ class LieElement:
     def __neg__(self) -> "LieElement":
         return self.scaled(-1)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LieElement):
-            return NotImplemented
-        return self.basis.same_as(other.basis) and self.coords == other.coords
-
-    def __hash__(self):
-        return hash((self.basis.rank, self.basis.cls, frozenset(self.coords.items())))
-
     def __repr__(self) -> str:
-        if not self.coords:
-            return "LieElement(0)"
-        parts = [
-            f"{q}*[{self.basis.label(w)}]"
-            for w, q in sorted(self.coords.items(), key=lambda kv: (len(kv[0]), kv[0]))
-        ]
-        return "LieElement(" + " + ".join(parts) + ")"
+        return f"LieElement({self._terms()})" if self.coords else "LieElement(0)"
 
 
 class TensorElement:
@@ -329,7 +342,7 @@ class TensorElement:
         return "TensorElement(" + " + ".join(parts) + ")"
 
 
-def _require_same_basis(a: LieElement, b: LieElement) -> None:
+def _require_same_basis(a: _HallElement, b: _HallElement) -> None:
     if not a.basis.same_as(b.basis):
         raise ValueError(
             f"basis mismatch: (rank={a.basis.rank}, cls={a.basis.cls}) vs "
@@ -402,7 +415,7 @@ def bracket(a: LieElement, b: LieElement) -> LieElement:
         {index[w]: q for w, q in a.coords.items()},
         {index[w]: q for w, q in b.coords.items()},
     )
-    return LieElement(basis, {basis.elements[k]: out[k] for k in sorted(out)})
+    return LieElement._computed(basis, {basis.elements[k]: out[k] for k in sorted(out)})
 
 
 def expand_to_tensor(a: LieElement) -> TensorElement:

@@ -41,9 +41,9 @@ from itertools import combinations, permutations
 from math import lcm
 from typing import Mapping
 
-from .exact_linalg import RationalMatrix, _as_fraction, _eliminate, row_space_basis
+from .exact_linalg import RationalMatrix, _add, _as_fraction, _eliminate, row_space_basis
 from .exact_linalg import rank  # noqa: F401 - perfbench wraps it by name
-from .free_lie import HallBasis, _add, bracket_coordinates, hall_basis
+from .free_lie import HallBasis, bracket_coordinates, hall_basis
 from .free_lie import bracket  # noqa: F401 - perfbench wraps it by name
 
 __all__ = [
@@ -174,11 +174,7 @@ class GradedLieAlgebra:
                     acc = jacobiators.setdefault(triple, {})
                     coeff = q if sign > 0 else -q
                     for t, q2 in outer.items():
-                        v = acc.get(t, 0) + coeff * q2
-                        if v:
-                            acc[t] = v
-                        else:
-                            del acc[t]
+                        _add(acc, t, coeff * q2)
         failing = [triple for triple, acc in jacobiators.items() if acc]
         if failing:
             i, j, k = min(failing)

@@ -2,6 +2,10 @@
 
 Group elements are stored through their logarithms: sparse rational
 coordinate vectors over the Lyndon basis (coordinates of the first kind).
+MalcevElement shares free_lie's ``_HallElement`` base with LieElement, so
+the coordinates are checked once, by the constructor, on input from
+outside; products, inverses and center vectors are wrapped as computed.
+Tensor-algebra sums use exact_linalg's accumulator ``_add``.
 The group law is the truncated Baker-Campbell-Hausdorff product.  The
 universal series z(X, Y) = log(e^X e^Y) is computed once per class, never
 from a hard-coded coefficient table: exponentiate in the degree-truncated
@@ -24,13 +28,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Mapping
 
-from .exact_linalg import RationalMatrix, exp_nilpotent, nullspace_basis, rank
+from .exact_linalg import RationalMatrix, _add, exp_nilpotent, nullspace_basis, rank
 from .free_lie import (
     HallBasis,
     LieElement,
-    _add,
+    _HallElement,
     _expansion_dict,  # unused here; perfbench/tracing.py wraps nilgroup._expansion_dict by name
     _lie_coords_from_tensor,  # certifies the universal BCH series in _bch_series
     _require_same_basis,
@@ -58,25 +61,17 @@ __all__ = [
 Word = tuple[int, ...]
 
 
-class MalcevElement:
+class MalcevElement(_HallElement):
     """Group element of the rational completion, stored by its logarithm."""
 
-    __slots__ = ("basis", "coords")
-
-    def __init__(self, basis: HallBasis, coords: Mapping[Word, object] = ()) -> None:
-        lie = LieElement(basis, coords)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "coords", lie.coords)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("MalcevElement is immutable")
+    __slots__ = ()
 
     @property
     def is_identity(self) -> bool:
         return not self.coords
 
     def log(self) -> LieElement:
-        return LieElement(self.basis, self.coords)
+        return LieElement._computed(self.basis, self.coords)
 
     def __mul__(self, other: "MalcevElement") -> "MalcevElement":
         return multiply(self, other)
@@ -84,22 +79,8 @@ class MalcevElement:
     def __invert__(self) -> "MalcevElement":
         return inverse(self)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MalcevElement):
-            return NotImplemented
-        return self.basis.same_as(other.basis) and self.coords == other.coords
-
-    def __hash__(self):
-        return hash((self.basis.rank, self.basis.cls, frozenset(self.coords.items())))
-
     def __repr__(self) -> str:
-        if not self.coords:
-            return "MalcevElement(1)"
-        parts = [
-            f"{q}*[{self.basis.label(w)}]"
-            for w, q in sorted(self.coords.items(), key=lambda kv: (len(kv[0]), kv[0]))
-        ]
-        return "MalcevElement(exp(" + " + ".join(parts) + "))"
+        return f"MalcevElement(exp({self._terms()}))" if self.coords else "MalcevElement(1)"
 
 
 def malcev_element(basis: HallBasis, coords) -> MalcevElement:
@@ -245,13 +226,13 @@ def multiply(u: MalcevElement, v: MalcevElement) -> MalcevElement:
             for k, n in images[word].items():
                 out[k] = out.get(k, 0) + scale[degree[k]] * n
     denominators = [l_n * du**a_n * dv**b_n for l_n, a_n, b_n in levels]
-    return MalcevElement(
+    return MalcevElement._computed(
         basis, {basis.elements[k]: Fraction(out[k], denominators[degree[k]]) for k in sorted(out) if out[k]}
     )
 
 
 def inverse(u: MalcevElement) -> MalcevElement:
-    return MalcevElement(u.basis, {w: -q for w, q in u.coords.items()})
+    return MalcevElement._computed(u.basis, {w: -q for w, q in u.coords.items()})
 
 
 def group_commutator(u: MalcevElement, v: MalcevElement) -> MalcevElement:
@@ -318,7 +299,7 @@ def center_basis(r: int, c: int) -> list[MalcevElement]:
     blocks = [adjoint_matrix(group_generator(basis, i)) for i in range(1, r + 1)]
     vectors = nullspace_basis(RationalMatrix.vstack(blocks))
     return [
-        MalcevElement(basis, {basis.elements[k]: q for k, q in enumerate(vec) if q})
+        MalcevElement._computed(basis, {basis.elements[k]: q for k, q in enumerate(vec) if q})
         for vec in vectors
     ]
 

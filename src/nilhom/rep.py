@@ -226,11 +226,10 @@ def action_matrix(expr: ReprExpr, matrix, rank_: int) -> RationalMatrix:
     rows = fraction_rows(matrix)
     if len(rows) != rank_ or any(len(row) != rank_ for row in rows):
         raise ValueError(f"matrix must be {rank_}x{rank_}")
-    base = RationalMatrix.from_rows(rows)
     if isinstance(expr, Std):
-        return base
+        return RationalMatrix.from_rows(rows)
     if isinstance(expr, DualStd):
-        return invert(base).transpose()
+        return invert(RationalMatrix.from_rows(rows)).transpose()
     if isinstance(expr, Const):
         return RationalMatrix.identity(expr.dimension)
     if isinstance(expr, Lie):
@@ -413,81 +412,69 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[str]):
-        self.tokens = tokens
-        self.pos = 0
+# each constructor's argument kinds: "n" an integer, "e" an expression, any
+# other string a token that must stand there; lie[a..c] is read apart
+_CONSTRUCTORS = {
+    "std": (Std, None),
+    "dual": (DualStd, None),
+    "const": (Const, ("n",)),
+    "lie": (Lie, ("n",)),
+    "wedge": (Wedge, ("n", "e")),
+    "tensor": (Tensor, ("e", "e")),
+    "sum": (Sum, ("e", "e")),
+    "hom": (HomStd, ("std", "e")),
+}
 
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def take(self, expected: str | None = None) -> str:
-        if self.pos >= len(self.tokens):
-            raise ValueError("unexpected end of expression")
-        tok = self.tokens[self.pos]
-        if expected is not None and tok != expected:
-            raise ValueError(f"expected {expected!r}, found {tok!r}")
-        self.pos += 1
-        return tok
+def _take(tokens: list[str], expected: str | None = None) -> str:
+    """Pop the next token of a reversed token list, checking it when one is expected."""
+    if not tokens:
+        raise ValueError("unexpected end of expression")
+    tok = tokens.pop()
+    if expected is not None and tok != expected:
+        raise ValueError(f"expected {expected!r}, found {tok!r}")
+    return tok
 
-    def integer(self) -> int:
-        tok = self.take()
-        if not tok.isdigit():
-            raise ValueError(f"expected an integer, found {tok!r}")
-        return int(tok)
 
-    def expr(self) -> ReprExpr:
-        tok = self.take()
-        if tok == "std":
-            return Std()
-        if tok == "dual":
-            return DualStd()
-        if tok == "const":
-            self.take("(")
-            n = self.integer()
-            self.take(")")
-            return Const(n)
-        if tok == "lie":
-            if self.peek() == "[":
-                self.take("[")
-                a = self.integer()
-                self.take("..")
-                c = self.integer()
-                self.take("]")
-                return lie_interval(a, c)
-            self.take("(")
-            b = self.integer()
-            self.take(")")
-            return Lie(b)
-        if tok == "wedge":
-            self.take("(")
-            q = self.integer()
-            self.take(",")
-            inner = self.expr()
-            self.take(")")
-            return Wedge(q, inner)
-        if tok in ("tensor", "sum"):
-            self.take("(")
-            left = self.expr()
-            self.take(",")
-            right = self.expr()
-            self.take(")")
-            return Tensor(left, right) if tok == "tensor" else Sum(left, right)
-        if tok == "hom":
-            self.take("(")
-            self.take("std")
-            self.take(",")
-            inner = self.expr()
-            self.take(")")
-            return HomStd(inner)
+def _integer(tokens: list[str]) -> int:
+    tok = _take(tokens)
+    if not tok.isdigit():
+        raise ValueError(f"expected an integer, found {tok!r}")
+    return int(tok)
+
+
+def _parse(tokens: list[str]) -> ReprExpr:
+    tok = _take(tokens)
+    if tok not in _CONSTRUCTORS:
         raise ValueError(f"unknown constructor {tok!r}")
+    if tok == "lie" and tokens and tokens[-1] == "[":
+        _take(tokens)
+        a = _integer(tokens)
+        _take(tokens, "..")
+        c = _integer(tokens)
+        _take(tokens, "]")
+        return lie_interval(a, c)
+    build, kinds = _CONSTRUCTORS[tok]
+    if kinds is None:
+        return build()
+    args = []
+    for n, kind in enumerate(kinds):
+        _take(tokens, "," if n else "(")
+        if kind == "n":
+            args.append(_integer(tokens))
+        elif kind == "e":
+            args.append(_parse(tokens))
+        else:
+            _take(tokens, kind)
+    _take(tokens, ")")
+    return build(*args)
 
 
 def parse_expr(text: str) -> ReprExpr:
     """Parse the textual form, e.g. ``wedge(2, hom(std, lie[2..3]))``."""
-    parser = _Parser(_tokenize(text))
-    expr = parser.expr()
-    if parser.peek() is not None:
-        raise ValueError(f"trailing input from {parser.peek()!r}")
+    tokens = _tokenize(text)[::-1]
+    expr = _parse(tokens)
+    if tokens:
+        raise ValueError(f"trailing input from {tokens[-1]!r}")
     return expr
 

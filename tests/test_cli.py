@@ -237,6 +237,20 @@ def test_cache_schema_mismatch_is_miss(tmp_path):
     assert cache.get("other", {"rank": 2}) is None
 
 
+def test_cache_forged_section_count_is_a_miss_at_once(tmp_path):
+    # the checksum holds, but the format has two sections: a reader that
+    # looped over the stored count would run 2^32 - 1 times here
+    cache = Cache(tmp_path)
+    cache.put("betti", {"rank": 2}, {"betti": [1]})
+    (entry,) = tmp_path.glob("*.nhc")
+    body = bytearray(entry.read_bytes()[:-32])
+    body[8:12] = (2**32 - 1).to_bytes(4, "big")
+    entry.write_bytes(bytes(body) + hashlib.sha256(body).digest())
+    start = time.perf_counter()
+    assert cache.get("betti", {"rank": 2}) is None
+    assert time.perf_counter() - start < 1.0
+
+
 def test_cache_write_failure_keeps_old_entry(tmp_path, monkeypatch):
     cache = Cache(tmp_path)
     cache.put("betti", {"rank": 2}, {"betti": [1]})

@@ -12,6 +12,7 @@ from nilhom import lie_homology
 from nilhom.aut import ia_lie_algebra
 from nilhom.exact_linalg import (
     RationalMatrix,
+    _add,
     _eliminate,
     determinant,
     exp_nilpotent,
@@ -20,6 +21,18 @@ from nilhom.exact_linalg import (
     rank,
     row_space_basis,
 )
+
+
+def test_add_accumulates_exactly_and_stores_no_zero():
+    d = {}
+    _add(d, "a", 2)
+    _add(d, "a", Fraction(1, 3))
+    assert d == {"a": Fraction(7, 3)}
+    _add(d, "b", 0)
+    _add(d, "b", Fraction(0))
+    assert d == {"a": Fraction(7, 3)}
+    _add(d, "a", Fraction(-7, 3))
+    assert d == {}
 
 
 def naive_rank(rows):

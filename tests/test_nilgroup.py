@@ -16,6 +16,7 @@ from nilhom.free_lie import (
     witt_dimension,
 )
 from nilhom.nilgroup import (
+    MalcevElement,
     _tensor_exp,
     _tensor_log,
     _tensor_mul,
@@ -30,6 +31,37 @@ from nilhom.nilgroup import (
     malcev_element,
     multiply,
 )
+
+
+def test_lie_and_group_elements_share_data_not_type():
+    basis = hall_basis(2, 3)
+    coords = {(1,): Fraction(1, 2), (1, 2): -3}
+    lie = LieElement(basis, coords)
+    group = malcev_element(basis, coords)
+    assert repr(LieElement(basis)) == "LieElement(0)"
+    assert repr(group_identity(basis)) == "MalcevElement(1)"
+    assert repr(lie) == "LieElement(1/2*[1] + -3*[12])"
+    assert repr(group) == "MalcevElement(exp(1/2*[1] + -3*[12]))"
+    assert lie != group and group != lie
+    assert hash(lie) == hash(group)
+    assert group.log() == lie
+    with pytest.raises(TypeError):
+        group + group
+    for element in (lie, group):
+        with pytest.raises(AttributeError, match=f"^{type(element).__name__} is immutable$"):
+            element.coords = {}
+
+
+@pytest.mark.parametrize("cls", [LieElement, MalcevElement])
+def test_element_constructor_checks_outside_input(cls):
+    basis = hall_basis(2, 3)
+    with pytest.raises(ValueError, match="is not a word of"):
+        cls(basis, {(2, 1): 1})
+    with pytest.raises(TypeError, match="exact arithmetic only"):
+        cls(basis, {(1,): 0.5})
+    element = cls(basis, [((1,), 1), ((1,), Fraction(1, 2)), ((2,), 3), ((2,), -3), ((1, 2), 0)])
+    assert element.coords == {(1,): Fraction(3, 2)}
+    assert type(element.coords[(1,)]) is Fraction
 
 
 def bch_series_oracle(x, y):

@@ -372,12 +372,20 @@ def test_parse_and_print():
     assert expr == Wedge(2, HomStd(lie_interval(2, 3)))
     assert parse_expr("tensor(std, dual)") == Tensor(Std(), DualStd())
     assert parse_expr("sum(const(2), lie(4))") == Sum(Const(2), Lie(4))
-    with pytest.raises(ValueError):
-        parse_expr("wedge(2")
-    with pytest.raises(ValueError):
-        parse_expr("frobenius(std)")
-    with pytest.raises(ValueError):
-        parse_expr("std extra")
+    for text, message in [
+        ("wedge(2", "unexpected end of expression"),
+        ("", "unexpected end of expression"),
+        ("frobenius(std)", "unknown constructor 'frobenius'"),
+        ("std extra", "trailing input from 'extra'"),
+        ("hom(dual, std)", "expected 'std', found 'dual'"),
+        ("lie[2..]", "expected an integer, found ']'"),
+        ("lie(x)", "expected an integer, found 'x'"),
+        ("const()", "expected an integer, found '\\)'"),
+        ("lie[3..2]", "empty degree interval"),
+        ("@", "cannot tokenize '@'"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            parse_expr(text)
 
 
 def test_weight_module_validation():
