@@ -19,9 +19,12 @@ something re-proved here.  Outer automorphisms are represented only
 through quotient data (center, inner action, coinvariants); they carry no
 natural coordinates of their own.
 
-Both actions of the integral general linear group, on the algebra and on
-the derivations, are read from ``rep.action_matrix``; the definition of
-the latter by conjugation lives in ``invariants.conjugation_consistency``.
+Both actions of the integral general linear group are read from
+``rep.action_matrix``.  The derivation pair (i, w) is (dual generator i)
+tensor w, so the action on derivations is the dual action tensored with the
+degree-2..c block of the certified action on the algebra; no Lie layer is
+built twice.  Its definition by conjugation, A D A^-1, lives in
+``invariants.conjugation_consistency``.
 
 Everything is pure and immutable; construction of an object verifies its
 defining identities (bracket preservation, Leibniz rule, filtration) on
@@ -35,7 +38,7 @@ from functools import lru_cache
 from typing import Mapping
 
 from . import rep
-from .exact_linalg import RationalMatrix, _add, determinant, fraction_rows, rank
+from .exact_linalg import RationalMatrix, _add, _kron, determinant, fraction_rows, rank
 from .exact_linalg import exp_nilpotent, invert  # noqa: F401 - perfbench wraps them by name
 from .free_lie import LieElement, bracket_coordinates, hall_basis
 from .free_lie import bracket, induced_map_lie  # noqa: F401 - perfbench wraps them by name
@@ -214,7 +217,6 @@ def derivation_from_images(algebra: GradedLieAlgebra, images: Mapping[int, LieEl
         assigned[pos] = {basis.index[w]: q for w, q in img.coords.items()}
     table = basis.structure_constants()
     columns: list[dict[int, Fraction]] = []
-    entries: dict[tuple[int, int], Fraction] = {}
     for col, word in enumerate(basis.elements):
         if len(word) == 1:
             value = assigned.get(col, {})  # the generator in position col
@@ -225,9 +227,7 @@ def derivation_from_images(algebra: GradedLieAlgebra, images: Mapping[int, LieEl
             for k, q in bracket_coordinates(table, {u: _ONE}, columns[v]).items():
                 _add(value, k, q)
         columns.append(value)
-        for k in sorted(value):
-            entries[(k, col)] = value[k]
-    return DerivationMatrix(algebra, RationalMatrix(algebra.dim, algebra.dim, entries))
+    return DerivationMatrix(algebra, RationalMatrix._from_columns(algebra.dim, columns))
 
 
 def ia_basis_pairs(r: int, c: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -320,15 +320,15 @@ def ia_betti(r: int, c: int, q: int) -> tuple[int, dict[tuple[int, ...], int]]:
 def gl_conjugation_on_ia(matrix, r: int, c: int) -> RationalMatrix:
     """Conjugation action of a unimodular matrix on the derivation pair basis.
 
-    Read from ``rep.action_matrix`` on Hom(standard, degree-[2..c] part),
-    the pair (i, w) being (dual generator i) tensor w, once the matrix has
-    induced an automorphism; ``invariants.conjugation_consistency`` checks
-    it against the definition, A D A^-1 on each basis derivation D.
+    The dual action from ``rep.action_matrix``, tensored with the
+    degree-2..c block of the automorphism the matrix induces;
+    ``invariants.conjugation_consistency`` checks it against the definition,
+    A D A^-1 on each basis derivation D.
     """
     rows = _normalize_square(matrix)
     if len(rows) != r:
         raise ValueError(f"matrix must be {r}x{r}")
-    automorphism_from_gl(rows, c)
-    if c == 1:
-        return RationalMatrix(0, 0)
-    return rep.action_matrix(rep.HomStd(rep.lie_interval(2, c)), rows, r)
+    auto = automorphism_from_gl(rows, c).matrix
+    upper = {(i - r, j - r): q for (i, j), q in auto.entries.items() if j >= r}
+    return _kron(rep.action_matrix(rep.DualStd(), rows, r),
+                 RationalMatrix._computed(auto.rows - r, auto.cols - r, upper))

@@ -75,7 +75,7 @@ class Cache:
             if pos != len(body) or sections[0] != key:
                 return None
             return json.loads(sections[1].decode("utf-8"))
-        except (ValueError, IndexError):
+        except (ValueError, IndexError, RecursionError):  # RecursionError: a payload nested too deeply
             return None
 
     def put(self, kind: str, params, payload) -> None:

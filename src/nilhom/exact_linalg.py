@@ -22,6 +22,12 @@ modules above import it rather than re-type the add-or-delete step.  Only
 the hot loops of elimination, boundary assembly and the Lie bracket inline
 it.
 
+A matrix is checked where it enters: the ``RationalMatrix`` constructor
+bound-checks every key, takes exact values only and sums duplicate keys,
+and ``from_rows`` rejects ragged rows and inexact values.  A matrix the
+package has just computed is wrapped as it is, by ``_computed`` or
+column by column by ``_from_columns``, and not checked again.
+
 All values are immutable after construction and all operations are pure
 functions; everything in this module is safe to use concurrently.
 """
@@ -100,12 +106,28 @@ class RationalMatrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", data)
 
+    @classmethod
+    def _computed(cls, rows: int, cols: int, entries: dict[tuple[int, int], Fraction]) -> "RationalMatrix":
+        """Wrap entries the package has just computed, nonzero Fractions at in-range keys."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "entries", entries)
+        return m
+
+    @classmethod
+    def _from_columns(cls, rows: int, columns: Sequence[dict[int, Fraction]]) -> "RationalMatrix":
+        """Wrap computed sparse columns, each row-keyed dict becoming one column."""
+        return cls._computed(
+            rows, len(columns), {(k, j): col[k] for j, col in enumerate(columns) for k in sorted(col)}
+        )
+
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("RationalMatrix is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls(n, n, {(i, i): Fraction(1) for i in range(n)})
+        return cls._computed(n, n, {(i, i): Fraction(1) for i in range(n)})
 
     @classmethod
     def from_rows(cls, rows_data: Sequence[Sequence]) -> "RationalMatrix":
@@ -119,12 +141,12 @@ class RationalMatrix:
                 q = _as_fraction(value)
                 if q:
                     entries[(i, j)] = q
-        return cls(nrows, ncols, entries)
+        return cls._computed(nrows, ncols, entries)
 
     @classmethod
     def vstack(cls, mats: Sequence["RationalMatrix"]) -> "RationalMatrix":
         if not mats:
-            return cls(0, 0)
+            return cls._computed(0, 0, {})
         cols = mats[0].cols
         entries = {}
         offset = 0
@@ -134,12 +156,12 @@ class RationalMatrix:
             for (i, j), q in m.entries.items():
                 entries[(offset + i, j)] = q
             offset += m.rows
-        return cls(offset, cols, entries)
+        return cls._computed(offset, cols, entries)
 
     @classmethod
     def hstack(cls, mats: Sequence["RationalMatrix"]) -> "RationalMatrix":
         if not mats:
-            return cls(0, 0)
+            return cls._computed(0, 0, {})
         rows = mats[0].rows
         entries = {}
         offset = 0
@@ -149,7 +171,7 @@ class RationalMatrix:
             for (i, j), q in m.entries.items():
                 entries[(i, offset + j)] = q
             offset += m.cols
-        return cls(rows, offset, entries)
+        return cls._computed(rows, offset, entries)
 
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries.get((i, j), Fraction(0))
@@ -168,16 +190,14 @@ class RationalMatrix:
         return cols
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
+        return RationalMatrix._computed(
             self.cols, self.rows, {(j, i): q for (i, j), q in self.entries.items()}
         )
 
     def scaled(self, factor) -> "RationalMatrix":
         f = _as_fraction(factor)
-        if not f:
-            return RationalMatrix(self.rows, self.cols)
-        return RationalMatrix(
-            self.rows, self.cols, {k: q * f for k, q in self.entries.items()}
+        return RationalMatrix._computed(
+            self.rows, self.cols, {k: q * f for k, q in self.entries.items()} if f else {}
         )
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
@@ -186,7 +206,7 @@ class RationalMatrix:
         data = dict(self.entries)
         for k, q in other.entries.items():
             _add(data, k, q)
-        return RationalMatrix(self.rows, self.cols, data)
+        return RationalMatrix._computed(self.rows, self.cols, data)
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         return self + other.scaled(-1)
@@ -201,7 +221,7 @@ class RationalMatrix:
         for (i, k), a in self.entries.items():
             for j, b in by_row.get(k, ()):
                 _add(data, (i, j), a * b)
-        return RationalMatrix(self.rows, other.cols, data)
+        return RationalMatrix._computed(self.rows, other.cols, data)
 
     def mul_vector(self, vec: Sequence) -> tuple[Fraction, ...]:
         if len(vec) != self.cols:
@@ -231,6 +251,13 @@ class RationalMatrix:
 
     def __repr__(self) -> str:
         return f"RationalMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
+
+
+def _kron(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
+    """Kronecker product: entry (i1, j1) of a times entry (i2, j2) of b, pairs row-major."""
+    entries = {(i1 * b.rows + i2, j1 * b.cols + j2): p * q
+               for (i1, j1), p in a.entries.items() for (i2, j2), q in b.entries.items()}
+    return RationalMatrix._computed(a.rows * b.rows, a.cols * b.cols, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -490,11 +517,7 @@ def invert(m: RationalMatrix) -> RationalMatrix:
     pivots = _eliminate(rows, n)
     if len(pivots) < n:
         raise ValueError("matrix is singular")
-    entries = {}
-    for j in range(n):
-        for i, q in _back_substitute(rows, pivots, {}, n + j).items():
-            entries[(i, j)] = q
-    return RationalMatrix(n, n, entries)
+    return RationalMatrix._from_columns(n, [_back_substitute(rows, pivots, {}, n + j) for j in range(n)])
 
 
 def exp_nilpotent(m: RationalMatrix) -> RationalMatrix:

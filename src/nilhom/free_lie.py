@@ -164,12 +164,7 @@ class HallBasis:
             out = {word: 1}
         else:
             u, v = self.factorization[word]
-            out = {}
-            for wu, cu in self.expansion(u).items():
-                for wv, cv in self.expansion(v).items():
-                    c = cu * cv
-                    _add(out, wu + wv, c)
-                    _add(out, wv + wu, -c)
+            out = _commutator(self.expansion(u), self.expansion(v))
         self._expansions[word] = out
         return out
 
@@ -188,13 +183,7 @@ class HallBasis:
         for i, wi in enumerate(self.elements):
             ti = self.expansion(wi)
             for j in range(i + 1, self.degree_start[self.cls - len(wi) + 1]):
-                tj = self.expansion(self.elements[j])
-                acc: dict[Word, int] = {}
-                for wa, ca in ti.items():
-                    for wb, cb in tj.items():
-                        c = ca * cb
-                        _add(acc, wa + wb, c)
-                        _add(acc, wb + wa, -c)
+                acc = _commutator(ti, self.expansion(self.elements[j]))
                 if acc:
                     coords = _lie_coords_from_tensor(self, acc)
                     table[(i, j)] = {self.index[w]: q for w, q in coords.items()}
@@ -214,6 +203,17 @@ class HallBasis:
 
     def __repr__(self) -> str:
         return f"HallBasis(rank={self.rank}, cls={self.cls}, dim={len(self.elements)})"
+
+
+def _commutator(a: Mapping[Word, int], b: Mapping[Word, int]) -> dict[Word, int]:
+    """ab - ba in the tensor algebra, for sparse word-keyed coefficients."""
+    out: dict[Word, int] = {}
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            c = ca * cb
+            _add(out, wa + wb, c)
+            _add(out, wb + wa, -c)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -446,15 +446,11 @@ def dynkin(t: TensorElement, basis: HallBasis | None = None) -> LieElement:
     for w, q in t.coords.items():
         cur: dict[Word, int] = {(w[0],): 1}
         for letter in w[1:]:
-            nxt: dict[Word, int] = {}
-            for u, n in cur.items():
-                _add(nxt, u + (letter,), n)
-                _add(nxt, (letter,) + u, -n)
-            cur = nxt
+            cur = _commutator(cur, {(letter,): 1})
         for u, n in cur.items():
             _add(acc, u, q * n)
     coords = _lie_coords_from_tensor(basis, acc)
-    return LieElement(basis, {w: q / degree for w, q in coords.items()})
+    return LieElement._computed(basis, {w: q / degree for w, q in coords.items()})
 
 
 def induced_map_lie(matrix, degree: int) -> RationalMatrix:
@@ -480,10 +476,6 @@ def induced_map_lie(matrix, degree: int) -> RationalMatrix:
         else:
             u, v = src.factorization[w]
             images.append(bracket_coordinates(table, images[src.index[u]], images[src.index[v]]))
-    src_offset = src.degree_start[degree]
-    dst_offset = dst.degree_start[degree]
-    entries: dict[tuple[int, int], Fraction] = {}
-    for col, image in enumerate(images[src_offset:]):
-        for k in sorted(image):
-            entries[(k - dst_offset, col)] = image[k]
-    return RationalMatrix(len(dst.elements_of_degree(degree)), len(images) - src_offset, entries)
+    offset = dst.degree_start[degree]
+    columns = [{k - offset: q for k, q in image.items()} for image in images[src.degree_start[degree]:]]
+    return RationalMatrix._from_columns(len(dst.elements_of_degree(degree)), columns)

@@ -262,7 +262,7 @@ def _conjugation_by_definition(mats, r: int, c: int) -> list:
             for k in range(r):
                 for row, q in images[k].items():
                     entries[(pair_index[(k, basis.elements[row])], col)] = q
-        out.append(exact_linalg.RationalMatrix(len(pairs), len(pairs), entries))
+        out.append(exact_linalg.RationalMatrix._computed(len(pairs), len(pairs), entries))
     return out
 
 

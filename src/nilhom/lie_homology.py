@@ -401,7 +401,7 @@ def lower_central_series_dims(g: GradedLieAlgebra) -> list[int]:
         if not produced:
             dims.append(0)
             break
-        matrix = RationalMatrix(
+        matrix = RationalMatrix._computed(
             len(produced),
             g.dim,
             {(r, k): q for r, vec in enumerate(produced) for k, q in vec.items()},

@@ -262,7 +262,7 @@ def lcs_ranks(r: int, c: int) -> list[int]:
             for w, q in h.coords.items():
                 if len(w) == n:
                     entries[(row, basis.index[w] - offset)] = q
-        ranks.append(rank(RationalMatrix(len(level), size, entries)))
+        ranks.append(rank(RationalMatrix._computed(len(level), size, entries)))
         if n < c:
             level = [group_commutator(g, h) for g in generators for h in level]
     return ranks
@@ -274,13 +274,7 @@ def adjoint_matrix(u: MalcevElement) -> RationalMatrix:
     m = len(basis.elements)
     table = basis.structure_constants()
     x = {basis.index[w]: q for w, q in u.coords.items()}
-    one = Fraction(1)
-    entries: dict[tuple[int, int], Fraction] = {}
-    for j in range(m):
-        column = bracket_coordinates(table, x, {j: one})
-        for k in sorted(column):
-            entries[(k, j)] = column[k]
-    return RationalMatrix(m, m, entries)
+    return RationalMatrix._from_columns(m, [bracket_coordinates(table, x, {j: Fraction(1)}) for j in range(m)])
 
 
 def center_basis(r: int, c: int) -> list[MalcevElement]:

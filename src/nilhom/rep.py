@@ -34,10 +34,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
 from typing import Sequence, Union
 
-from .exact_linalg import RationalMatrix, fraction_rows, invert
+from .exact_linalg import RationalMatrix, _add, _kron, fraction_rows, invert
 from .exact_linalg import rank as matrix_rank  # noqa: F401 - perfbench wraps it by name
 from .free_lie import hall_basis, induced_map_lie
 
@@ -221,11 +220,15 @@ def action_matrix(expr: ReprExpr, matrix, rank_: int) -> RationalMatrix:
     Basis order is the one fixed by basis_weights.  The dual standard
     representation acts by the inverse transpose; an exterior power sends
     e_j1 ^ ... ^ e_jq to A e_j1 ^ ... ^ A e_jq, the wedge of the inner
-    action's columns.
+    action's columns.  The matrix is checked here, once, not per subexpression.
     """
     rows = fraction_rows(matrix)
     if len(rows) != rank_ or any(len(row) != rank_ for row in rows):
         raise ValueError(f"matrix must be {rank_}x{rank_}")
+    return _action(expr, rows)
+
+
+def _action(expr: ReprExpr, rows: list[list[Fraction]]) -> RationalMatrix:
     if isinstance(expr, Std):
         return RationalMatrix.from_rows(rows)
     if isinstance(expr, DualStd):
@@ -235,47 +238,35 @@ def action_matrix(expr: ReprExpr, matrix, rank_: int) -> RationalMatrix:
     if isinstance(expr, Lie):
         return induced_map_lie(rows, expr.degree)
     if isinstance(expr, Wedge):
-        inner = action_matrix(expr.inner, rows, rank_)
-        columns = inner.columns()
-        row_index = {
-            combo: i for i, combo in enumerate(combinations(range(inner.rows), expr.power))
-        }
-        entries = {}
-        for col, combo in enumerate(combinations(range(inner.cols), expr.power)):
+        inner = _action(expr.inner, rows).columns()
+        row_index = {combo: i for i, combo in enumerate(combinations(range(len(inner)), expr.power))}
+        columns = []
+        for combo in combinations(range(len(inner)), expr.power):
             wedge: dict[tuple[int, ...], Fraction] = {(): Fraction(1)}
             for j in combo:
                 step: dict[tuple[int, ...], Fraction] = {}
                 for support, coeff in wedge.items():
-                    for i, q in columns[j].items():
+                    for i, q in inner[j].items():
                         pos = bisect_left(support, i)
                         if pos < len(support) and support[pos] == i:
                             continue
                         # e_support ^ e_i: move e_i left past the indices above it
                         target = support[:pos] + (i,) + support[pos:]
-                        v = coeff * q if (len(support) - pos) % 2 == 0 else -coeff * q
-                        step[target] = step.get(target, 0) + v
+                        _add(step, target, coeff * q if (len(support) - pos) % 2 == 0 else -coeff * q)
                 wedge = step
-            for support, v in wedge.items():
-                if v:
-                    entries[(row_index[support], col)] = v
-        return RationalMatrix(len(row_index), comb(inner.cols, expr.power), entries)
+            columns.append({row_index[support]: v for support, v in wedge.items()})
+        return RationalMatrix._from_columns(len(row_index), columns)
     if isinstance(expr, Tensor):
-        left = action_matrix(expr.left, rows, rank_)
-        right = action_matrix(expr.right, rows, rank_)
-        entries = {}
-        for (i1, j1), a in left.entries.items():
-            for (i2, j2), b in right.entries.items():
-                entries[(i1 * right.rows + i2, j1 * right.cols + j2)] = a * b
-        return RationalMatrix(left.rows * right.rows, left.cols * right.cols, entries)
+        return _kron(_action(expr.left, rows), _action(expr.right, rows))
     if isinstance(expr, Sum):
-        left = action_matrix(expr.left, rows, rank_)
-        right = action_matrix(expr.right, rows, rank_)
+        left = _action(expr.left, rows)
+        right = _action(expr.right, rows)
         entries = dict(left.entries)
         for (i, j), q in right.entries.items():
             entries[(left.rows + i, left.cols + j)] = q
-        return RationalMatrix(left.rows + right.rows, left.cols + right.cols, entries)
+        return RationalMatrix._computed(left.rows + right.rows, left.cols + right.cols, entries)
     if isinstance(expr, HomStd):
-        return action_matrix(Tensor(DualStd(), expr.inner), rows, rank_)
+        return _action(Tensor(DualStd(), expr.inner), rows)
     raise TypeError(f"not a representation expression: {expr!r}")
 
 

@@ -115,6 +115,8 @@ def test_gl_input_error_messages():
             call([[Fraction(1, 2), 0], [0, 1]])
     with pytest.raises(ValueError, match=r"^matrix must be 3x3$"):
         gl_conjugation_on_ia([[1, 0], [0, 1]], 3, 2)
+    with pytest.raises(ValueError, match=r"^matrix must be 3x3$"):
+        gl_conjugation_on_ia([[2, 0], [0, 1]], 3, 2)  # the size is checked before unimodularity
     with pytest.raises(ValueError, match=r"^matrix must be unimodular, determinant is -3$"):
         gl_conjugation_on_ia([[1, 1], [2, -1]], 2, 1)
 

@@ -251,6 +251,37 @@ def test_cache_forged_section_count_is_a_miss_at_once(tmp_path):
     assert time.perf_counter() - start < 1.0
 
 
+def _forge_payload(entry, payload: bytes) -> None:
+    """Keep the entry's key section, replace its payload, and seal it with a valid checksum."""
+    body = entry.read_bytes()[:-32]
+    key = body[20 : 20 + int.from_bytes(body[12:20], "big")]
+    forged = body[:20] + key + len(payload).to_bytes(8, "big") + payload
+    entry.write_bytes(forged + hashlib.sha256(forged).digest())
+
+
+def test_cache_too_deeply_nested_payload_is_a_miss(tmp_path, monkeypatch):
+    # the checksum and both sections hold, but decoding a 200,000-deep JSON
+    # array raises RecursionError; that must read as a miss, not an error
+    deep = b"[" * 200_000 + b"]" * 200_000
+    cache = Cache(tmp_path / "direct")
+    cache.put("betti", {"rank": 2}, {"betti": [1]})
+    (entry,) = (tmp_path / "direct").glob("*.nhc")
+    _forge_payload(entry, deep)
+    assert cache.get("betti", {"rank": 2}) is None
+
+    argv = ["betti", "group", "-r", "2", "-c", "2", "--cache-dir", str(tmp_path / "cli")]
+    monkeypatch.delenv("NILHOM_CACHE_DIR", raising=False)
+    code, first = run_cli(argv, monkeypatch)
+    assert code == 0
+    (entry,) = (tmp_path / "cli").glob("*.nhc")
+    good = entry.read_bytes()
+    _forge_payload(entry, deep)
+    code, second = run_cli(argv, monkeypatch)
+    assert code == 0
+    assert second == first
+    assert entry.read_bytes() == good  # recomputed and stored again
+
+
 def test_cache_write_failure_keeps_old_entry(tmp_path, monkeypatch):
     cache = Cache(tmp_path)
     cache.put("betti", {"rank": 2}, {"betti": [1]})

@@ -8,8 +8,8 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilhom import lie_homology
-from nilhom.aut import ia_lie_algebra
+from nilhom import lie_homology, rep
+from nilhom.aut import derivation_from_images, gl_conjugation_on_ia, ia_lie_algebra
 from nilhom.exact_linalg import (
     RationalMatrix,
     _add,
@@ -21,6 +21,8 @@ from nilhom.exact_linalg import (
     rank,
     row_space_basis,
 )
+from nilhom.free_lie import LieElement, hall_basis, induced_map_lie
+from nilhom.nilgroup import adjoint_matrix, malcev_element
 
 
 def test_add_accumulates_exactly_and_stores_no_zero():
@@ -419,3 +421,76 @@ def test_determinant_and_inverse_properties(rows):
     assert det == leibniz_det(rows)
     if det:
         assert invert(m) @ m == RationalMatrix.identity(m.rows)
+
+
+def assert_canonical(m):
+    """Nonzero Fractions at in-range keys: exactly what the checking constructor would keep."""
+    for (i, j), q in m.entries.items():
+        assert type(q) is Fraction and q, ((i, j), q)
+        assert 0 <= i < m.rows and 0 <= j < m.cols, (i, j)
+    assert m == RationalMatrix(m.rows, m.cols, m.entries)
+
+
+def test_computed_matrices_are_canonical():
+    # every producer that wraps its result unchecked, on seeded inputs that
+    # include cancellations; the checking constructor is the oracle
+    rng = random.Random(1818)
+
+    def rand(rows, cols, density=0.6):
+        return RationalMatrix(rows, cols, {
+            (i, j): Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            for i in range(rows) for j in range(cols) if rng.random() < density
+        })
+
+    def invertible(n):
+        while True:
+            rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+            if determinant(RationalMatrix.from_rows(rows)):
+                return rows
+
+    produced = [RationalMatrix.from_rows([[1, 1]]) @ RationalMatrix.from_rows([[1], [-1]])]
+    for _ in range(6):
+        a, b, c = rand(3, 4), rand(3, 4), rand(4, 2)
+        square = RationalMatrix.from_rows(invertible(4))
+        produced += [
+            a + b, a - a, a - b, a @ c,
+            a.scaled(Fraction(-2, 3)), a.scaled(0), a.transpose(),
+            RationalMatrix.identity(3), RationalMatrix.identity(0),
+            RationalMatrix.from_rows(a.to_rows()), RationalMatrix.from_rows([[0, Fraction(0)], ["0", 0]]),
+            RationalMatrix.vstack([a, b]), RationalMatrix.vstack([]),
+            RationalMatrix.hstack([a, rand(3, 2)]), RationalMatrix.hstack([]),
+            invert(square), invert(square) @ square,
+            exp_nilpotent(RationalMatrix(3, 3, {(0, 1): rng.randint(1, 3), (1, 2): -1, (0, 2): 2})),
+        ]
+    for s, r in ((2, 2), (3, 2), (2, 3), (3, 3)):
+        for degree in range(1, 5):
+            rows = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(s)]
+            produced += [induced_map_lie(rows, degree), induced_map_lie([[1, 1]] * s, degree)]
+    for r, cls in ((2, 4), (3, 3)):
+        algebra = lie_homology.free_nilpotent_lie(r, cls)
+        basis = hall_basis(r, cls)
+        upper = [w for w in basis.elements if len(w) >= 2]
+        for _ in range(4):
+            images = {i: LieElement(basis, {w: rng.randint(-2, 2) for w in rng.sample(upper, 3)})
+                      for i in range(r) if rng.random() < 0.8}
+            produced.append(derivation_from_images(algebra, images).matrix)
+            log = {w: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for w in rng.sample(basis.elements, 4)}
+            produced.append(adjoint_matrix(malcev_element(basis, log)))
+    exprs = [
+        rep.Wedge(2, rep.Std()), rep.Wedge(3, rep.Std()), rep.Wedge(0, rep.Std()),
+        rep.Wedge(2, rep.Lie(2)), rep.Wedge(2, rep.HomStd(rep.Lie(2))),
+        rep.Tensor(rep.Std(), rep.DualStd()), rep.Tensor(rep.Lie(2), rep.Wedge(2, rep.Std())),
+        rep.Sum(rep.Lie(3), rep.Const(2)), rep.Sum(rep.Const(0), rep.DualStd()),
+        rep.HomStd(rep.lie_interval(2, 3)), rep.HomStd(rep.Const(0)),
+    ]
+    for _ in range(3):
+        mat = invertible(3)
+        produced += [rep.action_matrix(expr, mat, 3) for expr in exprs]
+    # a singular matrix: some 2x2 and 3x3 minors vanish
+    singular = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
+    produced += [rep.action_matrix(rep.Wedge(k, rep.Std()), singular, 3) for k in (2, 3)]
+    for c in (1, 2, 3):
+        produced.append(gl_conjugation_on_ia([[1, 1, 0], [0, 1, 0], [0, -1, 1]], 3, c))
+    assert any(m.is_zero for m in produced) and any(not m.is_zero for m in produced)
+    for m in produced:
+        assert_canonical(m)

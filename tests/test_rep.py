@@ -393,3 +393,26 @@ def test_weight_module_validation():
         WeightModule(2, {(1, 0): -1})
     with pytest.raises(ValueError):
         WeightModule(2, {(1, 0, 0): 1})
+
+
+def test_action_matrix_input_error_messages():
+    # the matrix is checked once, at entry, whatever the expression; its
+    # entries are read before the row lengths, and both before the size
+    for expr in (Std(), Lie(2), Wedge(2, Std()), HomStd(lie_interval(2, 3))):
+        with pytest.raises(ValueError, match=r"^matrix must be 2x2$"):
+            action_matrix(expr, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 2)
+        with pytest.raises(ValueError, match=r"^matrix must be 2x2$"):
+            action_matrix(expr, [[1]], 2)
+        with pytest.raises(ValueError, match=r"^ragged rows$"):
+            action_matrix(expr, [[1, 0], [0]], 2)
+        with pytest.raises(ValueError, match=r"^ragged rows$"):
+            action_matrix(expr, [[1, 0, 0], [0]], 2)
+        with pytest.raises(TypeError, match=r"^exact arithmetic only: cannot accept float$"):
+            action_matrix(expr, [[1.0, 0], [0, 1]], 2)
+        with pytest.raises(TypeError, match=r"^exact arithmetic only: cannot accept float$"):
+            action_matrix(expr, [[1, 0], [0.5]], 2)
+    # a bad expression is reported only for a well-formed matrix
+    with pytest.raises(ValueError, match=r"^matrix must be 2x2$"):
+        action_matrix("std", [[1]], 2)
+    with pytest.raises(TypeError, match=r"^not a representation expression: 'std'$"):
+        action_matrix(Wedge(2, "std"), [[1, 0], [0, 1]], 2)
