@@ -37,7 +37,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from . import rep
 from .exact_linalg import RationalMatrix, _add, _kron, determinant, fraction_rows, rank
 from .exact_linalg import exp_nilpotent, invert  # noqa: F401 - perfbench wraps them by name
 from .free_lie import LieElement, bracket_coordinates, hall_basis
@@ -48,6 +47,11 @@ from .lie_homology import (
     free_nilpotent_lie,
     weighted_betti,
 )
+
+# after lie_homology, so that whatever imports aut runs the modules in the
+# order exact_linalg, free_lie, lie_homology, rep, aut: a nilhom process's
+# peak RSS moves with that order
+from . import rep
 
 __all__ = [
     "LieAutomorphism",

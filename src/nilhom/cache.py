@@ -20,7 +20,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from pathlib import Path
 
 MAGIC = b"NHCACHE1"
@@ -87,6 +86,8 @@ class Cache:
         for section in (key, payload_bytes):
             body += len(section).to_bytes(8, "big") + section
         self.directory.mkdir(parents=True, exist_ok=True)
+        import tempfile  # here, so that a process that only reads the cache does not load it
+
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:

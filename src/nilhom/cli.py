@@ -15,6 +15,14 @@ Each subcommand is declared once, by the @_command decorator on its
 handler: its help line, its arguments, its CSV layout and whether its
 result is cached.  The parser, the record params and the cache step in
 main are all read from those declarations.
+
+Each handler imports the nilhom modules it calls, so a process loads only
+what its command uses: a warm cache hit loads cli, cache, free_lie and
+exact_linalg and nothing else.  lie_homology comes first among the rest:
+aut imports it before rep, and invariants imports aut first, so whatever a
+command loads runs in the order exact_linalg, free_lie, lie_homology, rep,
+aut, nilgroup, invariants.  A nilhom process's peak RSS moves with that
+order.
 """
 
 from __future__ import annotations
@@ -28,14 +36,14 @@ import sys
 import time
 from fractions import Fraction
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-# lie_homology first, so the modules run in the order exact_linalg, free_lie,
-# lie_homology, rep, aut, nilgroup, invariants: a nilhom process's peak RSS
-# moves with that order
-from . import lie_homology, aut, invariants, nilgroup, rep
 from .cache import Cache, SCHEMA_VERSION, canonical_json
 from .free_lie import hall_basis, witt_dimension
+
+if TYPE_CHECKING:
+    from .lie_homology import GradedLieAlgebra
+    from .nilgroup import MalcevElement
 
 __all__ = ["main"]
 
@@ -51,7 +59,9 @@ _WORD = re.compile(r"[0-9]+")
 _COEFFICIENT = re.compile(r"[+-]?([0-9]+(/[0-9]*[1-9][0-9]*)?|[0-9]+\.[0-9]*|\.[0-9]+)")
 
 
-def _parse_coords(basis, text: str) -> "nilgroup.MalcevElement":
+def _parse_coords(basis, text: str) -> MalcevElement:
+    from . import nilgroup
+
     coords = {}
     text = text.strip()
     if text:
@@ -134,6 +144,8 @@ _TARGETS = ("group", "lie", "ia")
           "rank,degree,dimension",
           lambda p, res: [(p["rank"], n + 1, d) for n, d in enumerate(res["dims"])])
 def _cmd_witt(rank, max_degree):
+    if max_degree < 0:
+        raise ValueError("max degree must be non-negative")
     return {"dims": [witt_dimension(rank, n) for n in range(1, max_degree + 1)]}
 
 
@@ -155,6 +167,8 @@ def _cmd_hall(rank, cls):
           "rank,class,word,coefficient",
           lambda p, res: [(p["rank"], p["cls"], w, q) for w, q in res["coords"]])
 def _cmd_bch(rank, cls, u, v):
+    from . import nilgroup
+
     _check_label_rank(rank)
     basis = hall_basis(rank, cls)
     product = nilgroup.multiply(_parse_coords(basis, u), _parse_coords(basis, v))
@@ -164,6 +178,8 @@ def _cmd_bch(rank, cls, u, v):
 @_command("lcs-ranks", "lower central series ranks", (_RANK, _CLASS), "rank,class,degree,rank_value",
           lambda p, res: [(p["rank"], p["cls"], n + 1, v) for n, v in enumerate(res["ranks"])])
 def _cmd_lcs_ranks(rank, cls):
+    from . import nilgroup
+
     ranks = nilgroup.lcs_ranks(rank, cls)
     witt = [witt_dimension(rank, n) for n in range(1, cls + 1)]
     return {"ranks": ranks, "witt": witt, "match": ranks == witt}
@@ -173,6 +189,8 @@ def _cmd_lcs_ranks(rank, cls):
           lambda p, res: [(p["rank"], p["cls"], i, w, q)
                           for i, vector in enumerate(res["basis"]) for w, q in vector])
 def _cmd_center(rank, cls):
+    from . import invariants, nilgroup
+
     _check_label_rank(rank)
     basis = hall_basis(rank, cls)
     vectors = nilgroup.center_basis(rank, cls)
@@ -183,8 +201,12 @@ def _cmd_center(rank, cls):
     }
 
 
-def _algebra(target: str, r: int, c: int) -> "lie_homology.GradedLieAlgebra":
+def _algebra(target: str, r: int, c: int) -> GradedLieAlgebra:
+    from . import lie_homology
+
     if target == "ia":
+        from . import aut
+
         return aut.ia_lie_algebra(r, c)
     return lie_homology.free_nilpotent_lie(r, c)
 
@@ -198,6 +220,8 @@ def _betti_rows(p, res):
           (_arg("target", choices=_TARGETS), _RANK, _CLASS, _arg("-d", "--degree", type=int)),
           "target,rank,class,degree,betti", _betti_rows, cached=True)
 def _cmd_betti(target, rank, cls, degree):
+    from . import lie_homology
+
     g = _algebra(target, rank, cls)
     if degree is None:
         return {"betti": lie_homology.betti_numbers(g)}
@@ -211,6 +235,8 @@ def _cmd_betti(target, rank, cls, degree):
                            "|".join(map(str, weight)), mult) for weight, mult in res["weights"]],
           cached=True)
 def _cmd_weighted_betti(target, rank, cls, degree):
+    from . import lie_homology
+
     weights = lie_homology.weighted_betti(_algebra(target, rank, cls), degree)
     return {"degree": degree, "weights": [[list(w), mult] for w, mult in sorted(weights.items())]}
 
@@ -219,6 +245,9 @@ def _cmd_weighted_betti(target, rank, cls, degree):
           "rank,max_degree,checked,failures",
           lambda p, res: [(p["rank"], p["max_degree"], res["checked"], ";".join(res["failures"]))])
 def _cmd_dynkin_check(rank, max_degree):
+    from . import invariants
+
+    _check_label_rank(rank)
     basis = hall_basis(rank, max_degree)
     return {"checked": len(basis.elements), "failures": invariants.dynkin_failures(basis)}
 
@@ -227,12 +256,16 @@ def _cmd_dynkin_check(rank, max_degree):
           "rank,class,degree,mode,holds",
           lambda p, res: [(p["rank"], p["cls"], p["degree"], res["mode"], res["holds"])])
 def _cmd_summand_check(rank, cls, degree):
+    from . import invariants
+
     return invariants.summand_payload(rank, cls, degree)
 
 
 @_command("coinv", "GL(Z) coinvariants of an expression", (_arg("--expr", required=True), _RANK),
           "expr,rank,dim", lambda p, res: [(p["expr"], p["rank"], res["dim"])])
 def _cmd_coinv(expr, rank):
+    from . import rep
+
     return {"dim": rep.coinvariants_dim(rep.parse_expr(expr), rank)}
 
 
@@ -243,6 +276,8 @@ def _cmd_coinv(expr, rank):
                            res["estimate"], res["bound"], res["within_bound"])],
           cached=True)
 def _cmd_degree_check(cls, degree, max_rank):
+    from . import invariants, rep
+
     dims = invariants.betti_over_ranks(cls, degree, max_rank)
     estimate, sufficient = rep.degree_estimate(dims)
     bound = cls * degree
@@ -257,28 +292,6 @@ def _cmd_degree_check(cls, degree, max_rank):
 
 # ---------------------------------------------------------------------------
 # selftest: the invariant registry on small cases, then the cache
-
-
-_SELFTEST_CHECKS = (
-    ("witt_lyndon", partial(invariants.witt_lyndon, 3, 5)),
-    ("bch_group_law", partial(invariants.bch_group_law, ((2, 2), (2, 3)), 5, 20240601, 2)),
-    ("bch_commutator", partial(invariants.bch_commutator, (2, 3))),
-    ("lcs_ranks", partial(invariants.lcs, ((2, 3), (3, 2)))),
-    ("center", partial(invariants.center, ((2, 2), (3, 2), (2, 3)))),
-    ("betti_heisenberg", invariants.betti_heisenberg),
-    ("betti_symmetry", partial(invariants.betti_symmetry, ((3, 2), (2, 4)))),
-    ("dynkin_retract", partial(invariants.dynkin_retract, ((2, 4), (3, 3)))),
-    ("ia_ledger", partial(invariants.ia_ledger, ((2, 3), (3, 2), (2, 4)))),
-    ("summand_c2", partial(invariants.summand, 2, 2, ranks=(2, 3))),
-    ("summand_2_3", partial(invariants.summand, 3, 2)),
-    ("coinvariants", partial(invariants.coinvariants,
-                             ("std", "wedge(2, std)", "lie(2)", "hom(std, lie(2))"), (2, 3), (3,))),
-    ("conjugation_consistency", partial(invariants.conjugation_consistency, {
-        2: [((0, 1), (1, 0)), ((1, 1), (0, 1)), ((-1, 0), (0, 1))],
-        3: [((0, 1, 0), (0, 0, 1), (1, 0, 0)), ((1, 0, 0), (0, 1, 1), (0, 0, 1))],
-    }, (2, 3))),
-    ("degree_bound", partial(invariants.degree_bound, 2, 1, 4)),
-)
 
 
 def _betti_cache_check(cache):
@@ -297,7 +310,29 @@ def _betti_cache_check(cache):
           lambda p, res: [(res["check"], res["status"])])
 def _cmd_selftest(cache):
     # the one command with a record per check, and the one handler given the cache
-    checks = _SELFTEST_CHECKS + (("betti_cache", partial(_betti_cache_check, cache)),)
+    from . import invariants
+
+    checks = (
+        ("witt_lyndon", partial(invariants.witt_lyndon, 3, 5)),
+        ("bch_group_law", partial(invariants.bch_group_law, ((2, 2), (2, 3)), 5, 20240601, 2)),
+        ("bch_commutator", partial(invariants.bch_commutator, (2, 3))),
+        ("lcs_ranks", partial(invariants.lcs, ((2, 3), (3, 2)))),
+        ("center", partial(invariants.center, ((2, 2), (3, 2), (2, 3)))),
+        ("betti_heisenberg", invariants.betti_heisenberg),
+        ("betti_symmetry", partial(invariants.betti_symmetry, ((3, 2), (2, 4)))),
+        ("dynkin_retract", partial(invariants.dynkin_retract, ((2, 4), (3, 3)))),
+        ("ia_ledger", partial(invariants.ia_ledger, ((2, 3), (3, 2), (2, 4)))),
+        ("summand_c2", partial(invariants.summand, 2, 2, ranks=(2, 3))),
+        ("summand_2_3", partial(invariants.summand, 3, 2)),
+        ("coinvariants", partial(invariants.coinvariants,
+                                 ("std", "wedge(2, std)", "lie(2)", "hom(std, lie(2))"), (2, 3), (3,))),
+        ("conjugation_consistency", partial(invariants.conjugation_consistency, {
+            2: [((0, 1), (1, 0)), ((1, 1), (0, 1)), ((-1, 0), (0, 1))],
+            3: [((0, 1, 0), (0, 0, 1), (1, 0, 0)), ((1, 0, 0), (0, 1, 1), (0, 0, 1))],
+        }, (2, 3))),
+        ("degree_bound", partial(invariants.degree_bound, 2, 1, 4)),
+        ("betti_cache", partial(_betti_cache_check, cache)),
+    )
     records = []
     for name, check in checks:
         ok, detail = check()

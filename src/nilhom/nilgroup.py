@@ -28,6 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from typing import TYPE_CHECKING
 
 from .exact_linalg import RationalMatrix, _add, exp_nilpotent, nullspace_basis, rank
 from .free_lie import (
@@ -42,7 +43,9 @@ from .free_lie import (
     hall_basis,
 )
 from .lie_homology import free_nilpotent_lie
-from .aut import LieAutomorphism
+
+if TYPE_CHECKING:
+    from .aut import LieAutomorphism
 
 __all__ = [
     "MalcevElement",
@@ -304,5 +307,7 @@ def inner_action(g: MalcevElement) -> LieAutomorphism:
     The identity exactly when log g is central, so the kernel of this map
     is the span of center_basis.
     """
+    from .aut import LieAutomorphism  # here, so that BCH arithmetic loads neither aut nor rep
+
     algebra = free_nilpotent_lie(g.basis.rank, g.basis.cls)
     return LieAutomorphism(algebra, exp_nilpotent(adjoint_matrix(g)))

@@ -6,6 +6,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilhom.aut import (
     DerivationMatrix,
@@ -159,6 +160,39 @@ def test_derivation_leibniz_and_raising_verified():
     bad = RationalMatrix(algebra.dim, algebra.dim, {(basis.index[(1, 2)], 0): 1, (basis.index[(1, 1, 2)], 1): 1})
     with pytest.raises(ValueError):
         DerivationMatrix(algebra, bad)  # not a derivation: Leibniz fails on (x1, x2)
+
+
+@st.composite
+def derivations_and_pairs(draw):
+    """A derivation of F(r, c), r <= 3, c <= 4, from random generator images, and two random elements."""
+    # class 3 at least: at class 2, D[a, b] lies in degree 3 and is always zero
+    algebra = free_nilpotent_lie(draw(st.integers(2, 3)), draw(st.integers(3, 4)))
+    basis = algebra.hall
+    values = st.fractions(min_value=-20, max_value=20, max_denominator=6).filter(bool)
+    higher = st.sampled_from([w for w in basis.elements if len(w) >= 2])
+    image = st.dictionaries(higher, values, min_size=1, max_size=4)
+    images = draw(st.dictionaries(st.integers(0, basis.rank - 1), image, min_size=1))
+    d = derivation_from_images(algebra, {i: LieElement(basis, coords) for i, coords in images.items()})
+    # half the words from degrees <= c - 2, where D[a, b] can be nonzero
+    low = [w for w in basis.elements if len(w) <= basis.cls - 2]
+    words = st.one_of(st.sampled_from(low), st.sampled_from(basis.elements))
+    a, b = (LieElement(basis, draw(st.dictionaries(words, values, min_size=1, max_size=6))) for _ in range(2))
+    return d, a, b
+
+
+def apply_derivation(d, x):
+    image = d.matrix.mul_vector([x.coords.get(w, 0) for w in x.basis.elements])
+    return LieElement(x.basis, {w: q for w, q in zip(x.basis.elements, image) if q})
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(derivations_and_pairs())
+def test_random_derivation_obeys_leibniz_on_random_elements(case):
+    # D[a, b] = [Da, b] + [a, Db], with both sides bracketed by free_lie.bracket,
+    # apart from the basis-pair check DerivationMatrix makes when it is built
+    d, a, b = case
+    expected = bracket(apply_derivation(d, a), b) + bracket(a, apply_derivation(d, b))
+    assert apply_derivation(d, bracket(a, b)) == expected
 
 
 def word_route_derivation(algebra, images):

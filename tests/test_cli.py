@@ -135,6 +135,7 @@ def test_word_label_commands_reject_rank_ten(monkeypatch, capsys):
         ["hall", "-r", "10", "-c", "2"],
         ["bch", "-r", "10", "-c", "2", "--u", "1:1", "--v", "2:1"],
         ["center", "-r", "10", "-c", "2"],
+        ["dynkin-check", "-r", "12", "--max-degree", "2"],
     ):
         code, out = run_cli(argv + ["--format", "csv", "--no-cache"], monkeypatch)
         assert code == 1
@@ -143,6 +144,16 @@ def test_word_label_commands_reject_rank_ten(monkeypatch, capsys):
     code, out = run_cli(["hall", "-r", "9", "-c", "1", "--format", "csv", "--no-cache"], monkeypatch)
     assert code == 0
     assert out.splitlines()[1:] == [f"9,1,1,{k}" for k in range(1, 10)]
+
+
+def test_witt_rejects_a_negative_max_degree(monkeypatch, capsys):
+    code, out = run_cli(["witt", "-r", "2", "--max-degree", "-3", "--no-cache"], monkeypatch)
+    assert code == 1
+    assert out == ""
+    assert capsys.readouterr().err == "nilhom: error: max degree must be non-negative\n"
+    code, records = run_records(["witt", "-r", "2", "--max-degree", "0", "--no-cache"], monkeypatch)
+    assert code == 0
+    assert records[0]["result"] == {"dims": []}
 
 
 def test_usage_errors(monkeypatch):

@@ -40,10 +40,83 @@ def test_import_loads_no_submodule():
     assert _loaded_after("from nilhom import cache") == ["nilhom", "nilhom.cache"]
 
 
-def test_cli_loads_every_module():
-    modules = ["nilhom", "nilhom.cache", "nilhom.cli", "nilhom.invariants"]
-    modules += [f"nilhom.{name}" for name in PUBLIC_MODULES]
-    assert _loaded_after("import nilhom.cli") == sorted(modules)
+# the order in which the nilhom modules below cli run when a command loads them all
+RUN_ORDER = ("exact_linalg", "free_lie", "lie_homology", "rep", "aut", "nilgroup", "invariants")
+# what every command loads before its handler runs
+CLI_BASE = ["nilhom", "nilhom.cache", "nilhom.cli", "nilhom.exact_linalg", "nilhom.free_lie"]
+
+# records each nilhom module as its body finishes running, then runs one command
+_CLI_SCRIPT = """\
+import contextlib, importlib.abc, importlib.machinery, io, json, sys
+
+ran = []
+
+
+class Recorder(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path, target=None):
+        if not name.startswith("nilhom."):
+            return None
+        spec = importlib.machinery.PathFinder.find_spec(name, path)
+        run = spec.loader.exec_module
+
+        def exec_module(module):
+            run(module)
+            ran.append(name.split(".", 1)[1])
+
+        spec.loader.exec_module = exec_module
+        return spec
+
+
+sys.meta_path.insert(0, Recorder())
+from nilhom.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "nilhom")
+print(json.dumps({"code": code, "loaded": loaded, "ran": ran}))
+"""
+
+
+def _cli_loads(argv: list[str]) -> list[str]:
+    """The nilhom modules `nilhom <argv>` loads in a fresh interpreter, sorted.
+
+    Also checks that the command succeeds, and that the modules below cli
+    ran in an order that keeps RUN_ORDER.
+    """
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CLI_SCRIPT, *argv],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["code"] == 0, argv
+    ran = [name for name in report["ran"] if name in RUN_ORDER]
+    assert ran == sorted(ran, key=RUN_ORDER.index), (argv, report["ran"])
+    return report["loaded"]
+
+
+def test_warm_hit_hall_and_witt_load_only_cache_and_free_lie(tmp_path):
+    betti = ["betti", "group", "-r", "2", "-c", "3", "--cache-dir", str(tmp_path)]
+    assert _cli_loads(betti) == sorted(CLI_BASE + ["nilhom.lie_homology"])  # cold
+    assert _cli_loads(betti) == CLI_BASE  # warm
+    assert _cli_loads(["hall", "-r", "2", "-c", "3", "--no-cache"]) == CLI_BASE
+    assert _cli_loads(["witt", "-r", "2", "--max-degree", "3", "--no-cache"]) == CLI_BASE
+
+
+def test_bch_loads_neither_aut_nor_rep():
+    loaded = _cli_loads(["bch", "-r", "2", "-c", "3", "--u", "1:1", "--v", "2:1", "--no-cache"])
+    assert loaded == sorted(CLI_BASE + ["nilhom.lie_homology", "nilhom.nilgroup"])
+
+
+def test_selftest_loads_every_module_in_run_order():
+    # _cli_loads checks the order: all seven modules below cli, exactly RUN_ORDER
+    loaded = _cli_loads(["selftest", "--no-cache"])
+    assert loaded == sorted(["nilhom", "nilhom.cache", "nilhom.cli"] + [f"nilhom.{m}" for m in RUN_ORDER])
 
 
 def test_every_public_name_resolves_to_its_object():
