@@ -28,7 +28,9 @@ built twice.  Its definition by conjugation, A D A^-1, lives in
 
 Everything is pure and immutable; construction of an object verifies its
 defining identities (bracket preservation, Leibniz rule, filtration) on
-all basis pairs, exactly.
+all basis pairs, exactly.  Each certified object has one construction
+path, and that path certifies: no constructor here takes a switch that
+skips the check, and a composite is built through the same constructor.
 """
 
 from __future__ import annotations
@@ -82,18 +84,19 @@ class _CertifiedMap:
 
     A subclass checks the whole matrix in ``_check_matrix`` and gives, in
     ``_bracket_image``, what its identity makes the image of [e_i, e_j].
+    The constructor is the only way to make one, and it always runs the
+    check: a map that exists has been certified.
     """
 
     __slots__ = ("algebra", "matrix")
 
-    def __init__(self, algebra: GradedLieAlgebra, matrix: RationalMatrix, check: bool = True) -> None:
+    def __init__(self, algebra: GradedLieAlgebra, matrix: RationalMatrix) -> None:
         m = algebra.dim
         if matrix.rows != m or matrix.cols != m:
             raise ValueError("matrix shape does not match the algebra dimension")
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "matrix", matrix)
-        if check:
-            self._check()
+        self._check()
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -138,7 +141,7 @@ class LieAutomorphism(_CertifiedMap):
     def compose(self, other: "LieAutomorphism") -> "LieAutomorphism":
         if self.algebra is not other.algebra:
             raise ValueError("automorphisms live on different algebras")
-        return LieAutomorphism(self.algebra, self.matrix @ other.matrix, check=False)
+        return LieAutomorphism(self.algebra, self.matrix @ other.matrix)
 
     @property
     def is_identity(self) -> bool:
@@ -168,11 +171,6 @@ class DerivationMatrix(_CertifiedMap):
             for k, q in g.bracket_vectors(units[i], cols[j]).items():
                 _add(image, k, q)
         return image
-
-    def __add__(self, other: "DerivationMatrix") -> "DerivationMatrix":
-        if self.algebra is not other.algebra:
-            raise ValueError("derivations live on different algebras")
-        return DerivationMatrix(self.algebra, self.matrix + other.matrix, check=False)
 
 
 def _normalize_square(matrix) -> list[list[Fraction]]:
@@ -255,8 +253,6 @@ def ia_lie_algebra(r: int, c: int) -> GradedLieAlgebra:
         raise ValueError("rank must be at least 1")
     if c < 1:
         raise ValueError("class must be at least 1")
-    if c == 1:
-        return GradedLieAlgebra((), (), {}, weight_length=r)
     algebra = free_nilpotent_lie(r, c)
     basis = algebra.hall
     pairs = ia_basis_pairs(r, c)
@@ -282,7 +278,7 @@ def ia_lie_algebra(r: int, c: int) -> GradedLieAlgebra:
                 _add(coords, pair_index[(ia_gen, basis.elements[row])], -q)
             if coords:
                 brackets[(a, b)] = coords
-    g = GradedLieAlgebra(labels, weights, brackets, weight_length=r, check=True)
+    g = GradedLieAlgebra(labels, weights, brackets, weight_length=r)
     _certify_generator_symmetry(g, c)
     return g
 

@@ -7,10 +7,11 @@ Byte layout of a cache file:
     per section   8-byte big-endian length, then the raw bytes
     trailer       32-byte SHA-256 digest of everything before it
 
-Section 0 is the canonical key JSON (schema version, computation kind,
-parameters), section 1 the payload JSON.  File name is the SHA-256 hex of
-the key.  A corrupt or mismatched file reads as a miss and is overwritten
-on the next store, never returned.  A store writes a temporary file in the
+Section 0 is the canonical key JSON (schema version, package version,
+computation kind, parameters), section 1 the payload JSON.  File name is
+the SHA-256 hex of the key, so an entry another release wrote is a miss.
+A corrupt or mismatched file reads as a miss and is overwritten on the
+next store, never returned.  A store writes a temporary file in the
 cache directory and renames it over the entry, so a reader finds the old
 entry or the new one, never part of one.
 """
@@ -21,6 +22,8 @@ import hashlib
 import json
 import os
 from pathlib import Path
+
+from . import __version__
 
 MAGIC = b"NHCACHE1"
 SCHEMA_VERSION = 1
@@ -33,7 +36,7 @@ def canonical_json(obj) -> str:
 
 
 class Cache:
-    """Content-checksummed store keyed by (schema version, kind, parameters)."""
+    """Content-checksummed store keyed by (schema version, package version, kind, parameters)."""
 
     def __init__(self, directory: str | Path, enabled: bool = True) -> None:
         self.directory = Path(directory)
@@ -41,7 +44,7 @@ class Cache:
 
     def _key(self, kind: str, params) -> bytes:
         return canonical_json(
-            {"schema_version": SCHEMA_VERSION, "kind": kind, "params": params}
+            {"schema_version": SCHEMA_VERSION, "version": __version__, "kind": kind, "params": params}
         ).encode("utf-8")
 
     def _path(self, key: bytes) -> Path:

@@ -410,7 +410,10 @@ def main(argv=None) -> int:
             result = cache.get(args.command, params)
             if result is None:
                 result = handler(**params)
-                cache.put(args.command, params, result)
+                try:
+                    cache.put(args.command, params, result)
+                except OSError as exc:  # a result that cannot be stored is still the answer
+                    print(f"nilhom: warning: result not cached: {exc}", file=sys.stderr)
             records = [(params, result)]
         else:
             records = [(params, handler(**params))]

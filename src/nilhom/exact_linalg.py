@@ -24,9 +24,11 @@ it.
 
 A matrix is checked where it enters: the ``RationalMatrix`` constructor
 bound-checks every key, takes exact values only and sums duplicate keys,
-and ``from_rows`` rejects ragged rows and inexact values.  A matrix the
-package has just computed is wrapped as it is, by ``_computed`` or
-column by column by ``_from_columns``, and not checked again.
+and ``from_rows`` reads nested rows through ``fraction_rows``, the one
+validator of nested exact rows, which rejects inexact values first and
+ragged rows second.  A matrix the package has just computed is wrapped as
+it is, by ``_computed`` or column by column by ``_from_columns``, and not
+checked again.
 
 All values are immutable after construction and all operations are pure
 functions; everything in this module is safe to use concurrently.
@@ -131,17 +133,11 @@ class RationalMatrix:
 
     @classmethod
     def from_rows(cls, rows_data: Sequence[Sequence]) -> "RationalMatrix":
-        nrows = len(rows_data)
-        ncols = len(rows_data[0]) if nrows else 0
-        entries = {}
-        for i, row in enumerate(rows_data):
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            for j, value in enumerate(row):
-                q = _as_fraction(value)
-                if q:
-                    entries[(i, j)] = q
-        return cls._computed(nrows, ncols, entries)
+        rows = fraction_rows(rows_data)
+        return cls._computed(
+            len(rows), len(rows[0]) if rows else 0,
+            {(i, j): q for i, row in enumerate(rows) for j, q in enumerate(row) if q},
+        )
 
     @classmethod
     def vstack(cls, mats: Sequence["RationalMatrix"]) -> "RationalMatrix":

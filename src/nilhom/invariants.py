@@ -74,14 +74,16 @@ def dynkin_failures(basis) -> list[str]:
 def summand_payload(r: int, c: int, q: int) -> dict:
     """IA homology weights in degree q against Λ^q Hom(H, L_{2..c}).
 
-    Equality at class 2; weight dominance at higher class, refined by the
-    Schur decomposition at rank 2.
+    Equality at class 2, and at class 1, where L_{2..1} is zero and so is
+    the algebra; weight dominance at higher class, refined by the Schur
+    decomposition at rank 2.
     """
     _, ia_weights = aut.ia_betti(r, c, q)
     ia_module = rep.WeightModule(r, ia_weights)
-    bound = rep.evaluate(rep.Wedge(q, rep.HomStd(rep.lie_interval(2, c))), r)
+    layers = rep.lie_interval(2, c) if c >= 2 else rep.Const(0)
+    bound = rep.evaluate(rep.Wedge(q, rep.HomStd(layers)), r)
     result: dict = {"rank": r, "cls": c, "degree": q}
-    if c == 2:
+    if c <= 2:
         result["mode"] = "equality"
         result["holds"] = ia_module == bound
     else:

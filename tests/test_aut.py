@@ -21,7 +21,7 @@ from nilhom.aut import (
 from nilhom.exact_linalg import RationalMatrix, exp_nilpotent
 from nilhom.free_lie import LieElement, bracket, hall_basis, induced_map_lie, witt_dimension
 from nilhom.invariants import _conjugation_by_definition
-from nilhom.lie_homology import free_nilpotent_lie, nilpotency_class
+from nilhom.lie_homology import GradedLieAlgebra, free_nilpotent_lie, nilpotency_class
 from nilhom import rep
 
 
@@ -143,8 +143,8 @@ def test_derivation_linearity():
         1: f[1],
     }
     lhs = derivation_from_images(algebra, total)
-    rhs = derivation_from_images(algebra, f) + derivation_from_images(algebra, g)
-    assert lhs.matrix == rhs.matrix
+    rhs = derivation_from_images(algebra, f).matrix + derivation_from_images(algebra, g).matrix
+    assert lhs.matrix == rhs
 
 
 def test_derivation_leibniz_and_raising_verified():
@@ -245,7 +245,7 @@ def test_exp_derivation():
         algebra, {0: LieElement(basis, {(1, 2): 1}), 1: LieElement(basis, {(1, 1, 2): 1})}
     )
     auto = exp_derivation(d)
-    neg = DerivationMatrix(algebra, d.matrix.scaled(-1), check=False)
+    neg = DerivationMatrix(algebra, d.matrix.scaled(-1))
     assert auto.matrix @ exp_derivation(neg).matrix == RationalMatrix.identity(algebra.dim)
     # degree-1 block is the identity (higher-degree rows may be populated)
     for i in range(2):
@@ -261,7 +261,7 @@ def test_exp_commuting_derivations():
     e = derivation_from_images(algebra, {1: LieElement(basis, {(1, 2, 2): 3})})
     assert (d.matrix @ e.matrix).is_zero and (e.matrix @ d.matrix).is_zero
     lhs = exp_derivation(d).matrix @ exp_derivation(e).matrix
-    rhs = exp_derivation(DerivationMatrix(algebra, d.matrix + e.matrix, check=False)).matrix
+    rhs = exp_derivation(DerivationMatrix(algebra, d.matrix + e.matrix)).matrix
     assert lhs == rhs
 
 
@@ -440,3 +440,44 @@ def test_automorphism_invariants_enforced():
         LieAutomorphism(algebra, bad)
     with pytest.raises(ValueError):
         LieAutomorphism(algebra, RationalMatrix(3, 3))  # not invertible
+
+
+def test_certified_constructors_take_no_check_switch():
+    # an algebra, automorphism or derivation has one construction path, and it certifies
+    algebra = free_nilpotent_lie(2, 2)
+    eye = RationalMatrix.identity(algebra.dim)
+    with pytest.raises(TypeError):
+        GradedLieAlgebra(algebra.labels, algebra.weights, algebra.brackets, 2, check=False)
+    with pytest.raises(TypeError):
+        LieAutomorphism(algebra, eye, check=False)
+    with pytest.raises(TypeError):
+        DerivationMatrix(algebra, RationalMatrix(algebra.dim, algebra.dim), check=False)
+
+
+def test_aut_input_error_messages():
+    algebra = free_nilpotent_lie(2, 2)
+    basis = algebra.hall
+    x12 = basis.index[(1, 2)]
+    with pytest.raises(ValueError, match=r"^matrix shape does not match the algebra dimension$"):
+        LieAutomorphism(algebra, RationalMatrix.identity(2))
+    with pytest.raises(ValueError, match=r"^matrix shape does not match the algebra dimension$"):
+        DerivationMatrix(algebra, RationalMatrix(3, 2))
+    lowering = RationalMatrix(3, 3, {(0, 0): 1, (1, 1): 1, (x12, x12): 1, (0, x12): 1})
+    with pytest.raises(ValueError, match=r"^matrix does not respect the degree filtration$"):
+        LieAutomorphism(algebra, lowering)
+    with pytest.raises(ValueError, match=r"^automorphisms live on different algebras$"):
+        automorphism_from_gl([[1, 0], [0, 1]], 2).compose(automorphism_from_gl([[1, 0], [0, 1]], 3))
+    with pytest.raises(ValueError, match=r"^derivation is not strictly filtration-raising$"):
+        DerivationMatrix(algebra, RationalMatrix(3, 3, {(1, 0): 1}))
+    with pytest.raises(ValueError, match=r"^derivations need a free nilpotent algebra with a word basis$"):
+        derivation_from_images(ia_lie_algebra(2, 2), {})
+    with pytest.raises(ValueError, match=r"^generator index 2 outside 0\.\.1$"):
+        derivation_from_images(algebra, {2: LieElement(basis, {(1, 2): 1})})
+    with pytest.raises(ValueError, match=r"^image lives over a different basis$"):
+        derivation_from_images(algebra, {0: LieElement(hall_basis(2, 3), {(1, 2): 1})})
+    with pytest.raises(ValueError, match=r"^generator images must have coordinates in degrees 2\.\.c only$"):
+        derivation_from_images(algebra, {0: LieElement(basis, {(2,): 1})})
+    with pytest.raises(ValueError, match=r"^rank must be at least 1$"):
+        ia_lie_algebra(0, 2)
+    with pytest.raises(ValueError, match=r"^class must be at least 1$"):
+        ia_lie_algebra(2, 0)

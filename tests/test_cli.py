@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import nilhom.cache
 from nilhom import cli, invariants
 from nilhom.cache import Cache
 from nilhom.cli import main
@@ -248,6 +249,31 @@ def test_cache_schema_mismatch_is_miss(tmp_path):
     assert cache.get("other", {"rank": 2}) is None
 
 
+def test_cache_entry_of_another_version_is_a_miss(tmp_path, monkeypatch):
+    cache = Cache(tmp_path)
+    monkeypatch.setattr(nilhom.cache, "__version__", "0.0.1")
+    cache.put("betti", {"rank": 2}, {"betti": [1]})
+    assert cache.get("betti", {"rank": 2}) == {"betti": [1]}
+    monkeypatch.undo()
+    assert nilhom.cache.__version__ == nilhom.__version__
+    assert cache.get("betti", {"rank": 2}) is None
+
+
+def test_cache_store_failure_still_prints_the_result(tmp_path, monkeypatch, capsys):
+    # a cache directory that is a regular file: the result is computed and
+    # printed, and the failed store is only a warning
+    monkeypatch.delenv("NILHOM_CACHE_DIR", raising=False)
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    argv = ["betti", "group", "-r", "2", "-c", "2"]
+    code, fresh = run_cli(argv + ["--no-cache"], monkeypatch)
+    assert code == 0
+    code, out = run_cli(argv + ["--cache-dir", str(blocker)], monkeypatch)
+    assert code == 0
+    assert out == fresh
+    assert capsys.readouterr().err.startswith("nilhom: warning: ")
+
+
 def test_cache_forged_section_count_is_a_miss_at_once(tmp_path):
     # the checksum holds, but the format has two sections: a reader that
     # looped over the stored count would run 2^32 - 1 times here
@@ -356,6 +382,17 @@ def test_summand_check_record(monkeypatch):
     assert result["mode"] == "dominance"
     assert result["holds"] is True
     assert result["schur_holds"] is True
+
+
+def test_summand_check_at_class_one(monkeypatch):
+    # IA(r, 1) is the zero algebra, so H_q equals Λ^q(0): the bound L_{2..1} is empty
+    for r in (2, 3):
+        for q in (0, 1):
+            code, records = run_records(
+                ["summand-check", "-r", str(r), "-c", "1", "-d", str(q), "--no-cache"], monkeypatch
+            )
+            assert code == 0
+            assert records[0]["result"] == {"rank": r, "cls": 1, "degree": q, "mode": "equality", "holds": True}
 
 
 def test_degree_check_record(monkeypatch):

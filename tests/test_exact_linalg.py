@@ -317,6 +317,16 @@ def test_matrix_canonical_form():
         RationalMatrix(1, 1, {(0, 0): 0.5})
 
 
+def test_from_rows_checks_entries_before_row_lengths():
+    # from_rows reads through fraction_rows, the one validator of nested rows
+    with pytest.raises(TypeError, match=r"^exact arithmetic only: cannot accept float$"):
+        RationalMatrix.from_rows([[1, 0], [0.5]])
+    with pytest.raises(ValueError, match=r"^ragged rows$"):
+        RationalMatrix.from_rows([[1, 0], [1]])
+    assert RationalMatrix.from_rows([]) == RationalMatrix(0, 0)
+    assert RationalMatrix.from_rows([["1/2", 0]]).entries == {(0, 0): Fraction(1, 2)}
+
+
 def weight_blocks(g, max_degree, dominant):
     """The integer rows lie_homology._blocks eliminates for each weight block of g's boundary."""
     for d in range(1, max_degree + 1):

@@ -109,19 +109,26 @@ def test_jacobi_check_catches_wrong_sign():
         GradedLieAlgebra(g.labels, g.weights, tampered)
 
 
-def dense_jacobi_oracle(g):
+def dense_jacobi_oracle(m, table):
     """The first basis triple i < j < k, lexicographically, whose Jacobiator is nonzero, or None.
 
-    Visits every triple and sums the three double brackets directly.
+    Reads a structure-constant table keyed by pairs i < j, as
+    GradedLieAlgebra takes it, on an m-dimensional space; visits every
+    triple and sums the three double brackets directly.
     """
-    m = g.dim
+
+    def bracket(a, b):
+        if a < b:
+            return table.get((a, b), {}).items()
+        return [(t, -q) for t, q in table.get((b, a), {}).items()]
+
     for i in range(m):
         for j in range(i + 1, m):
             for k in range(j + 1, m):
                 acc = {}
                 for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    for l, q in g.bracket_basis(a, b).items():
-                        for t, q2 in g.bracket_basis(l, c).items():
+                    for l, q in bracket(a, b):
+                        for t, q2 in bracket(l, c):
                             v = acc.get(t, Fraction(0)) + q * q2
                             if v:
                                 acc[t] = v
@@ -151,22 +158,37 @@ def mutated_brackets(g, rng):
     return table
 
 
+def weight_additive(weights, table):
+    return all(
+        weights[k] == tuple(a + b for a, b in zip(weights[i], weights[j]))
+        for (i, j), vec in table.items() for k, q in vec.items() if q
+    )
+
+
 def test_jacobi_check_matches_dense_oracle():
-    # the check visits only nonzero double brackets; on seeded mutations it
-    # must name the same first failing triple as the all-triples loop
+    # the check visits only nonzero double brackets; on seeded mutations the
+    # constructor must reject a table that breaks weight additivity, and
+    # otherwise name the same first failing triple as the all-triples loop
     rng = random.Random(20261018)
-    outcomes = set()
+    outcomes = []
     for g in (free_nilpotent_lie(3, 4), free_nilpotent_lie(2, 5), ia_lie_algebra(3, 3)):
         for _ in range(40):
-            h = GradedLieAlgebra(g.labels, g.weights, mutated_brackets(g, rng), g.weight_length, check=False)
-            expected = dense_jacobi_oracle(h)
+            table = mutated_brackets(g, rng)
+            args = (g.labels, g.weights, table, g.weight_length)
+            if not weight_additive(g.weights, table):
+                with pytest.raises(ValueError, match=r"^bracket \[.*\] is not weight-additive$"):
+                    GradedLieAlgebra(*args)
+                outcomes.append("weights")
+                continue
+            expected = dense_jacobi_oracle(g.dim, table)
             if expected is None:
-                h._check_jacobi()
+                GradedLieAlgebra(*args)
+                outcomes.append("lie")
             else:
                 with pytest.raises(ValueError, match=rf"^Jacobi identity fails on basis triple \({', '.join(map(str, expected))}\)$"):
-                    h._check_jacobi()
-            outcomes.add(expected is None)
-    assert outcomes == {True, False}
+                    GradedLieAlgebra(*args)
+                outcomes.append("jacobi")
+    assert outcomes.count("weights") == 29 and {"lie", "jacobi"} <= set(outcomes)
 
 
 def test_ce_boundary_examples():
@@ -440,6 +462,14 @@ def test_symmetry_needs_free_nilpotent_algebra():
     )
     assert weighted_betti(g, 1) == {(0, 1): 1, (1, 0): 1, (1, 2): 1}
     assert_matches_direct_oracle(g)
+
+
+def test_class_one_ia_algebra_is_certified_like_every_class():
+    # the zero algebra IA(r, 1) goes through the same path as every other class
+    for r in (1, 2, 3):
+        g = ia_lie_algebra(r, 1)
+        assert g.dim == 0 and g.weight_length == r and _permutes_generators(g)
+        assert betti_numbers(g) == [1]
 
 
 def test_symmetry_certificate_rejects_a_non_automorphic_swap():

@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 PUBLIC_MODULES = ("exact_linalg", "free_lie", "lie_homology", "aut", "nilgroup", "rep")
 
@@ -152,3 +154,11 @@ def test_unknown_name_raises_attribute_error():
     )
     out = _run(script)
     assert "'nilhom'" in out and "no_such_name" in out
+
+
+def test_version_is_declared_once():
+    # the cache key holds nilhom.__version__, so the build reads it from there
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    assert "version" not in project["project"] and "version" in project["project"]["dynamic"]
+    assert project["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "nilhom.__version__"}
