@@ -278,6 +278,8 @@ def _cmd_coinv(expr, rank):
 def _cmd_degree_check(cls, degree, max_rank):
     from . import invariants, rep
 
+    if max_rank < 1:  # a degree estimate needs the values at two ranks at least
+        raise ValueError("max rank must be at least 1")
     dims = invariants.betti_over_ranks(cls, degree, max_rank)
     estimate, sufficient = rep.degree_estimate(dims)
     bound = cls * degree
@@ -302,7 +304,10 @@ def _betti_cache_check(cache):
     cached = cache.get("betti", params)
     if cached is not None and cached != payload:
         return False, {"reason": "cache disagrees with recomputation"}
-    cache.put("betti", params, payload)
+    try:
+        cache.put("betti", params, payload)
+    except OSError as exc:  # as in main: a result that cannot be stored is still the answer
+        print(f"nilhom: warning: result not cached: {exc}", file=sys.stderr)
     return True, payload
 
 

@@ -18,19 +18,23 @@ weight, so only non-increasing weights are computed; and when no basis
 weight is zero the algebra is unimodular, so Poincare duality gives the
 degrees above half the dimension.
 
-Each block's boundary is assembled as integer rows, the bracket table
-scaled once by the lcm of its denominators, and eliminated by
-exact_linalg's kernel directly.  Each boundary term is added straight
-into the row of its target wedge; terms that cancel inside one column
-can leave a row empty, which the kernel skips.
+A wedge e_i1 ^ ... ^ e_id is held as the int bitmask 2^i1 + ... + 2^id
+from enumeration through assembly: weight buckets list masks, a sign is
+a bit count of the mask below an index, and the bracket partners of a
+member inside a wedge are one AND with a cached partner mask.  Each
+block's boundary is assembled as integer rows, the bracket table scaled
+once by the lcm of its denominators, and eliminated by exact_linalg's
+kernel directly.  Each boundary term is added straight into the row of
+its target wedge; terms that cancel inside one column can leave a row
+empty, which the kernel skips.
 
 Every algebra here is certified: the one constructor of GradedLieAlgebra
 always checks weight additivity and the Jacobi identity, which d^2 = 0
 rests on, and no path builds an algebra without them.
 
 Practical envelope: the full Betti vector of F(6,2), dimension 21, takes
-about 2-3 s and 24 MB, and the degree-3 weight table of IA(3,4),
-dimension 87, about 8 s and 77 MB (2-core Xeon VM, Python 3.11);
+about 2 s and 23 MB, and the degree-3 weight table of IA(3,4),
+dimension 87, about 8-9 s and 61 MB (2-core Xeon VM, Python 3.11);
 per-weight blocks reach further.  All values immutable, all functions
 pure; cached derived data is memoized idempotently, so concurrent use is
 safe.
@@ -38,7 +42,6 @@ safe.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -210,20 +213,22 @@ def free_nilpotent_lie(rank_: int, cls: int) -> GradedLieAlgebra:
     return g
 
 
-def _adjacency(g: GradedLieAlgebra) -> list[list[tuple[int, dict[int, int]]]]:
-    """For each basis index i, the pairs (j, L[e_i, e_j]) with j > i and a nonzero bracket.
+def _adjacency(g: GradedLieAlgebra) -> list[tuple[int, dict[int, dict[int, int]]]]:
+    """For each basis index i, the bitmask of the j > i with [e_i, e_j] != 0, and {j: L[e_i, e_j]}.
 
     L is the lcm of every bracket denominator (1 for the free nilpotent
     and IA algebras), so the scaled brackets have integer coefficients.
     Scaling the bracket by L scales every boundary by L, which changes no
-    rank.
+    rank.  The mask is the sum of 2^j over the dict's keys, so the bracket
+    partners of e_i inside a wedge are one AND away.
     """
     adj = g._cache.get("adjacency")
     if adj is None:
         scale = lcm(*(q.denominator for vec in g.brackets.values() for q in vec.values()))
-        adj = [[] for _ in range(g.dim)]
+        rows: list[dict[int, dict[int, int]]] = [{} for _ in range(g.dim)]
         for (i, j), vec in sorted(g.brackets.items()):
-            adj[i].append((j, {k: q.numerator * (scale // q.denominator) for k, q in vec.items()}))
+            rows[i][j] = {k: q.numerator * (scale // q.denominator) for k, q in vec.items()}
+        adj = [(sum(1 << j for j in row), row) for row in rows]
         g._cache["adjacency"] = adj  # published whole, for concurrent readers
     return adj
 
@@ -248,70 +253,101 @@ def _is_unimodular(g: GradedLieAlgebra) -> bool:
     return all(any(w) for w in g.weights)
 
 
-def _wedge_buckets(g: GradedLieAlgebra, d: int, dominant: bool) -> dict[Weight, list[tuple[int, ...]]]:
+def _wedge_buckets(g: GradedLieAlgebra, d: int, dominant: bool) -> dict[Weight, list[int]]:
     """The d-wedges of g bucketed by weight; only non-increasing weights when ``dominant``.
+
+    A wedge e_i1 ^ ... ^ e_id (i1 < ... < id) is the bitmask 2^i1 + ... + 2^id.
+    Each bucket lists its masks in lexicographic order of the index
+    tuples, and the buckets come in the order their weights are first met.
 
     Each weight is packed into one integer, a digit per coordinate in a
     base no sum of d basis weights can overflow, so a wedge's weight is
-    a plain integer sum.  The buckets are built for one degree at a time
-    and dropped once their blocks are ranked.
+    a plain integer sum.  combinations() gives the first d - 2 indices and
+    two loops add the last two, carrying weight and mask forward; whether
+    a weight is kept is decided once, when it is first met, and a wedge
+    of a dropped weight is never built.  Below degree 2 the wedge is
+    padded in front with 2 - d phantom indices, which weigh nothing and
+    set no bit, so one loop serves every degree.  The buckets are built
+    for one degree at a time and dropped once their blocks are ranked.
     """
-    n = g.weight_length
+    m, n = g.dim, g.weight_length
     lows = [min((w[t] for w in g.weights), default=0) for t in range(n)]
     base = d * max((w[t] - lows[t] for w in g.weights for t in range(n)), default=0) + 1
     packed = [sum((w[t] - lows[t]) * base**t for t in range(n)) for w in g.weights]
+    bits = [1 << i for i in range(m)]
+    digits = [(base**t, d * lows[t]) for t in range(n)]
 
     def weight(key: int) -> Weight:
-        return tuple(key // base**t % base + d * lows[t] for t in range(n))
+        return tuple(key // power % base + offset for power, offset in digits)
 
-    buckets: dict[int, list[tuple[int, ...]] | None] = {}
-    for combo in combinations(range(g.dim), d):
-        key = sum(map(packed.__getitem__, combo))
-        bucket = buckets.get(key, False)  # False: a weight not met before
-        if bucket is False:
-            w = weight(key)
-            kept = not dominant or list(w) == sorted(w, reverse=True)
-            bucket = buckets[key] = [] if kept else None
-        if bucket is not None:
-            bucket.append(combo)
+    pairs = list(zip(packed, bits))
+    # each second-to-last index: its packed weight, its bit and the pairs that may end the wedge
+    seconds = [(*pairs[j], pairs[j + 1 :]) for j in range(m - 1)]
+    if d < 2:  # 2 - d phantoms in front, which weigh nothing and set no bit
+        seconds = [(0, 0, pairs if d else [(0, 0)])]
+    h = max(d - 2, 0)
+    # the first d - 2 indices, each followed by at least two more
+    heads = zip(combinations(range(m - 2), h), combinations(packed[: m - 2], h), combinations(bits[: m - 2], h))
+    buckets: dict[int, list[int] | None] = {}
+    for head, head_keys, head_bits in heads:
+        head_key = sum(head_keys)
+        head_mask = sum(head_bits)
+        for j_key, j_bit, lasts in seconds[head[-1] + 1 if head else 0 :]:
+            j_key += head_key
+            j_mask = head_mask | j_bit
+            for k_key, k_bit in lasts:
+                key = j_key + k_key
+                bucket = buckets.get(key, False)  # False: a weight not met before
+                if bucket is False:
+                    w = weight(key)
+                    kept = not dominant or list(w) == sorted(w, reverse=True)
+                    bucket = buckets[key] = [] if kept else None
+                if bucket is not None:
+                    bucket.append(j_mask | k_bit)
     return {weight(key): bucket for key, bucket in buckets.items() if bucket is not None}
 
 
-def _block_rows(g: GradedLieAlgebra, combos: list[tuple[int, ...]]) -> list[dict[int, int]]:
-    """The integer rows of L times the boundary on the d-wedges ``combos``.
+def _block_rows(g: GradedLieAlgebra, masks: list[int]) -> list[dict[int, int]]:
+    """The integer rows of L times the boundary on the d-wedges ``masks``.
 
-    L is the bracket scale of _adjacency.  Column j is combos[j]; the
-    boundary of x_1 ^ ... ^ x_d is the sum over s < t of
+    L is the bracket scale of _adjacency.  Column c is the wedge masks[c];
+    the boundary of x_1 ^ ... ^ x_d is the sum over s < t of
     (-1)^(s+t) [x_s, x_t] ^ (the wedge without x_s and x_t).  Only the
-    pairs with a nonzero bracket are visited, found through the adjacency
-    lists of the wedge's members, and each term is added straight into the
-    row of its (d-1)-wedge, made when that wedge is first reached.  An
-    entry that cancels to 0 is deleted, so a row can be left empty.
+    pairs with a nonzero bracket are visited: for each member i, the
+    partners of i inside the wedge.  Positions are bit counts of the mask
+    below an index, and each term is added straight into the row of its
+    (d-1)-wedge, made when that wedge's mask is first reached.  An entry
+    that cancels to 0 is deleted, so a row can be left empty.
     """
     adj = _adjacency(g)
-    row_index: dict[tuple[int, ...], int] = {}
-    rows: list[dict[int, int]] = []
-    for col, combo in enumerate(combos):
-        position = {i: s for s, i in enumerate(combo)}
-        for s, i in enumerate(combo):
-            for j, vec in adj[i]:
-                t = position.get(j)
-                if t is None:
-                    continue
-                rest = combo[:s] + combo[s + 1 : t] + combo[t + 1 :]
-                for k, q in vec.items():
-                    if k in position and k != i and k != j:
-                        continue
-                    pos = bisect_left(rest, k)  # the sign of moving k into place is (-1)^pos
-                    target = rest[:pos] + (k,) + rest[pos:]
-                    coeff = -q if (s + t + pos) % 2 else q
-                    r = row_index.get(target)
-                    if r is None:
-                        row_index[target] = len(rows)
-                        rows.append({col: coeff})
+    rows: dict[int, dict[int, int]] = {}  # by target mask, in the order first reached
+    for col, mask in enumerate(masks):
+        members = mask
+        while members:
+            bit_i = members & -members
+            members ^= bit_i
+            partners, brackets = adj[bit_i.bit_length() - 1]
+            inside = partners & mask
+            if not inside:
+                continue
+            s = (mask & (bit_i - 1)).bit_count()  # the position of e_i in the wedge
+            while inside:
+                bit_j = inside & -inside
+                inside ^= bit_j
+                rest = mask ^ bit_i ^ bit_j
+                parity = s + (mask & (bit_j - 1)).bit_count()  # s + t
+                for k, q in brackets[bit_j.bit_length() - 1].items():
+                    bit_k = 1 << k
+                    if rest & bit_k:
+                        continue  # a repeated vector: the term is zero
+                    # the sign of moving e_k into place is (-1)^(members of rest below k)
+                    coeff = -q if (parity + (rest & (bit_k - 1)).bit_count()) & 1 else q
+                    row = rows.get(rest | bit_k)
+                    if row is None:
+                        rows[rest | bit_k] = {col: coeff}
                     else:
-                        _add(rows[r], col, coeff)
-    return rows
+                        _add(row, col, coeff)
+    return list(rows.values())
 
 
 def _blocks(g: GradedLieAlgebra, d: int) -> dict[Weight, tuple[int, int]]:
@@ -325,9 +361,9 @@ def _blocks(g: GradedLieAlgebra, d: int) -> dict[Weight, tuple[int, int]]:
     if cached is not None:
         return cached
     out: dict[Weight, tuple[int, int]] = {}
-    for weight, combos in _wedge_buckets(g, d, _permutes_generators(g)).items():
-        pivots = _eliminate(_block_rows(g, combos), len(combos))
-        out[weight] = (len(combos), len(pivots))
+    for weight, masks in _wedge_buckets(g, d, _permutes_generators(g)).items():
+        pivots = _eliminate(_block_rows(g, masks), len(masks))
+        out[weight] = (len(masks), len(pivots))
     g._cache[("blocks", d)] = out
     return out
 

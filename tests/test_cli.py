@@ -157,6 +157,20 @@ def test_witt_rejects_a_negative_max_degree(monkeypatch, capsys):
     assert records[0]["result"] == {"dims": []}
 
 
+def test_degree_check_needs_two_ranks(monkeypatch, capsys):
+    # the estimate fits a polynomial to b_d at ranks 0..max_rank, so it needs two values
+    for max_rank in ("0", "-2"):
+        argv = ["degree-check", "-c", "2", "-d", "1", "--max-rank", max_rank, "--no-cache"]
+        code, out = run_cli(argv, monkeypatch)
+        assert code == 1
+        assert out == ""
+        assert capsys.readouterr().err == "nilhom: error: max rank must be at least 1\n"
+    argv = ["degree-check", "-c", "2", "-d", "1", "--max-rank", "1", "--no-cache"]
+    code, records = run_records(argv, monkeypatch)
+    assert code == 0
+    assert records[0]["result"]["dims"] == [0, 1]
+
+
 def test_usage_errors(monkeypatch):
     code, _ = run_cli(["no-such-command"], monkeypatch)
     assert code == 2
@@ -272,6 +286,23 @@ def test_cache_store_failure_still_prints_the_result(tmp_path, monkeypatch, caps
     assert code == 0
     assert out == fresh
     assert capsys.readouterr().err.startswith("nilhom: warning: ")
+
+
+def test_selftest_store_failure_still_prints_every_record(tmp_path, monkeypatch, capsys):
+    # the betti_cache check stores its payload; a cache directory that is a
+    # regular file makes that store fail, which is a warning, not a failed run
+    monkeypatch.delenv("NILHOM_CACHE_DIR", raising=False)
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    code, fresh = run_cli(["selftest", "--no-cache"], monkeypatch)
+    assert code == 0
+    capsys.readouterr()
+    code, out = run_cli(["selftest", "--cache-dir", str(blocker)], monkeypatch)
+    assert code == 0
+    assert out == fresh
+    err = capsys.readouterr().err
+    assert err.startswith("nilhom: warning: result not cached: ")
+    assert err.count("\n") == 1
 
 
 def test_cache_forged_section_count_is_a_miss_at_once(tmp_path):

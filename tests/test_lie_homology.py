@@ -233,8 +233,11 @@ def test_rescaled_basis_keeps_weight_tables_and_boundary_squares_to_zero():
         while scale == 1:  # redraw the rare scaling whose brackets stay integral
             h = rescaled(g, rng)
             scale = lcm(*(q.denominator for vec in h.brackets.values() for q in vec.values()))
-        for i, row in enumerate(_adjacency(h)):
-            for j, vec in row:
+        adjacency = _adjacency(h)
+        assert {(i, j) for i, (_, row) in enumerate(adjacency) for j in row} == set(h.brackets)
+        for i, (partners, row) in enumerate(adjacency):
+            assert partners == sum(1 << j for j in row)
+            for j, vec in row.items():
                 assert vec == {k: scale * q for k, q in h.bracket_basis(i, j).items()}
                 assert all(type(v) is int for v in vec.values())
         for d in range(g.dim + 1):
@@ -413,22 +416,47 @@ def test_direct_ranks_match_weighted_tables():
         assert_matches_direct_oracle(g)
 
 
+def mask(combo):
+    """The bitmask of a wedge, the sum of 2^i over its indices."""
+    return sum(1 << i for i in combo)
+
+
+def test_wedge_buckets_match_filtered_combinations():
+    # every degree 0..dim + 1, both values of dominant: the same weights in the
+    # same order as filtering all combinations, each bucket the masks of its
+    # combinations in lexicographic order
+    shapes = [(g, g.dim + 1) for g in (*direct_oracle_algebras(), free_nilpotent_lie(5, 2))]
+    shapes += [(ia_lie_algebra(3, 3), 4), (ia_lie_algebra(2, 1), 1), (free_nilpotent_lie(1, 1), 2)]
+    for g, max_degree in shapes:
+        for d in range(max_degree + 1):
+            for dominant in (False, True):
+                expected = {}
+                for combo in combinations(range(g.dim), d):
+                    w = tuple(map(sum, zip(*(g.weights[i] for i in combo)))) or (0,) * g.weight_length
+                    if not dominant or list(w) == sorted(w, reverse=True):
+                        expected.setdefault(w, []).append(mask(combo))
+                assert list(_wedge_buckets(g, d, dominant).items()) == list(expected.items())
+
+
 def test_block_rows_match_oracle_entries():
     # the engine's nonzero rows of each weight block, as a multiset, are L times
-    # the rows of ce_boundary restricted to that block's wedges
+    # the rows of ce_boundary restricted to that block's wedges; IA(3,4) has
+    # dimension 87, so its masks pass 64 bits
     h = rescaled(free_nilpotent_lie(2, 4), random.Random(4))
     assert any(q.denominator > 1 for vec in h.brackets.values() for q in vec.values())  # L > 1
-    for g in (*direct_oracle_algebras(), h):
+    ia = ia_lie_algebra(3, 4)
+    assert ia.dim == 87
+    for g, max_degree in (*((g, g.dim) for g in (*direct_oracle_algebras(), h)), (ia, 2)):
         scale = lcm(*(q.denominator for vec in g.brackets.values() for q in vec.values()))
-        for d in range(1, g.dim + 1):
+        for d in range(1, max_degree + 1):
             columns = ce_boundary(g, d).columns()
-            col_of = {combo: j for j, combo in enumerate(combinations(range(g.dim), d))}
-            for combos in _wedge_buckets(g, d, False).values():
+            col_of = {mask(combo): j for j, combo in enumerate(combinations(range(g.dim), d))}
+            for masks in _wedge_buckets(g, d, False).values():
                 expected = {}
-                for j, combo in enumerate(combos):
-                    for i, q in columns[col_of[combo]].items():
+                for j, wedge in enumerate(masks):
+                    for i, q in columns[col_of[wedge]].items():
                         expected.setdefault(i, {})[j] = scale * q
-                engine = [row for row in _block_rows(g, combos) if row]
+                engine = [row for row in _block_rows(g, masks) if row]
                 assert sorted(sorted(row.items()) for row in engine) == sorted(
                     sorted(row.items()) for row in expected.values()
                 )
@@ -438,7 +466,7 @@ def test_terms_cancelling_inside_one_column():
     # [a, b] = b and [a, c] = -c give d(a^b^c) = -b^c + b^c = 0: the row of b^c
     # is reached and then cancels
     g = GradedLieAlgebra(("a", "b", "c"), ((0,), (1,), (-1,)), {(0, 1): {1: 1}, (0, 2): {2: -1}})
-    assert not any(_block_rows(g, [(0, 1, 2)]))
+    assert not any(_block_rows(g, [0b111]))
     assert betti_numbers(g) == [1, 1, 1, 1]
     assert_matches_direct_oracle(g)
 
