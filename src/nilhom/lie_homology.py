@@ -33,7 +33,7 @@ always checks weight additivity and the Jacobi identity, which d^2 = 0
 rests on, and no path builds an algebra without them.
 
 Practical envelope: the full Betti vector of F(6,2), dimension 21, takes
-about 2 s and 23 MB, and the degree-3 weight table of IA(3,4),
+about 2-2.5 s and 23 MB, and the degree-3 weight table of IA(3,4),
 dimension 87, about 8-9 s and 61 MB (2-core Xeon VM, Python 3.11);
 per-weight blocks reach further.  All values immutable, all functions
 pure; cached derived data is memoized idempotently, so concurrent use is
@@ -287,7 +287,9 @@ def _wedge_buckets(g: GradedLieAlgebra, d: int, dominant: bool) -> dict[Weight, 
         seconds = [(0, 0, pairs if d else [(0, 0)])]
     h = max(d - 2, 0)
     # the first d - 2 indices, each followed by at least two more
-    heads = zip(combinations(range(m - 2), h), combinations(packed[: m - 2], h), combinations(bits[: m - 2], h))
+    heads = zip(
+        combinations(range(m - 2), h), combinations(packed[: m - 2], h), combinations(bits[: m - 2], h)
+    )
     buckets: dict[int, list[int] | None] = {}
     for head, head_keys, head_bits in heads:
         head_key = sum(head_keys)
