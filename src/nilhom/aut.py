@@ -20,10 +20,12 @@ through quotient data (center, inner action, coinvariants); they carry no
 natural coordinates of their own.
 
 Both actions of the integral general linear group are read from
-``rep.action_matrix``.  The derivation pair (i, w) is (dual generator i)
-tensor w, so the action on derivations is the dual action tensored with the
-degree-2..c block of the certified action on the algebra; no Lie layer is
-built twice.  Its definition by conjugation, A D A^-1, lives in
+``rep.action_matrix``.  Each public call here reads its GL matrix once and
+hands on a ``RationalMatrix``, whose values are not checked again.  The
+derivation pair (i, w) is (dual generator i) tensor w, so the action on
+derivations is the dual action tensored with the degree-2..c block of the
+certified action on the algebra; no Lie layer is built twice.  Its
+definition by conjugation, A D A^-1, lives in
 ``invariants.conjugation_consistency``.
 
 Everything is pure and immutable; construction of an object verifies its
@@ -31,12 +33,20 @@ defining identities (bracket preservation, Leibniz rule, filtration) on
 all basis pairs, exactly.  Each certified object has one construction
 path, and that path certifies: no constructor here takes a switch that
 skips the check, and a composite is built through the same constructor.
+
+The pair check runs in sparse integer arithmetic and visits only terms
+that can be nonzero; both sides of each identity are scaled by one fixed
+nonzero integer, so it accepts and rejects exactly what a Fraction loop
+over every basis pair would, and names the same first failing pair
+(``_CertifiedMap`` gives the details).
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Mapping
 
 from .exact_linalg import RationalMatrix, _add, _kron, determinant, fraction_rows, rank
@@ -70,22 +80,37 @@ __all__ = [
 _ONE = Fraction(1)
 
 
-def _apply(cols: list[dict[int, Fraction]], vec: Mapping[int, Fraction]) -> dict[int, Fraction]:
-    """A matrix, given by its columns, applied to a sparse vector."""
-    out: dict[int, Fraction] = {}
-    for j, q in vec.items():
-        for i, a in cols[j].items():
-            _add(out, i, a * q)
-    return out
+def _add_scaled(out: dict[int, int], vec: Mapping[int, int], c: int) -> None:
+    """out += c * vec for integer sparse vectors, keeping no zero entry."""
+    for k, q in vec.items():  # _add, inlined: this loop carries every certificate term
+        q *= c
+        if k in out:
+            q += out[k]
+            if not q:
+                del out[k]
+                continue
+        out[k] = q
 
 
 class _CertifiedMap:
     """Matrix on a graded Lie algebra whose defining identity holds on all basis pairs.
 
     A subclass checks the whole matrix in ``_check_matrix`` and gives, in
-    ``_bracket_image``, what its identity makes the image of [e_i, e_j].
-    The constructor is the only way to make one, and it always runs the
-    check: a map that exists has been certified.
+    ``_sides``, both sides of its identity on the pairs (i, j), j > i, as
+    integer vectors.  The constructor is the only way to make one, and it
+    always runs the check: a map that exists has been certified.
+
+    The check is exact and covers every pair i < j, but it only visits
+    terms that can be nonzero.  The matrix is scaled by the lcm L of its
+    denominators and the brackets by the lcm S of theirs, so both sides
+    are integer vectors, each a fixed nonzero multiple of the rational
+    side it stands for; they are equal exactly when the rational sides
+    are.  For each i the left sides of all pairs (i, j) are built from the
+    brackets [e_i, e_j] with j > i, and the right sides from the nonzero
+    entries of column i, their bracket partners, and a row index of the
+    matrix that tells which columns meet a given partner.  A pair neither
+    side reaches has both sides zero.  Pairs are compared in order, least
+    i then least j, so the pair a failure names is the first failing one.
     """
 
     __slots__ = ("algebra", "matrix")
@@ -102,15 +127,39 @@ class _CertifiedMap:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _check(self) -> None:
-        g = self.algebra
+        g, m = self.algebra, self.algebra.dim
         self._check_matrix()
-        cols = self.matrix.columns()
-        units = [{j: _ONE} for j in range(g.dim)]
-        image = self._bracket_image
-        for i in range(g.dim):
-            for j in range(i + 1, g.dim):
-                if _apply(cols, g.bracket_basis(i, j)) != image(cols, units, i, j):
-                    raise ValueError(f"{self._pair_failure} on basis pair ({i}, {j})")
+        entries = self.matrix.entries
+        scale = lcm(*(q.denominator for q in entries.values()))
+        cols: list[dict[int, int]] = [{} for _ in range(m)]  # column j of L times the matrix
+        rows: list[dict[int, int]] = [{} for _ in range(m)]  # the same entries, by row
+        for (a, j), q in entries.items():
+            cols[j][a] = rows[a][j] = q.numerator * (scale // q.denominator)
+        s = lcm(*(q.denominator for vec in g.brackets.values() for q in vec.values()))
+        # partners[a]: {b: S [e_a, e_b]} over the b with [e_a, e_b] != 0
+        partners: list[dict[int, dict[int, int]]] = [{} for _ in range(m)]
+        for (a, b), vec in g.brackets.items():
+            scaled = partners[a][b] = {k: q.numerator * (s // q.denominator) for k, q in vec.items()}
+            partners[b][a] = {k: -q for k, q in scaled.items()}
+        for i in range(m):
+            left, right = self._sides(i, cols, rows, partners, scale)
+            if left != right:  # maybe only a side that cancelled to an empty vector
+                for j in sorted(left.keys() | right.keys()):
+                    if left.get(j, {}) != right.get(j, {}):
+                        raise ValueError(f"{self._pair_failure} on basis pair ({i}, {j})")
+
+    @staticmethod
+    def _bracket_images(i, cols, partners, factor) -> dict[int, dict[int, int]]:
+        """{j: factor times the matrix applied to S [e_i, e_j]} for the j > i with [e_i, e_j] != 0."""
+        out: dict[int, dict[int, int]] = {}
+        for j, vec in partners[i].items():
+            if j > i:
+                acc: dict[int, int] = {}
+                for k, q in vec.items():
+                    _add_scaled(acc, cols[k], factor * q)
+                if acc:
+                    out[j] = acc
+        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):
@@ -135,8 +184,15 @@ class LieAutomorphism(_CertifiedMap):
             if g.degree(i) < g.degree(j):
                 raise ValueError("matrix does not respect the degree filtration")
 
-    def _bracket_image(self, cols, units, i, j) -> dict[int, Fraction]:
-        return self.algebra.bracket_vectors(cols[i], cols[j])
+    def _sides(self, i, cols, rows, partners, scale):
+        """L phi[e_i, e_j] and [L phi e_i, L phi e_j], times S, for every j > i either reaches."""
+        right: defaultdict[int, dict[int, int]] = defaultdict(dict)
+        for a, p in cols[i].items():  # [phi e_i, phi e_j] = sum of phi_ai phi_bj [e_a, e_b]
+            for b, vec in partners[a].items():
+                for j, q in rows[b].items():
+                    if j > i:
+                        _add_scaled(right[j], vec, p * q)
+        return self._bracket_images(i, cols, partners, scale), right
 
     def compose(self, other: "LieAutomorphism") -> "LieAutomorphism":
         if self.algebra is not other.algebra:
@@ -164,21 +220,27 @@ class DerivationMatrix(_CertifiedMap):
             if g.degree(i) <= g.degree(j):
                 raise ValueError("derivation is not strictly filtration-raising")
 
-    def _bracket_image(self, cols, units, i, j) -> dict[int, Fraction]:
-        g = self.algebra
-        image = g.bracket_vectors(cols[i], units[j]) if cols[i] else {}
-        if cols[j]:
-            for k, q in g.bracket_vectors(units[i], cols[j]).items():
-                _add(image, k, q)
-        return image
+    def _sides(self, i, cols, rows, partners, scale):
+        """D[e_i, e_j] and [D e_i, e_j] + [e_i, D e_j], times L S, for every j > i either reaches."""
+        right: defaultdict[int, dict[int, int]] = defaultdict(dict)
+        for a, p in cols[i].items():  # [D e_i, e_j] = sum of D_ai [e_a, e_j]
+            for j, vec in partners[a].items():
+                if j > i:
+                    _add_scaled(right[j], vec, p)
+        for b, vec in partners[i].items():  # [e_i, D e_j] = sum of D_bj [e_i, e_b]
+            for j, q in rows[b].items():
+                if j > i:
+                    _add_scaled(right[j], vec, q)
+        return self._bracket_images(i, cols, partners, 1), right
 
 
-def _normalize_square(matrix) -> list[list[Fraction]]:
+def _square_matrix(matrix) -> RationalMatrix:
+    """A square matrix from outside input, its rows checked once by ``fraction_rows``."""
     rows = fraction_rows(matrix)
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
-    return rows
+    return RationalMatrix._of_rows(rows)
 
 
 def automorphism_from_gl(matrix, cls: int) -> LieAutomorphism:
@@ -187,13 +249,16 @@ def automorphism_from_gl(matrix, cls: int) -> LieAutomorphism:
     The degree-n block is the degree-n Lie functor applied to the matrix,
     read from ``rep.action_matrix`` on lie[1..cls] and certified as above.
     """
-    rows = _normalize_square(matrix)
-    r = len(rows)
-    det = determinant(RationalMatrix.from_rows(rows)) if r else Fraction(1)
+    return _automorphism_from_gl(_square_matrix(matrix), cls)
+
+
+def _automorphism_from_gl(gl: RationalMatrix, cls: int) -> LieAutomorphism:
+    """automorphism_from_gl on a matrix ``_square_matrix`` has read."""
+    det = determinant(gl)
     if det not in (Fraction(1), Fraction(-1)):
         raise ValueError(f"matrix must be unimodular, determinant is {det}")
-    algebra = free_nilpotent_lie(r, cls)
-    return LieAutomorphism(algebra, rep.action_matrix(rep.lie_interval(1, cls), rows, r))
+    algebra = free_nilpotent_lie(gl.rows, cls)
+    return LieAutomorphism(algebra, rep.action_matrix(rep.lie_interval(1, cls), gl, gl.rows))
 
 
 def derivation_from_images(algebra: GradedLieAlgebra, images: Mapping[int, LieElement]) -> DerivationMatrix:
@@ -224,10 +289,12 @@ def derivation_from_images(algebra: GradedLieAlgebra, images: Mapping[int, LieEl
             value = assigned.get(col, {})  # the generator in position col
         else:
             # D[e_u, e_v] = [D e_u, e_v] + [e_u, D e_v]
-            u, v = (basis.index[x] for x in basis.factorization[word])
-            value = bracket_coordinates(table, columns[u], {v: _ONE})
-            for k, q in bracket_coordinates(table, {u: _ONE}, columns[v]).items():
-                _add(value, k, q)
+            u, v = basis.factorization[word]
+            u, v = basis.index[u], basis.index[v]
+            value = bracket_coordinates(table, columns[u], {v: _ONE}) if columns[u] else {}
+            if columns[v]:
+                for k, q in bracket_coordinates(table, {u: _ONE}, columns[v]).items():
+                    _add(value, k, q)
         columns.append(value)
     return DerivationMatrix(algebra, RationalMatrix._from_columns(algebra.dim, columns))
 
@@ -257,8 +324,14 @@ def ia_lie_algebra(r: int, c: int) -> GradedLieAlgebra:
     basis = algebra.hall
     pairs = ia_basis_pairs(r, c)
     pair_index = {pair: n for n, pair in enumerate(pairs)}
-    columns = [derivation_from_images(algebra, {i: LieElement(basis, {w: 1})}).matrix.columns()
-               for i, w in pairs]
+    # each basis derivation's nonzero columns only: most of its columns are zero
+    columns: list[dict[int, dict[int, Fraction]]] = []
+    for i, w in pairs:
+        nonzero: dict[int, dict[int, Fraction]] = {}
+        derivation = derivation_from_images(algebra, {i: LieElement(basis, {w: 1})})
+        for (row, col), q in derivation.matrix.entries.items():
+            nonzero.setdefault(col, {})[row] = q
+        columns.append(nonzero)
     labels = tuple(f"x{i + 1}->{basis.label(w)}" for i, w in pairs)
     weights = tuple(
         tuple(wt - (1 if t == i else 0) for t, wt in enumerate(basis.multiweight(w)))
@@ -272,9 +345,9 @@ def ia_lie_algebra(r: int, c: int) -> GradedLieAlgebra:
             coords: dict[int, Fraction] = {}
             # [Da, Db] sends the generator of Db to Da(wb) and the
             # generator of Da to -Db(wa); all other generators to zero.
-            for row, q in columns[a][basis.index[wb]].items():
+            for row, q in columns[a].get(basis.index[wb], {}).items():
                 _add(coords, pair_index[(ib_gen, basis.elements[row])], q)
-            for row, q in columns[b][basis.index[wa]].items():
+            for row, q in columns[b].get(basis.index[wa], {}).items():
                 _add(coords, pair_index[(ia_gen, basis.elements[row])], -q)
             if coords:
                 brackets[(a, b)] = coords
@@ -320,15 +393,15 @@ def ia_betti(r: int, c: int, q: int) -> tuple[int, dict[tuple[int, ...], int]]:
 def gl_conjugation_on_ia(matrix, r: int, c: int) -> RationalMatrix:
     """Conjugation action of a unimodular matrix on the derivation pair basis.
 
-    The dual action from ``rep.action_matrix``, tensored with the
-    degree-2..c block of the automorphism the matrix induces;
-    ``invariants.conjugation_consistency`` checks it against the definition,
-    A D A^-1 on each basis derivation D.
+    The dual action from ``rep.action_matrix``, tensored with the degree-2..c
+    block of the automorphism the matrix induces; ``invariants.conjugation_consistency``
+    checks it against the definition, A D A^-1 on each basis derivation D.
+    The matrix is read once, here, and handed on checked.
     """
-    rows = _normalize_square(matrix)
-    if len(rows) != r:
+    gl = _square_matrix(matrix)
+    if gl.rows != r:
         raise ValueError(f"matrix must be {r}x{r}")
-    auto = automorphism_from_gl(rows, c).matrix
+    auto = _automorphism_from_gl(gl, c).matrix
     upper = {(i - r, j - r): q for (i, j), q in auto.entries.items() if j >= r}
-    return _kron(rep.action_matrix(rep.DualStd(), rows, r),
+    return _kron(rep.action_matrix(rep.DualStd(), gl, r),
                  RationalMatrix._computed(auto.rows - r, auto.cols - r, upper))

@@ -28,7 +28,8 @@ and ``from_rows`` reads nested rows through ``fraction_rows``, the one
 validator of nested exact rows, which rejects inexact values first and
 ragged rows second.  A matrix the package has just computed is wrapped as
 it is, by ``_computed`` or column by column by ``_from_columns``, and not
-checked again.
+checked again; ``_of_rows`` wraps rows ``fraction_rows`` has checked,
+so a caller that has read its input once hands the rows on as they are.
 
 All values are immutable after construction and all operations are pure
 functions; everything in this module is safe to use concurrently.
@@ -133,7 +134,11 @@ class RationalMatrix:
 
     @classmethod
     def from_rows(cls, rows_data: Sequence[Sequence]) -> "RationalMatrix":
-        rows = fraction_rows(rows_data)
+        return cls._of_rows(fraction_rows(rows_data))
+
+    @classmethod
+    def _of_rows(cls, rows: list[list[Fraction]]) -> "RationalMatrix":
+        """Wrap dense rows of Fractions that ``fraction_rows`` has checked."""
         return cls._computed(
             len(rows), len(rows[0]) if rows else 0,
             {(i, j): q for i, row in enumerate(rows) for j, q in enumerate(row) if q},

@@ -463,7 +463,11 @@ def induced_map_lie(matrix, degree: int) -> RationalMatrix:
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
-    rows_data = fraction_rows(matrix)
+    return _induced_map_lie(fraction_rows(matrix), degree)
+
+
+def _induced_map_lie(rows_data: list[list[Fraction]], degree: int) -> RationalMatrix:
+    """induced_map_lie on dense rows of Fractions that ``fraction_rows`` has checked."""
     s = len(rows_data)
     r = len(rows_data[0]) if s else 0
     src = hall_basis(r, degree)

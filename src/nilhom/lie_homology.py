@@ -44,9 +44,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 from math import lcm
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .exact_linalg import RationalMatrix, _add, _as_fraction, _eliminate, row_space_basis
 from .exact_linalg import rank  # noqa: F401 - perfbench wraps it by name
@@ -363,11 +363,36 @@ def _blocks(g: GradedLieAlgebra, d: int) -> dict[Weight, tuple[int, int]]:
     if cached is not None:
         return cached
     out: dict[Weight, tuple[int, int]] = {}
-    for weight, masks in _wedge_buckets(g, d, _permutes_generators(g)).items():
+    buckets = _wedge_buckets(g, d, _permutes_generators(g))
+    for weight in list(buckets):
+        masks = buckets.pop(weight)  # each bucket is freed once its block is ranked
         pivots = _eliminate(_block_rows(g, masks), len(masks))
         out[weight] = (len(masks), len(pivots))
     g._cache[("blocks", d)] = out
     return out
+
+
+def _orbit(w: Weight) -> Iterator[Weight]:
+    """The distinct rearrangements of w, each once, in increasing order.
+
+    The next-permutation step on the sorted entries: swap the last ascent
+    with the least larger entry after it, then reverse the tail.  A
+    repeated entry is never swapped with its equal, so an orbit of k
+    weights costs k steps, not the len(w)! of all permutations.
+    """
+    a = sorted(w)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1 :] = a[:i:-1]
 
 
 def betti_number(g: GradedLieAlgebra, d: int) -> int:
@@ -417,7 +442,7 @@ def weighted_betti(g: GradedLieAlgebra, d: int) -> dict[Weight, int]:
             for w, (count, r) in _blocks(g, d).items():
                 b = count - r - blocks_up.get(w, (0, 0))[1]
                 if b:
-                    for image in set(permutations(w)) if symmetric else (w,):
+                    for image in _orbit(w) if symmetric else (w,):
                         out[image] = b
         table = g._cache[("betti", d)] = dict(sorted(out.items()))
     return dict(table)

@@ -38,7 +38,8 @@ from typing import Sequence, Union
 
 from .exact_linalg import RationalMatrix, _add, _kron, fraction_rows, invert
 from .exact_linalg import rank as matrix_rank  # noqa: F401 - perfbench wraps it by name
-from .free_lie import hall_basis, induced_map_lie
+from .free_lie import _induced_map_lie, hall_basis
+from .free_lie import induced_map_lie  # noqa: F401 - perfbench wraps it by name
 
 __all__ = [
     "Std",
@@ -220,7 +221,9 @@ def action_matrix(expr: ReprExpr, matrix, rank_: int) -> RationalMatrix:
     Basis order is the one fixed by basis_weights.  The dual standard
     representation acts by the inverse transpose; an exterior power sends
     e_j1 ^ ... ^ e_jq to A e_j1 ^ ... ^ A e_jq, the wedge of the inner
-    action's columns.  The matrix is checked here, once, not per subexpression.
+    action's columns.  The matrix is checked here, once, not per
+    subexpression: nested rows through ``fraction_rows``, while a
+    RationalMatrix, already checked, is only converted to rows.
     """
     rows = fraction_rows(matrix)
     if len(rows) != rank_ or any(len(row) != rank_ for row in rows):
@@ -230,13 +233,13 @@ def action_matrix(expr: ReprExpr, matrix, rank_: int) -> RationalMatrix:
 
 def _action(expr: ReprExpr, rows: list[list[Fraction]]) -> RationalMatrix:
     if isinstance(expr, Std):
-        return RationalMatrix.from_rows(rows)
+        return RationalMatrix._of_rows(rows)
     if isinstance(expr, DualStd):
-        return invert(RationalMatrix.from_rows(rows)).transpose()
+        return invert(RationalMatrix._of_rows(rows)).transpose()
     if isinstance(expr, Const):
         return RationalMatrix.identity(expr.dimension)
     if isinstance(expr, Lie):
-        return induced_map_lie(rows, expr.degree)
+        return _induced_map_lie(rows, expr.degree)
     if isinstance(expr, Wedge):
         inner = _action(expr.inner, rows).columns()
         row_index = {combo: i for i, combo in enumerate(combinations(range(len(inner)), expr.power))}

@@ -18,7 +18,7 @@ from nilhom.aut import (
     ia_betti,
     ia_lie_algebra,
 )
-from nilhom.exact_linalg import RationalMatrix, exp_nilpotent
+from nilhom.exact_linalg import RationalMatrix, exp_nilpotent, rank
 from nilhom.free_lie import LieElement, bracket, hall_basis, induced_map_lie, witt_dimension
 from nilhom.invariants import _conjugation_by_definition
 from nilhom.lie_homology import GradedLieAlgebra, free_nilpotent_lie, nilpotency_class
@@ -481,3 +481,124 @@ def test_aut_input_error_messages():
         ia_lie_algebra(0, 2)
     with pytest.raises(ValueError, match=r"^class must be at least 1$"):
         ia_lie_algebra(2, 0)
+
+
+def first_failing_pair(algebra, matrix, derivation):
+    """The first basis pair (i, j), i < j, least i then least j, on which the map's identity fails.
+
+    The textbook check in plain Fraction arithmetic, apart from the one the
+    constructors make: phi[e_i, e_j] = [phi e_i, phi e_j] for an
+    automorphism, D[e_i, e_j] = [D e_i, e_j] + [e_i, D e_j] for a derivation.
+    None when every pair passes.
+    """
+    m = algebra.dim
+    cols = [{} for _ in range(m)]
+    for (a, j), q in matrix.entries.items():
+        cols[j][a] = q
+
+    def add(out, vec, c):
+        for k, q in vec.items():
+            out[k] = out.get(k, 0) + c * q
+
+    def image(vec):
+        out = {}
+        for k, q in vec.items():
+            add(out, cols[k], q)
+        return {k: q for k, q in out.items() if q}
+
+    def bracket_of(u, v):
+        out = {}
+        for a, p in u.items():
+            for b, q in v.items():
+                add(out, algebra.bracket_basis(a, b), p * q)
+        return {k: q for k, q in out.items() if q}
+
+    for i in range(m):
+        for j in range(i + 1, m):
+            left = image(algebra.bracket_basis(i, j))
+            if derivation:
+                right = bracket_of(cols[i], {j: 1})
+                add(right, bracket_of({i: 1}, cols[j]), 1)
+                right = {k: q for k, q in right.items() if q}
+            else:
+                right = bracket_of(cols[i], cols[j])
+            if left != right:
+                return i, j
+    return None
+
+
+def rebased(algebra, matrix, s):
+    """The algebra and the matrix on the basis e'_i = s_i e_i; the brackets gain denominators."""
+    brackets = {(i, j): {k: q * s[i] * s[j] / s[k] for k, q in vec.items()}
+                for (i, j), vec in algebra.brackets.items()}
+    h = GradedLieAlgebra(algebra.labels, algebra.weights, brackets, weight_length=algebra.weight_length)
+    return h, RationalMatrix(matrix.rows, matrix.cols, {(a, b): q * s[b] / s[a] for (a, b), q in matrix.entries.items()})
+
+
+def certificate_cases():
+    """(algebra, valid matrix, derivation?) for automorphisms and derivations of several algebras."""
+    rng = random.Random(7451)
+    cases = []
+    for r, c in ((2, 4), (3, 3), (3, 4)):
+        algebra = free_nilpotent_lie(r, c)
+        basis = algebra.hall
+        higher = [w for w in basis.elements if len(w) >= 2]
+        for _ in range(2):
+            images = {pos: LieElement(basis, {w: Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4))
+                                              for w in rng.sample(higher, 3)})
+                      for pos in rng.sample(range(r), rng.randint(1, r))}
+            d = derivation_from_images(algebra, images)
+            cases.append((algebra, d.matrix, True))
+            cases.append((algebra, exp_derivation(d).matrix, False))  # entries with denominators: L > 1
+        cases.append((algebra, automorphism_from_gl(random_signed_unimodular(rng, r), c).matrix, False))
+    swap = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
+    cases.append((ia_lie_algebra(3, 3), gl_conjugation_on_ia(swap, 3, 3), False))
+    # fractional structure constants: S > 1
+    for algebra, matrix, derivation in cases[:4]:
+        s = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)) for _ in range(algebra.dim)]
+        cases.append((*rebased(algebra, matrix, s), derivation))
+    return cases
+
+
+def mutated(rng, algebra, matrix, derivation):
+    """The matrix with one entry moved by a random rational, keeping the filtration condition."""
+    entries = dict(matrix.entries)
+    lowest = 1 if derivation else 0
+    if entries and rng.random() < 0.5:
+        row, col = rng.choice(sorted(entries))
+        if rng.random() < 0.5:  # a nearby slot of the same degree shape
+            col = rng.choice([j for j in range(algebra.dim) if algebra.degree(row) - algebra.degree(j) >= lowest])
+    else:
+        row, col = rng.choice([(a, b) for a in range(algebra.dim) for b in range(algebra.dim)
+                               if algebra.degree(a) - algebra.degree(b) >= lowest])
+    entries[(row, col)] = entries.get((row, col), 0) + Fraction(rng.choice([-1, 1]) * rng.randint(1, 3), rng.randint(1, 2))
+    return RationalMatrix(matrix.rows, matrix.cols, entries)
+
+
+def test_certificate_agrees_with_per_pair_fraction_oracle():
+    # the constructors accept a matrix exactly when the textbook check does,
+    # and a rejection names the same first failing pair
+    rng = random.Random(9173)
+    counts = {"accepted": 0, "rejected": 0}
+    for algebra, valid, derivation in certificate_cases():
+        make = DerivationMatrix if derivation else LieAutomorphism
+        assert first_failing_pair(algebra, valid, derivation) is None
+        make(algebra, valid)
+        failure = "Leibniz rule fails" if derivation else "brackets are not preserved"
+        for _ in range(12):
+            matrix = mutated(rng, algebra, valid, derivation)
+            if not derivation and rank(matrix) < algebra.dim:
+                continue  # the invertibility check answers first
+            pair = first_failing_pair(algebra, matrix, derivation)
+            if pair is None:
+                make(algebra, matrix)
+                counts["accepted"] += 1
+            else:
+                with pytest.raises(ValueError, match=rf"^{failure} on basis pair \({pair[0]}, {pair[1]}\)$"):
+                    make(algebra, matrix)
+                counts["rejected"] += 1
+        if derivation:  # a sum of derivations passes
+            assert first_failing_pair(algebra, valid + valid.scaled(Fraction(-3, 2)), True) is None
+            make(algebra, valid + valid.scaled(Fraction(-3, 2)))
+            counts["accepted"] += 1
+    assert counts["rejected"] > 100 and counts["accepted"] > 10

@@ -15,6 +15,7 @@ from nilhom.lie_homology import (
     GradedLieAlgebra,
     _adjacency,
     _block_rows,
+    _orbit,
     _permutes_generators,
     _wedge_buckets,
     betti_number,
@@ -414,6 +415,35 @@ def direct_oracle_algebras():
 def test_direct_ranks_match_weighted_tables():
     for g in direct_oracle_algebras():
         assert_matches_direct_oracle(g)
+
+
+def test_orbit_lists_each_distinct_permutation_once():
+    rng = random.Random(3301)
+    for n in range(8):
+        for _ in range(40):
+            w = tuple(rng.randint(-2, 2) for _ in range(n))
+            assert list(_orbit(w)) == sorted(set(permutations(w)))
+
+
+def test_weight_tables_equal_the_spread_over_all_permutations():
+    # the tables as spreading each dominant weight by set(permutations(w)) gave them
+    for g in direct_oracle_algebras():
+        for d in range(g.dim + 1):
+            table = weighted_betti(g, d)
+            dominant = {w: b for w, b in table.items() if list(w) == sorted(w, reverse=True)}
+            spread = {image: b for w, b in dominant.items() for image in set(permutations(w))}
+            assert table == dict(sorted(spread.items()))
+            assert list(table) == sorted(table)
+
+
+def test_abelian_rank_twelve_spreads_without_listing_permutations():
+    # the weight of a d-wedge of F(12, 1) has an orbit of C(12, d) weights, where
+    # listing all 12! = 479,001,600 permutations of it would not finish
+    g = free_nilpotent_lie(12, 1)
+    for d in (1, 6):
+        table = weighted_betti(g, d)
+        assert len(table) == comb(12, d) and set(table.values()) == {1}
+        assert betti_number(g, d) == comb(12, d)
 
 
 def mask(combo):
