@@ -20,13 +20,13 @@ through quotient data (center, inner action, coinvariants); they carry no
 natural coordinates of their own.
 
 Both actions of the integral general linear group are read from
-``rep.action_matrix``.  Each public call here reads its GL matrix once and
-hands on a ``RationalMatrix``, whose values are not checked again.  The
-derivation pair (i, w) is (dual generator i) tensor w, so the action on
-derivations is the dual action tensored with the degree-2..c block of the
-certified action on the algebra; no Lie layer is built twice.  Its
-definition by conjugation, A D A^-1, lives in
-``invariants.conjugation_consistency``.
+``rep.action_matrix``.  Each public call here reads its GL matrix once,
+with ``exact_linalg._as_matrix``, and hands on the ``RationalMatrix``,
+which every call below takes as it is.  The derivation pair (i, w) is
+(dual generator i) tensor w, so the action on derivations is the dual
+action tensored with the degree-2..c block of the certified action on
+the algebra; no Lie layer is built twice.  Its definition by
+conjugation, A D A^-1, lives in ``invariants.conjugation_consistency``.
 
 Everything is pure and immutable; construction of an object verifies its
 defining identities (bracket preservation, Leibniz rule, filtration) on
@@ -49,10 +49,12 @@ from functools import lru_cache
 from math import lcm
 from typing import Mapping
 
-from .exact_linalg import RationalMatrix, _add, _kron, determinant, fraction_rows, rank
-from .exact_linalg import exp_nilpotent, invert  # noqa: F401 - perfbench wraps them by name
+from .exact_linalg import RationalMatrix, _add, _as_matrix, _kron, determinant, rank
+from .exact_linalg import exp_nilpotent  # noqa: F401 - perfbench wraps it by name
+from .exact_linalg import invert  # noqa: F401 - perfbench wraps it by name
 from .free_lie import LieElement, bracket_coordinates, hall_basis
-from .free_lie import bracket, induced_map_lie  # noqa: F401 - perfbench wraps them by name
+from .free_lie import bracket  # noqa: F401 - perfbench wraps it by name
+from .free_lie import induced_map_lie  # noqa: F401 - perfbench wraps it by name
 from .lie_homology import (
     GradedLieAlgebra,
     betti_number,
@@ -234,29 +236,22 @@ class DerivationMatrix(_CertifiedMap):
         return self._bracket_images(i, cols, partners, 1), right
 
 
-def _square_matrix(matrix) -> RationalMatrix:
-    """A square matrix from outside input, its rows checked once by ``fraction_rows``."""
-    rows = fraction_rows(matrix)
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("matrix must be square")
-    return RationalMatrix._of_rows(rows)
-
-
 def automorphism_from_gl(matrix, cls: int) -> LieAutomorphism:
-    """Block-diagonal automorphism induced degreewise by a unimodular matrix.
+    """Block-diagonal automorphism induced degreewise by a matrix in GL_r(Z).
 
-    The degree-n block is the degree-n Lie functor applied to the matrix,
-    read from ``rep.action_matrix`` on lie[1..cls] and certified as above.
+    The matrix must be square, of determinant +-1 and with integer
+    entries, checked in that order.  The degree-n block is the degree-n
+    Lie functor applied to the matrix, read from ``rep.action_matrix`` on
+    lie[1..cls] and certified as above.
     """
-    return _automorphism_from_gl(_square_matrix(matrix), cls)
-
-
-def _automorphism_from_gl(gl: RationalMatrix, cls: int) -> LieAutomorphism:
-    """automorphism_from_gl on a matrix ``_square_matrix`` has read."""
+    gl = _as_matrix(matrix)
+    if gl.rows != gl.cols:
+        raise ValueError("matrix must be square")
     det = determinant(gl)
     if det not in (Fraction(1), Fraction(-1)):
         raise ValueError(f"matrix must be unimodular, determinant is {det}")
+    if any(q.denominator != 1 for q in gl.entries.values()):
+        raise ValueError("matrix must have integer entries")
     algebra = free_nilpotent_lie(gl.rows, cls)
     return LieAutomorphism(algebra, rep.action_matrix(rep.lie_interval(1, cls), gl, gl.rows))
 
@@ -327,11 +322,8 @@ def ia_lie_algebra(r: int, c: int) -> GradedLieAlgebra:
     # each basis derivation's nonzero columns only: most of its columns are zero
     columns: list[dict[int, dict[int, Fraction]]] = []
     for i, w in pairs:
-        nonzero: dict[int, dict[int, Fraction]] = {}
         derivation = derivation_from_images(algebra, {i: LieElement(basis, {w: 1})})
-        for (row, col), q in derivation.matrix.entries.items():
-            nonzero.setdefault(col, {})[row] = q
-        columns.append(nonzero)
+        columns.append({col: vec for col, vec in enumerate(derivation.matrix.columns()) if vec})
     labels = tuple(f"x{i + 1}->{basis.label(w)}" for i, w in pairs)
     weights = tuple(
         tuple(wt - (1 if t == i else 0) for t, wt in enumerate(basis.multiweight(w)))
@@ -391,17 +383,18 @@ def ia_betti(r: int, c: int, q: int) -> tuple[int, dict[tuple[int, ...], int]]:
 
 
 def gl_conjugation_on_ia(matrix, r: int, c: int) -> RationalMatrix:
-    """Conjugation action of a unimodular matrix on the derivation pair basis.
+    """Conjugation action of a matrix in GL_r(Z) on the derivation pair basis.
 
     The dual action from ``rep.action_matrix``, tensored with the degree-2..c
     block of the automorphism the matrix induces; ``invariants.conjugation_consistency``
     checks it against the definition, A D A^-1 on each basis derivation D.
-    The matrix is read once, here, and handed on checked.
+    The matrix is read once, here; a square one of the wrong size is
+    refused before ``automorphism_from_gl`` checks the rest.
     """
-    gl = _square_matrix(matrix)
-    if gl.rows != r:
+    gl = _as_matrix(matrix)
+    if gl.rows == gl.cols != r:
         raise ValueError(f"matrix must be {r}x{r}")
-    auto = _automorphism_from_gl(gl, c).matrix
+    auto = automorphism_from_gl(gl, c).matrix
     upper = {(i - r, j - r): q for (i, j), q in auto.entries.items() if j >= r}
     return _kron(rep.action_matrix(rep.DualStd(), gl, r),
                  RationalMatrix._computed(auto.rows - r, auto.cols - r, upper))

@@ -248,6 +248,8 @@ def _cmd_dynkin_check(rank, max_degree):
     from . import invariants
 
     _check_label_rank(rank)
+    if max_degree < 1:
+        raise ValueError("max degree must be at least 1")
     basis = hall_basis(rank, max_degree)
     return {"checked": len(basis.elements), "failures": invariants.dynkin_failures(basis)}
 
@@ -296,6 +298,13 @@ def _cmd_degree_check(cls, degree, max_rank):
 # selftest: the invariant registry on small cases, then the cache
 
 
+def _store(cache, kind, params, result) -> None:
+    try:
+        cache.put(kind, params, result)
+    except OSError as exc:  # a result that cannot be stored is still the answer
+        print(f"nilhom: warning: result not cached: {exc}", file=sys.stderr)
+
+
 def _betti_cache_check(cache):
     # exercised through the same key space as the betti subcommand: a
     # warm cache must agree with the fresh computation byte for byte
@@ -304,10 +313,7 @@ def _betti_cache_check(cache):
     cached = cache.get("betti", params)
     if cached is not None and cached != payload:
         return False, {"reason": "cache disagrees with recomputation"}
-    try:
-        cache.put("betti", params, payload)
-    except OSError as exc:  # as in main: a result that cannot be stored is still the answer
-        print(f"nilhom: warning: result not cached: {exc}", file=sys.stderr)
+    _store(cache, "betti", params, payload)
     return True, payload
 
 
@@ -415,10 +421,7 @@ def main(argv=None) -> int:
             result = cache.get(args.command, params)
             if result is None:
                 result = handler(**params)
-                try:
-                    cache.put(args.command, params, result)
-                except OSError as exc:  # a result that cannot be stored is still the answer
-                    print(f"nilhom: warning: result not cached: {exc}", file=sys.stderr)
+                _store(cache, args.command, params, result)
             records = [(params, result)]
         else:
             records = [(params, handler(**params))]

@@ -24,12 +24,12 @@ it.
 
 A matrix is checked where it enters: the ``RationalMatrix`` constructor
 bound-checks every key, takes exact values only and sums duplicate keys,
-and ``from_rows`` reads nested rows through ``fraction_rows``, the one
-validator of nested exact rows, which rejects inexact values first and
-ragged rows second.  A matrix the package has just computed is wrapped as
-it is, by ``_computed`` or column by column by ``_from_columns``, and not
-checked again; ``_of_rows`` wraps rows ``fraction_rows`` has checked,
-so a caller that has read its input once hands the rows on as they are.
+and ``from_rows``, the one reader of nested rows, rejects inexact values
+first and ragged rows second.  A matrix the package has just computed is
+wrapped as it is, by ``_computed`` or column by column by
+``_from_columns``, and not checked again.  A public call that takes a
+matrix reads it with ``_as_matrix``, which hands a ``RationalMatrix`` on
+as it is, so whatever it calls with that matrix reads it again for free.
 
 All values are immutable after construction and all operations are pure
 functions; everything in this module is safe to use concurrently.
@@ -44,7 +44,6 @@ from typing import Mapping, Sequence
 
 __all__ = [
     "RationalMatrix",
-    "fraction_rows",
     "rank",
     "nullspace_basis",
     "row_space_basis",
@@ -74,16 +73,6 @@ def _add(d: dict, key, value) -> None:
     elif not value:
         return
     d[key] = value
-
-
-def fraction_rows(matrix) -> list[list[Fraction]]:
-    """Dense rows of Fractions of a RationalMatrix or of nested sequences."""
-    if isinstance(matrix, RationalMatrix):
-        return matrix.to_rows()
-    rows = [[_as_fraction(v) for v in row] for row in matrix]
-    if any(len(row) != len(rows[0]) for row in rows):
-        raise ValueError("ragged rows")
-    return rows
 
 
 class RationalMatrix:
@@ -134,11 +123,10 @@ class RationalMatrix:
 
     @classmethod
     def from_rows(cls, rows_data: Sequence[Sequence]) -> "RationalMatrix":
-        return cls._of_rows(fraction_rows(rows_data))
-
-    @classmethod
-    def _of_rows(cls, rows: list[list[Fraction]]) -> "RationalMatrix":
-        """Wrap dense rows of Fractions that ``fraction_rows`` has checked."""
+        """Read nested rows, rejecting inexact values first and ragged rows second."""
+        rows = [[_as_fraction(v) for v in row] for row in rows_data]
+        if any(len(row) != len(rows[0]) for row in rows):
+            raise ValueError("ragged rows")
         return cls._computed(
             len(rows), len(rows[0]) if rows else 0,
             {(i, j): q for i, row in enumerate(rows) for j, q in enumerate(row) if q},
@@ -252,6 +240,11 @@ class RationalMatrix:
 
     def __repr__(self) -> str:
         return f"RationalMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
+
+
+def _as_matrix(matrix) -> RationalMatrix:
+    """A RationalMatrix as it is, or nested rows read by ``from_rows``."""
+    return matrix if isinstance(matrix, RationalMatrix) else RationalMatrix.from_rows(matrix)
 
 
 def _kron(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:

@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .exact_linalg import RationalMatrix, _add, _as_fraction, fraction_rows
+from .exact_linalg import RationalMatrix, _add, _as_fraction, _as_matrix
 
 __all__ = [
     "NotLieElementError",
@@ -463,20 +463,15 @@ def induced_map_lie(matrix, degree: int) -> RationalMatrix:
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
-    return _induced_map_lie(fraction_rows(matrix), degree)
-
-
-def _induced_map_lie(rows_data: list[list[Fraction]], degree: int) -> RationalMatrix:
-    """induced_map_lie on dense rows of Fractions that ``fraction_rows`` has checked."""
-    s = len(rows_data)
-    r = len(rows_data[0]) if s else 0
-    src = hall_basis(r, degree)
-    dst = hall_basis(s, degree)
+    m = _as_matrix(matrix)
+    letters = m.columns()
+    src = hall_basis(m.cols, degree)
+    dst = hall_basis(m.rows, degree)
     table = dst.structure_constants()
     images: list[dict[int, Fraction]] = []
     for w in src.elements:
         if len(w) == 1:
-            images.append({j: row[w[0] - 1] for j, row in enumerate(rows_data) if row[w[0] - 1]})
+            images.append(letters[w[0] - 1])
         else:
             u, v = src.factorization[w]
             images.append(bracket_coordinates(table, images[src.index[u]], images[src.index[v]]))

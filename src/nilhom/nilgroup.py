@@ -35,13 +35,13 @@ from .free_lie import (
     HallBasis,
     LieElement,
     _HallElement,
-    _expansion_dict,  # unused here; perfbench/tracing.py wraps nilgroup._expansion_dict by name
     _lie_coords_from_tensor,  # certifies the universal BCH series in _bch_series
     _require_same_basis,
-    bracket,  # unused here; perfbench/tracing.py wraps nilgroup.bracket by name
     bracket_coordinates,
     hall_basis,
 )
+from .free_lie import _expansion_dict  # noqa: F401 - perfbench wraps it by name
+from .free_lie import bracket  # noqa: F401 - perfbench wraps it by name
 from .lie_homology import free_nilpotent_lie
 
 if TYPE_CHECKING:

@@ -36,10 +36,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence, Union
 
-from .exact_linalg import RationalMatrix, _add, _kron, fraction_rows, invert
+from .exact_linalg import RationalMatrix, _add, _as_matrix, _kron, invert
 from .exact_linalg import rank as matrix_rank  # noqa: F401 - perfbench wraps it by name
-from .free_lie import _induced_map_lie, hall_basis
-from .free_lie import induced_map_lie  # noqa: F401 - perfbench wraps it by name
+from .free_lie import hall_basis, induced_map_lie
 
 __all__ = [
     "Std",
@@ -221,27 +220,26 @@ def action_matrix(expr: ReprExpr, matrix, rank_: int) -> RationalMatrix:
     Basis order is the one fixed by basis_weights.  The dual standard
     representation acts by the inverse transpose; an exterior power sends
     e_j1 ^ ... ^ e_jq to A e_j1 ^ ... ^ A e_jq, the wedge of the inner
-    action's columns.  The matrix is checked here, once, not per
-    subexpression: nested rows through ``fraction_rows``, while a
-    RationalMatrix, already checked, is only converted to rows.
+    action's columns.  The matrix is read here, once, not per
+    subexpression; a RationalMatrix is taken as it is.
     """
-    rows = fraction_rows(matrix)
-    if len(rows) != rank_ or any(len(row) != rank_ for row in rows):
+    m = _as_matrix(matrix)
+    if (m.rows, m.cols) != (rank_, rank_):
         raise ValueError(f"matrix must be {rank_}x{rank_}")
-    return _action(expr, rows)
+    return _action(expr, m)
 
 
-def _action(expr: ReprExpr, rows: list[list[Fraction]]) -> RationalMatrix:
+def _action(expr: ReprExpr, m: RationalMatrix) -> RationalMatrix:
     if isinstance(expr, Std):
-        return RationalMatrix._of_rows(rows)
+        return m
     if isinstance(expr, DualStd):
-        return invert(RationalMatrix._of_rows(rows)).transpose()
+        return invert(m).transpose()
     if isinstance(expr, Const):
         return RationalMatrix.identity(expr.dimension)
     if isinstance(expr, Lie):
-        return _induced_map_lie(rows, expr.degree)
+        return induced_map_lie(m, expr.degree)
     if isinstance(expr, Wedge):
-        inner = _action(expr.inner, rows).columns()
+        inner = _action(expr.inner, m).columns()
         row_index = {combo: i for i, combo in enumerate(combinations(range(len(inner)), expr.power))}
         columns = []
         for combo in combinations(range(len(inner)), expr.power):
@@ -260,16 +258,16 @@ def _action(expr: ReprExpr, rows: list[list[Fraction]]) -> RationalMatrix:
             columns.append({row_index[support]: v for support, v in wedge.items()})
         return RationalMatrix._from_columns(len(row_index), columns)
     if isinstance(expr, Tensor):
-        return _kron(_action(expr.left, rows), _action(expr.right, rows))
+        return _kron(_action(expr.left, m), _action(expr.right, m))
     if isinstance(expr, Sum):
-        left = _action(expr.left, rows)
-        right = _action(expr.right, rows)
+        left = _action(expr.left, m)
+        right = _action(expr.right, m)
         entries = dict(left.entries)
         for (i, j), q in right.entries.items():
             entries[(left.rows + i, left.cols + j)] = q
         return RationalMatrix._computed(left.rows + right.rows, left.cols + right.cols, entries)
     if isinstance(expr, HomStd):
-        return _action(Tensor(DualStd(), expr.inner), rows)
+        return _action(Tensor(DualStd(), expr.inner), m)
     raise TypeError(f"not a representation expression: {expr!r}")
 
 

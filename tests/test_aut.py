@@ -109,17 +109,35 @@ def test_automorphism_from_gl_rejects_non_unimodular():
 
 
 def test_gl_input_error_messages():
-    for call in (lambda m: automorphism_from_gl(m, 2), lambda m: gl_conjugation_on_ia(m, 2, 2)):
-        with pytest.raises(ValueError, match=r"^matrix must be square$"):
-            call([[1, 0, 0], [0, 1, 0]])
-        with pytest.raises(ValueError, match=r"^matrix must be unimodular, determinant is 1/2$"):
-            call([[Fraction(1, 2), 0], [0, 1]])
-    with pytest.raises(ValueError, match=r"^matrix must be 3x3$"):
-        gl_conjugation_on_ia([[1, 0], [0, 1]], 3, 2)
-    with pytest.raises(ValueError, match=r"^matrix must be 3x3$"):
-        gl_conjugation_on_ia([[2, 0], [0, 1]], 3, 2)  # the size is checked before unimodularity
-    with pytest.raises(ValueError, match=r"^matrix must be unimodular, determinant is -3$"):
-        gl_conjugation_on_ia([[1, 1], [2, -1]], 2, 1)
+    # nested rows and the equal RationalMatrix get the same message
+    for read in (list, RationalMatrix.from_rows):
+        for call in (lambda m: automorphism_from_gl(m, 2), lambda m: gl_conjugation_on_ia(m, 2, 2)):
+            with pytest.raises(ValueError, match=r"^matrix must be square$"):
+                call(read([[1, 0, 0], [0, 1, 0]]))
+            with pytest.raises(ValueError, match=r"^matrix must be unimodular, determinant is 1/2$"):
+                call(read([[Fraction(1, 2), 0], [0, 1]]))
+            # determinant 1, yet not in GL_2(Z)
+            with pytest.raises(ValueError, match=r"^matrix must have integer entries$"):
+                call(read([[2, 0], [0, Fraction(1, 2)]]))
+        with pytest.raises(ValueError, match=r"^matrix must be 3x3$"):
+            gl_conjugation_on_ia(read([[1, 0], [0, 1]]), 3, 2)
+        with pytest.raises(ValueError, match=r"^matrix must be 3x3$"):
+            gl_conjugation_on_ia(read([[2, 0], [0, 1]]), 3, 2)  # the size is checked before unimodularity
+        with pytest.raises(ValueError, match=r"^matrix must be unimodular, determinant is -3$"):
+            gl_conjugation_on_ia(read([[1, 1], [2, -1]]), 2, 1)
+
+
+def test_gl_entry_points_read_rows_and_matrices_alike():
+    rng = random.Random(23)
+    for n, c in ((2, 3), (3, 2)):
+        for _ in range(3):
+            rows = random_unimodular(rng, n)
+            m = RationalMatrix.from_rows(rows)
+            # the same entries inserted in another order
+            shuffled = RationalMatrix(n, n, dict(reversed(list(m.entries.items()))))
+            for matrix in (m, shuffled):
+                assert automorphism_from_gl(matrix, c) == automorphism_from_gl(rows, c)
+                assert gl_conjugation_on_ia(matrix, n, c) == gl_conjugation_on_ia(rows, n, c)
 
 
 def test_derivation_examples():

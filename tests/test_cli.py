@@ -157,6 +157,14 @@ def test_witt_rejects_a_negative_max_degree(monkeypatch, capsys):
     assert records[0]["result"] == {"dims": []}
 
 
+def test_dynkin_check_rejects_a_max_degree_below_one(monkeypatch, capsys):
+    for max_degree in ("0", "-3"):
+        code, out = run_cli(["dynkin-check", "-r", "2", "--max-degree", max_degree, "--no-cache"], monkeypatch)
+        assert code == 1
+        assert out == ""
+        assert capsys.readouterr().err == "nilhom: error: max degree must be at least 1\n"
+
+
 def test_degree_check_needs_two_ranks(monkeypatch, capsys):
     # the estimate fits a polynomial to b_d at ranks 0..max_rank, so it needs two values
     for max_rank in ("0", "-2"):

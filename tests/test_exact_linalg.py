@@ -318,7 +318,7 @@ def test_matrix_canonical_form():
 
 
 def test_from_rows_checks_entries_before_row_lengths():
-    # from_rows reads through fraction_rows, the one validator of nested rows
+    # from_rows is the one reader of nested rows
     with pytest.raises(TypeError, match=r"^exact arithmetic only: cannot accept float$"):
         RationalMatrix.from_rows([[1, 0], [0.5]])
     with pytest.raises(ValueError, match=r"^ragged rows$"):

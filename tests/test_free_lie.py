@@ -385,6 +385,18 @@ def test_free_nilpotent_structure_constants_match_tensor_route():
                 assert g.brackets.get((i, j), {}) == {basis.index[w]: q for w, q in image.coords.items()}
 
 
+def test_induced_map_reads_rows_and_matrices_alike():
+    # s x r with s != r: letters are read from columns, images land on s letters
+    for rows in ([[1, 2], [0, -1], [Fraction(1, 3), 1]], [[1, 0, 2], [Fraction(-1, 2), 1, 1]]):
+        m = RationalMatrix.from_rows(rows)
+        shuffled = RationalMatrix(m.rows, m.cols, dict(reversed(list(m.entries.items()))))
+        for degree in range(1, 5):
+            want = induced_map_lie(rows, degree)
+            assert (want.rows, want.cols) == (witt_dimension(m.rows, degree), witt_dimension(m.cols, degree))
+            assert induced_map_lie(m, degree) == want
+            assert induced_map_lie(shuffled, degree) == want
+
+
 def test_induced_map_rejects_ragged_rows():
     with pytest.raises(ValueError, match="ragged rows"):
         induced_map_lie([[1], [2, 3]], 1)

@@ -136,7 +136,7 @@ def test_every_public_name_resolves_to_its_object():
     # no name is public in two modules, so the lookup order cannot change an answer
     names = [x for m in PUBLIC_MODULES for x in report[m]]
     assert len(names) == len(set(names))
-    for name in ("fraction_rows", "row_space_basis", "bracket_coordinates", "basis_weights", "DominanceReport"):
+    for name in ("row_space_basis", "bracket_coordinates", "basis_weights", "DominanceReport"):
         assert name in names
 
 

@@ -411,8 +411,26 @@ def test_action_matrix_input_error_messages():
             action_matrix(expr, [[1.0, 0], [0, 1]], 2)
         with pytest.raises(TypeError, match=r"^exact arithmetic only: cannot accept float$"):
             action_matrix(expr, [[1, 0], [0.5]], 2)
+        # a RationalMatrix of the wrong shape gets the message nested rows of that shape get
+        for rows in ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1]], [[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1], [0, 0]]):
+            with pytest.raises(ValueError, match=r"^matrix must be 2x2$"):
+                action_matrix(expr, rows, 2)
+            with pytest.raises(ValueError, match=r"^matrix must be 2x2$"):
+                action_matrix(expr, RationalMatrix.from_rows(rows), 2)
     # a bad expression is reported only for a well-formed matrix
     with pytest.raises(ValueError, match=r"^matrix must be 2x2$"):
         action_matrix("std", [[1]], 2)
     with pytest.raises(TypeError, match=r"^not a representation expression: 'std'$"):
         action_matrix(Wedge(2, "std"), [[1, 0], [0, 1]], 2)
+
+
+def test_action_matrix_reads_rows_and_matrices_alike():
+    for rows in ([[2, 1], [1, 1]], [[0, 1], [1, 0]], [[Fraction(1, 2), 3], [0, -1]]):
+        m = RationalMatrix.from_rows(rows)
+        # the same entries inserted in another order
+        shuffled = RationalMatrix(2, 2, dict(reversed(list(m.entries.items()))))
+        for text in ("std", "dual", "lie[1..3]", "hom(std, lie[2..3])"):
+            expr = parse_expr(text)
+            want = action_matrix(expr, rows, 2)
+            assert action_matrix(expr, m, 2) == want
+            assert action_matrix(expr, shuffled, 2) == want
