@@ -35,10 +35,11 @@ path, and that path certifies: no constructor here takes a switch that
 skips the check, and a composite is built through the same constructor.
 
 The pair check runs in sparse integer arithmetic and visits only terms
-that can be nonzero; both sides of each identity are scaled by one fixed
-nonzero integer, so it accepts and rejects exactly what a Fraction loop
-over every basis pair would, and names the same first failing pair
-(``_CertifiedMap`` gives the details).
+that can be nonzero.  It reads the algebra's integer bracket table,
+built once with the algebra, and scales both sides of each identity by
+one fixed nonzero integer, so it accepts and rejects exactly what a
+Fraction loop over every basis pair would, and names the same first
+failing pair (``_CertifiedMap`` gives the details).
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Mapping
 
-from .exact_linalg import RationalMatrix, _add, _as_matrix, _kron, determinant, rank
+from .exact_linalg import RationalMatrix, _add, _add_scaled, _as_matrix, _kron, determinant, rank
 from .exact_linalg import exp_nilpotent  # noqa: F401 - perfbench wraps it by name
 from .exact_linalg import invert  # noqa: F401 - perfbench wraps it by name
 from .free_lie import LieElement, bracket_coordinates, hall_basis
@@ -82,18 +83,6 @@ __all__ = [
 _ONE = Fraction(1)
 
 
-def _add_scaled(out: dict[int, int], vec: Mapping[int, int], c: int) -> None:
-    """out += c * vec for integer sparse vectors, keeping no zero entry."""
-    for k, q in vec.items():  # _add, inlined: this loop carries every certificate term
-        q *= c
-        if k in out:
-            q += out[k]
-            if not q:
-                del out[k]
-                continue
-        out[k] = q
-
-
 class _CertifiedMap:
     """Matrix on a graded Lie algebra whose defining identity holds on all basis pairs.
 
@@ -104,15 +93,17 @@ class _CertifiedMap:
 
     The check is exact and covers every pair i < j, but it only visits
     terms that can be nonzero.  The matrix is scaled by the lcm L of its
-    denominators and the brackets by the lcm S of theirs, so both sides
-    are integer vectors, each a fixed nonzero multiple of the rational
-    side it stands for; they are equal exactly when the rational sides
-    are.  For each i the left sides of all pairs (i, j) are built from the
-    brackets [e_i, e_j] with j > i, and the right sides from the nonzero
-    entries of column i, their bracket partners, and a row index of the
-    matrix that tells which columns meet a given partner.  A pair neither
-    side reaches has both sides zero.  Pairs are compared in order, least
-    i then least j, so the pair a failure names is the first failing one.
+    denominators, and the brackets are read, S times each, from the
+    algebra's integer table ``_partners`` with the sign of the index
+    order.  So both sides are integer vectors, each a fixed nonzero
+    multiple of the rational side it stands for; they are equal exactly
+    when the rational sides are.  For each i the left sides of all pairs
+    (i, j) are built from the brackets [e_i, e_j] with j > i, and the
+    right sides from the nonzero entries of column i, their bracket
+    partners, and a row index of the matrix that tells which columns meet
+    a given partner.  A pair neither side reaches has both sides zero.
+    Pairs are compared in order, least i then least j, so the pair a
+    failure names is the first failing one.
     """
 
     __slots__ = ("algebra", "matrix")
@@ -129,7 +120,7 @@ class _CertifiedMap:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _check(self) -> None:
-        g, m = self.algebra, self.algebra.dim
+        m = self.algebra.dim
         self._check_matrix()
         entries = self.matrix.entries
         scale = lcm(*(q.denominator for q in entries.values()))
@@ -137,24 +128,17 @@ class _CertifiedMap:
         rows: list[dict[int, int]] = [{} for _ in range(m)]  # the same entries, by row
         for (a, j), q in entries.items():
             cols[j][a] = rows[a][j] = q.numerator * (scale // q.denominator)
-        s = lcm(*(q.denominator for vec in g.brackets.values() for q in vec.values()))
-        # partners[a]: {b: S [e_a, e_b]} over the b with [e_a, e_b] != 0
-        partners: list[dict[int, dict[int, int]]] = [{} for _ in range(m)]
-        for (a, b), vec in g.brackets.items():
-            scaled = partners[a][b] = {k: q.numerator * (s // q.denominator) for k, q in vec.items()}
-            partners[b][a] = {k: -q for k, q in scaled.items()}
         for i in range(m):
-            left, right = self._sides(i, cols, rows, partners, scale)
+            left, right = self._sides(i, cols, rows, scale)
             if left != right:  # maybe only a side that cancelled to an empty vector
                 for j in sorted(left.keys() | right.keys()):
                     if left.get(j, {}) != right.get(j, {}):
                         raise ValueError(f"{self._pair_failure} on basis pair ({i}, {j})")
 
-    @staticmethod
-    def _bracket_images(i, cols, partners, factor) -> dict[int, dict[int, int]]:
+    def _bracket_images(self, i, cols, factor) -> dict[int, dict[int, int]]:
         """{j: factor times the matrix applied to S [e_i, e_j]} for the j > i with [e_i, e_j] != 0."""
         out: dict[int, dict[int, int]] = {}
-        for j, vec in partners[i].items():
+        for j, vec in self.algebra._partners[i][1].items():
             if j > i:
                 acc: dict[int, int] = {}
                 for k, q in vec.items():
@@ -186,15 +170,17 @@ class LieAutomorphism(_CertifiedMap):
             if g.degree(i) < g.degree(j):
                 raise ValueError("matrix does not respect the degree filtration")
 
-    def _sides(self, i, cols, rows, partners, scale):
+    def _sides(self, i, cols, rows, scale):
         """L phi[e_i, e_j] and [L phi e_i, L phi e_j], times S, for every j > i either reaches."""
+        partners = self.algebra._partners
         right: defaultdict[int, dict[int, int]] = defaultdict(dict)
         for a, p in cols[i].items():  # [phi e_i, phi e_j] = sum of phi_ai phi_bj [e_a, e_b]
-            for b, vec in partners[a].items():
+            for b, vec in partners[a][1].items():
+                sp = p if b > a else -p  # [e_a, e_b] = sign(b - a) vec / S
                 for j, q in rows[b].items():
                     if j > i:
-                        _add_scaled(right[j], vec, p * q)
-        return self._bracket_images(i, cols, partners, scale), right
+                        _add_scaled(right[j], vec, sp * q)
+        return self._bracket_images(i, cols, scale), right
 
     def compose(self, other: "LieAutomorphism") -> "LieAutomorphism":
         if self.algebra is not other.algebra:
@@ -222,18 +208,19 @@ class DerivationMatrix(_CertifiedMap):
             if g.degree(i) <= g.degree(j):
                 raise ValueError("derivation is not strictly filtration-raising")
 
-    def _sides(self, i, cols, rows, partners, scale):
+    def _sides(self, i, cols, rows, scale):
         """D[e_i, e_j] and [D e_i, e_j] + [e_i, D e_j], times L S, for every j > i either reaches."""
+        partners = self.algebra._partners
         right: defaultdict[int, dict[int, int]] = defaultdict(dict)
         for a, p in cols[i].items():  # [D e_i, e_j] = sum of D_ai [e_a, e_j]
-            for j, vec in partners[a].items():
+            for j, vec in partners[a][1].items():
                 if j > i:
-                    _add_scaled(right[j], vec, p)
-        for b, vec in partners[i].items():  # [e_i, D e_j] = sum of D_bj [e_i, e_b]
+                    _add_scaled(right[j], vec, p if j > a else -p)
+        for b, vec in partners[i][1].items():  # [e_i, D e_j] = sum of D_bj [e_i, e_b]
             for j, q in rows[b].items():
                 if j > i:
-                    _add_scaled(right[j], vec, q)
-        return self._bracket_images(i, cols, partners, 1), right
+                    _add_scaled(right[j], vec, q if b > i else -q)
+        return self._bracket_images(i, cols, 1), right
 
 
 def automorphism_from_gl(matrix, cls: int) -> LieAutomorphism:

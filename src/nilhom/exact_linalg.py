@@ -17,10 +17,12 @@ by a Markowitz minimum-fill score with a deterministic (row, column) tie-break, 
 Bareiss elimination picks, so results are reproducible byte for byte.
 
 Sparse vectors throughout the package are dicts holding no zero value.
-Their one accumulator, ``_add``, lives here in the bottom module; the
-modules above import it rather than re-type the add-or-delete step.  Only
-the hot loops of elimination, boundary assembly and the Lie bracket inline
-it.
+Their accumulators live here in the bottom module: ``_add`` adds one
+value, and ``_add_scaled`` adds an integer multiple of a whole integer
+vector, for the Jacobi check and the map certificates.  The modules above
+import them rather than re-type the add-or-delete step.  Only the hot
+loops of elimination, boundary assembly and the Lie bracket inline
+``_add``.
 
 A matrix is checked where it enters: the ``RationalMatrix`` constructor
 bound-checks every key, takes exact values only and sums duplicate keys,
@@ -73,6 +75,18 @@ def _add(d: dict, key, value) -> None:
     elif not value:
         return
     d[key] = value
+
+
+def _add_scaled(out: dict[int, int], vec: Mapping[int, int], c: int) -> None:
+    """out += c * vec for integer sparse vectors, keeping no zero entry."""
+    for k, q in vec.items():  # _add, inlined: this loop carries every Jacobi and certificate term
+        q *= c
+        if k in out:
+            q += out[k]
+            if not q:
+                del out[k]
+                continue
+        out[k] = q
 
 
 class RationalMatrix:
@@ -164,12 +178,6 @@ class RationalMatrix:
 
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries.get((i, j), Fraction(0))
-
-    def to_rows(self) -> list[list[Fraction]]:
-        out = [[Fraction(0)] * self.cols for _ in range(self.rows)]
-        for (i, j), q in self.entries.items():
-            out[i][j] = q
-        return out
 
     def columns(self) -> list[dict[int, Fraction]]:
         """Every column as a sparse row-keyed dict, in one pass over the entries."""

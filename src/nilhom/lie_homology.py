@@ -21,12 +21,11 @@ degrees above half the dimension.
 A wedge e_i1 ^ ... ^ e_id is held as the int bitmask 2^i1 + ... + 2^id
 from enumeration through assembly: weight buckets list masks, a sign is
 a bit count of the mask below an index, and the bracket partners of a
-member inside a wedge are one AND with a cached partner mask.  Each
-block's boundary is assembled as integer rows, the bracket table scaled
-once by the lcm of its denominators, and eliminated by exact_linalg's
-kernel directly.  Each boundary term is added straight into the row of
-its target wedge; terms that cancel inside one column can leave a row
-empty, which the kernel skips.
+member inside a wedge are one AND with its partner mask.  Each block's
+boundary is assembled as integer rows from the algebra's integer bracket
+table and eliminated by exact_linalg's kernel directly.  Each boundary
+term is added straight into the row of its target wedge; terms that
+cancel inside one column can leave a row empty, which the kernel skips.
 
 Every algebra here is certified: the one constructor of GradedLieAlgebra
 always checks weight additivity and the Jacobi identity, which d^2 = 0
@@ -48,7 +47,7 @@ from itertools import combinations
 from math import lcm
 from typing import Iterator, Mapping
 
-from .exact_linalg import RationalMatrix, _add, _as_fraction, _eliminate, row_space_basis
+from .exact_linalg import RationalMatrix, _add, _add_scaled, _as_fraction, _eliminate, row_space_basis
 from .exact_linalg import rank  # noqa: F401 - perfbench wraps it by name
 from .free_lie import HallBasis, bracket_coordinates, hall_basis
 from .free_lie import bracket  # noqa: F401 - perfbench wraps it by name
@@ -71,13 +70,21 @@ class GradedLieAlgebra:
     """Finite-dimensional Lie algebra over Q with a multiweight on each basis vector.
 
     Structure constants are stored for index pairs i < j only; antisymmetry
-    is implicit.  Construction verifies the Jacobi identity on all basis
-    triples and additivity of multiweights under the bracket, so instances
-    are Lie algebras by certificate, not by convention.  The constructor is
-    the only way to build one, and it has no switch that skips the checks.
+    is implicit.  Weights are tuples of ints.  Construction verifies the
+    Jacobi identity on all basis triples and additivity of multiweights
+    under the bracket, so instances are Lie algebras by certificate, not by
+    convention.  The constructor is the only way to build one, and it has
+    no switch that skips the checks.
+
+    ``_partners`` is the bracket table over the integers, which the Jacobi
+    check, boundary assembly and aut's map certificates read.  With S the
+    lcm of every bracket denominator, ``_partners[i]`` holds the bitmask of
+    the j > i with [e_i, e_j] != 0 and the dict {j: S [e_min(i,j), e_max(i,j)]}
+    over every j != i with a nonzero bracket.  A pair's vector is one dict
+    object at both ends, so [e_i, e_j] = sign(j - i) vec / S.
     """
 
-    __slots__ = ("labels", "weights", "brackets", "weight_length", "hall", "_cache")
+    __slots__ = ("labels", "weights", "brackets", "weight_length", "hall", "_partners", "_cache")
 
     def __init__(
         self,
@@ -97,6 +104,9 @@ class GradedLieAlgebra:
         for w in weights:
             if len(w) != weight_length:
                 raise ValueError("inconsistent multiweight lengths")
+            for x in w:
+                if not isinstance(x, int):
+                    raise TypeError(f"weight entries must be integers, not {x!r}")
         table: dict[tuple[int, int], dict[int, Fraction]] = {}
         for (i, j), vec in brackets.items():
             if not 0 <= i < j < m:
@@ -115,11 +125,16 @@ class GradedLieAlgebra:
         self.brackets = table
         self.weight_length = weight_length
         self.hall = hall
-        # memoized derived data (bracket adjacency lists, weight blocks, Betti tables)
-        # and the generator-symmetry certificate; recomputing under a race is
-        # harmless because the values are deterministic
+        # memoized derived data (weight blocks, Betti tables) and the
+        # generator-symmetry certificate; recomputing under a race is harmless
+        # because the values are deterministic
         self._cache: dict = {}
         self._check_weights()
+        scale = lcm(*(q.denominator for vec in table.values() for q in vec.values()))
+        rows: list[dict[int, dict[int, int]]] = [{} for _ in range(m)]
+        for (i, j), vec in table.items():
+            rows[i][j] = rows[j][i] = {k: q.numerator * (scale // q.denominator) for k, q in vec.items()}
+        self._partners = [(sum(1 << j for j in row if j > i), row) for i, row in enumerate(rows)]
         self._check_jacobi()
 
     @property
@@ -160,27 +175,23 @@ class GradedLieAlgebra:
         nonzero product [[e_a, e_b], e_c] is added into the triple {a, b, c}
         with that sign; a triple no such product reaches has Jacobiator zero.
         Triples with a repeated index satisfy the identity by antisymmetry.
+        Products read from ``_partners`` make each Jacobiator S^2 times the rational one.
         """
-        neighbours: list[list[tuple[int, dict[int, Fraction], int]]] = [[] for _ in range(self.dim)]
-        for (i, j), vec in self.brackets.items():
-            neighbours[i].append((j, vec, 1))
-            neighbours[j].append((i, vec, -1))
-        jacobiators: dict[tuple[int, int, int], dict[int, Fraction]] = {}
-        for (a, b), inner in self.brackets.items():
-            for l, q in inner.items():
-                for c, outer, sign in neighbours[l]:
+        partners = self._partners
+        jacobiators: dict[tuple[int, int, int], dict[int, int]] = {}
+        for a, b in self.brackets:
+            for l, q in partners[a][1][b].items():
+                for c, outer in partners[l][1].items():
+                    coeff = q if c > l else -q  # [e_l, e_c] = sign(c - l) outer / S
                     if c > b:
                         triple = (a, b, c)
                     elif c < a:
                         triple = (c, a, b)
                     elif a < c < b:
-                        triple, sign = (a, c, b), -sign
+                        triple, coeff = (a, c, b), -coeff
                     else:
                         continue
-                    acc = jacobiators.setdefault(triple, {})
-                    coeff = q if sign > 0 else -q
-                    for t, q2 in outer.items():
-                        _add(acc, t, coeff * q2)
+                    _add_scaled(jacobiators.setdefault(triple, {}), outer, coeff)
         failing = [triple for triple, acc in jacobiators.items() if acc]
         if failing:
             i, j, k = min(failing)
@@ -211,26 +222,6 @@ def free_nilpotent_lie(rank_: int, cls: int) -> GradedLieAlgebra:
     # algebra that permutes multiweights, and it preserves the truncation
     g._cache["permutes_generators"] = True
     return g
-
-
-def _adjacency(g: GradedLieAlgebra) -> list[tuple[int, dict[int, dict[int, int]]]]:
-    """For each basis index i, the bitmask of the j > i with [e_i, e_j] != 0, and {j: L[e_i, e_j]}.
-
-    L is the lcm of every bracket denominator (1 for the free nilpotent
-    and IA algebras), so the scaled brackets have integer coefficients.
-    Scaling the bracket by L scales every boundary by L, which changes no
-    rank.  The mask is the sum of 2^j over the dict's keys, so the bracket
-    partners of e_i inside a wedge are one AND away.
-    """
-    adj = g._cache.get("adjacency")
-    if adj is None:
-        scale = lcm(*(q.denominator for vec in g.brackets.values() for q in vec.values()))
-        rows: list[dict[int, dict[int, int]]] = [{} for _ in range(g.dim)]
-        for (i, j), vec in sorted(g.brackets.items()):
-            rows[i][j] = {k: q.numerator * (scale // q.denominator) for k, q in vec.items()}
-        adj = [(sum(1 << j for j in row), row) for row in rows]
-        g._cache["adjacency"] = adj  # published whole, for concurrent readers
-    return adj
 
 
 def _permutes_generators(g: GradedLieAlgebra) -> bool:
@@ -310,25 +301,26 @@ def _wedge_buckets(g: GradedLieAlgebra, d: int, dominant: bool) -> dict[Weight, 
 
 
 def _block_rows(g: GradedLieAlgebra, masks: list[int]) -> list[dict[int, int]]:
-    """The integer rows of L times the boundary on the d-wedges ``masks``.
+    """The integer rows of S times the boundary on the d-wedges ``masks``.
 
-    L is the bracket scale of _adjacency.  Column c is the wedge masks[c];
-    the boundary of x_1 ^ ... ^ x_d is the sum over s < t of
-    (-1)^(s+t) [x_s, x_t] ^ (the wedge without x_s and x_t).  Only the
-    pairs with a nonzero bracket are visited: for each member i, the
-    partners of i inside the wedge.  Positions are bit counts of the mask
-    below an index, and each term is added straight into the row of its
-    (d-1)-wedge, made when that wedge's mask is first reached.  An entry
-    that cancels to 0 is deleted, so a row can be left empty.
+    S is the bracket scale of g._partners, which changes no rank.  Column
+    c is the wedge masks[c]; the boundary of x_1 ^ ... ^ x_d is the sum
+    over s < t of (-1)^(s+t) [x_s, x_t] ^ (the wedge without x_s and
+    x_t).  Only the pairs with a nonzero bracket are visited: for each
+    member i, the partners of i inside the wedge.  Positions are bit
+    counts of the mask below an index, and each term is added straight
+    into the row of its (d-1)-wedge, made when that wedge's mask is first
+    reached.  An entry that cancels to 0 is deleted, so a row can be left
+    empty.
     """
-    adj = _adjacency(g)
+    table = g._partners
     rows: dict[int, dict[int, int]] = {}  # by target mask, in the order first reached
     for col, mask in enumerate(masks):
         members = mask
         while members:
             bit_i = members & -members
             members ^= bit_i
-            partners, brackets = adj[bit_i.bit_length() - 1]
+            partners, brackets = table[bit_i.bit_length() - 1]
             inside = partners & mask
             if not inside:
                 continue

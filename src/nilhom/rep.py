@@ -139,6 +139,9 @@ class WeightModule:
     def __init__(self, rank_: int, weights: dict[Weight, int]) -> None:
         clean = {}
         for w, mult in weights.items():
+            for x in (*w, mult):
+                if not isinstance(x, int):
+                    raise TypeError(f"weights and multiplicities must be integers, not {x!r}")
             if mult < 0:
                 raise ValueError("multiplicities must be non-negative")
             if len(w) != rank_:

@@ -466,7 +466,8 @@ def test_computed_matrices_are_canonical():
             a + b, a - a, a - b, a @ c,
             a.scaled(Fraction(-2, 3)), a.scaled(0), a.transpose(),
             RationalMatrix.identity(3), RationalMatrix.identity(0),
-            RationalMatrix.from_rows(a.to_rows()), RationalMatrix.from_rows([[0, Fraction(0)], ["0", 0]]),
+            RationalMatrix.from_rows([[a.entry(i, j) for j in range(a.cols)] for i in range(a.rows)]),
+            RationalMatrix.from_rows([[0, Fraction(0)], ["0", 0]]),
             RationalMatrix.vstack([a, b]), RationalMatrix.vstack([]),
             RationalMatrix.hstack([a, rand(3, 2)]), RationalMatrix.hstack([]),
             invert(square), invert(square) @ square,

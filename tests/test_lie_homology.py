@@ -13,7 +13,6 @@ from nilhom.exact_linalg import RationalMatrix, rank
 from nilhom.free_lie import hall_basis, witt_dimension
 from nilhom.lie_homology import (
     GradedLieAlgebra,
-    _adjacency,
     _block_rows,
     _orbit,
     _permutes_generators,
@@ -95,6 +94,9 @@ def test_construction_rejects_bad_data():
             ((1, 0), (0, 1), (1, 1)),
             {(1, 0): {2: 1}},
         )
+    with pytest.raises(TypeError, match="0.5"):
+        # weights must be exact integers
+        GradedLieAlgebra(("a", "b", "c"), ((0.5,), (1,), (1.5,)), {(0, 1): {2: 1}})
 
 
 def test_jacobi_check_catches_wrong_sign():
@@ -172,7 +174,12 @@ def test_jacobi_check_matches_dense_oracle():
     # otherwise name the same first failing triple as the all-triples loop
     rng = random.Random(20261018)
     outcomes = []
-    for g in (free_nilpotent_lie(3, 4), free_nilpotent_lie(2, 5), ia_lie_algebra(3, 3)):
+    # the rescaled algebra has bracket denominators, so the check runs with S > 1
+    algebras = (
+        free_nilpotent_lie(3, 4), free_nilpotent_lie(2, 5), ia_lie_algebra(3, 3),
+        rescaled(free_nilpotent_lie(2, 4), random.Random(2410)),
+    )
+    for g in algebras:
         for _ in range(40):
             table = mutated_brackets(g, rng)
             args = (g.labels, g.weights, table, g.weight_length)
@@ -189,7 +196,7 @@ def test_jacobi_check_matches_dense_oracle():
                 with pytest.raises(ValueError, match=rf"^Jacobi identity fails on basis triple \({', '.join(map(str, expected))}\)$"):
                     GradedLieAlgebra(*args)
                 outcomes.append("jacobi")
-    assert outcomes.count("weights") == 29 and {"lie", "jacobi"} <= set(outcomes)
+    assert outcomes.count("weights") == 39 and {"lie", "jacobi"} <= set(outcomes)
 
 
 def test_ce_boundary_examples():
@@ -234,12 +241,15 @@ def test_rescaled_basis_keeps_weight_tables_and_boundary_squares_to_zero():
         while scale == 1:  # redraw the rare scaling whose brackets stay integral
             h = rescaled(g, rng)
             scale = lcm(*(q.denominator for vec in h.brackets.values() for q in vec.values()))
-        adjacency = _adjacency(h)
-        assert {(i, j) for i, (_, row) in enumerate(adjacency) for j in row} == set(h.brackets)
-        for i, (partners, row) in enumerate(adjacency):
-            assert partners == sum(1 << j for j in row)
+        table = h._partners
+        for i, j in h.brackets:  # one vector object per pair, held at both ends
+            assert table[i][1][j] is table[j][1][i]
+        # an entry for each nonzero bracket and none for a zero one, at either end
+        assert {(min(i, j), max(i, j)) for i, (_, row) in enumerate(table) for j in row} == set(h.brackets)
+        for i, (partners, row) in enumerate(table):
+            assert partners == sum(1 << j for j in row if j > i)
             for j, vec in row.items():
-                assert vec == {k: scale * q for k, q in h.bracket_basis(i, j).items()}
+                assert vec == {k: scale * q for k, q in h.bracket_basis(min(i, j), max(i, j)).items()}
                 assert all(type(v) is int for v in vec.values())
         for d in range(g.dim + 1):
             assert weighted_betti(h, d) == weighted_betti(g, d)

@@ -131,6 +131,10 @@ def test_schur_rejects_non_characters():
     with pytest.raises(NotCharacterError):
         # symmetric, but V(2,0) - V(1,1): negative only at a weight outside the support
         schur_decompose_gl2(WeightModule(2, {(2, 0): 1, (0, 2): 1}))
+    with pytest.raises(TypeError, match="0.5"):
+        WeightModule(2, {(1, 0.5): 1, (0.5, 1): 1})  # a weight entry that is not an int
+    with pytest.raises(TypeError, match="1.5"):
+        WeightModule(2, {(1, 0): 1.5, (0, 1): 1.5})  # a multiplicity that is not an int
 
 
 def test_action_matrix_std_and_dual():
