@@ -34,9 +34,11 @@ rests on, and no path builds an algebra without them.
 Practical envelope: the full Betti vector of F(6,2), dimension 21, takes
 about 2-2.5 s and 23 MB, and the degree-3 weight table of IA(3,4),
 dimension 87, about 8-9 s and 61 MB (2-core Xeon VM, Python 3.11);
-per-weight blocks reach further.  All values immutable, all functions
-pure; cached derived data is memoized idempotently, so concurrent use is
-safe.
+per-weight blocks reach further.  A degree d whose C(dim, d) wedges pass
+_MAX_WEDGES (10^7) is refused with ValueError before any wedge is listed,
+and betti_numbers checks its widest degree before it ranks any.  All
+values immutable, all functions pure; cached derived data is memoized
+idempotently, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -44,12 +46,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import lcm
+from math import comb, lcm
 from typing import Iterator, Mapping
 
 from .exact_linalg import RationalMatrix, _add, _add_scaled, _as_fraction, _eliminate, row_space_basis
 from .exact_linalg import rank  # noqa: F401 - perfbench wraps it by name
-from .free_lie import HallBasis, bracket_coordinates, hall_basis
+from .free_lie import HallBasis, hall_basis
 from .free_lie import bracket  # noqa: F401 - perfbench wraps it by name
 
 __all__ = [
@@ -65,26 +67,28 @@ __all__ = [
 
 Weight = tuple[int, ...]
 
+_MAX_WEDGES = 10**7  # wedges in one degree; a degree with more is refused, not enumerated
+
 
 class GradedLieAlgebra:
     """Finite-dimensional Lie algebra over Q with a multiweight on each basis vector.
 
-    Structure constants are stored for index pairs i < j only; antisymmetry
+    Structure constants are given for index pairs i < j only; antisymmetry
     is implicit.  Weights are tuples of ints.  Construction verifies the
     Jacobi identity on all basis triples and additivity of multiweights
     under the bracket, so instances are Lie algebras by certificate, not by
     convention.  The constructor is the only way to build one, and it has
     no switch that skips the checks.
 
-    ``_partners`` is the bracket table over the integers, which the Jacobi
-    check, boundary assembly and aut's map certificates read.  With S the
-    lcm of every bracket denominator, ``_partners[i]`` holds the bitmask of
-    the j > i with [e_i, e_j] != 0 and the dict {j: S [e_min(i,j), e_max(i,j)]}
-    over every j != i with a nonzero bracket.  A pair's vector is one dict
-    object at both ends, so [e_i, e_j] = sign(j - i) vec / S.
+    The one bracket table held is ``_partners``, over the integers, and
+    ``brackets`` and ``bracket_basis`` return new copies read from it.  With
+    S = ``_scale`` the lcm of the bracket denominators, ``_partners[i]`` is
+    the bitmask of the j > i with [e_i, e_j] != 0 and the dict
+    {j: S [e_min(i,j), e_max(i,j)]} over the j with a nonzero bracket, one
+    dict object per pair at both ends, so [e_i, e_j] = sign(j - i) vec / S.
     """
 
-    __slots__ = ("labels", "weights", "brackets", "weight_length", "hall", "_partners", "_cache")
+    __slots__ = ("labels", "weights", "weight_length", "hall", "_partners", "_scale", "_cache")
 
     def __init__(
         self,
@@ -122,20 +126,19 @@ class GradedLieAlgebra:
                 table[(i, j)] = clean
         self.labels = tuple(labels)
         self.weights = tuple(tuple(w) for w in weights)
-        self.brackets = table
         self.weight_length = weight_length
         self.hall = hall
         # memoized derived data (weight blocks, Betti tables) and the
         # generator-symmetry certificate; recomputing under a race is harmless
         # because the values are deterministic
         self._cache: dict = {}
-        self._check_weights()
-        scale = lcm(*(q.denominator for vec in table.values() for q in vec.values()))
+        self._check_weights(table)
+        scale = self._scale = lcm(*(q.denominator for vec in table.values() for q in vec.values()))
         rows: list[dict[int, dict[int, int]]] = [{} for _ in range(m)]
         for (i, j), vec in table.items():
             rows[i][j] = rows[j][i] = {k: q.numerator * (scale // q.denominator) for k, q in vec.items()}
         self._partners = [(sum(1 << j for j in row if j > i), row) for i, row in enumerate(rows)]
-        self._check_jacobi()
+        self._check_jacobi(table)
 
     @property
     def dim(self) -> int:
@@ -145,21 +148,20 @@ class GradedLieAlgebra:
         """Filtration degree of a basis vector: its total multiweight."""
         return sum(self.weights[i])
 
+    @property
+    def brackets(self) -> dict[tuple[int, int], dict[int, Fraction]]:
+        """The nonzero [e_i, e_j], i < j, as a new dict of sparse coordinate vectors."""
+        return {(i, j): self.bracket_basis(i, j) for i, (_, row) in enumerate(self._partners) for j in row if j > i}
+
     def bracket_basis(self, i: int, j: int) -> dict[int, Fraction]:
-        """[e_i, e_j] as a sparse coordinate vector."""
-        if i == j:
-            return {}
-        if i < j:
-            return self.brackets.get((i, j), {})
-        vec = self.brackets.get((j, i))
-        return {k: -q for k, q in vec.items()} if vec else {}
+        """[e_i, e_j] as a new sparse coordinate vector; both indices must lie in range(dim)."""
+        if not (0 <= i < self.dim and 0 <= j < self.dim):
+            raise ValueError(f"basis index pair ({i}, {j}) outside range({self.dim})")
+        s = self._scale if i < j else -self._scale
+        return {k: Fraction(q, s) for k, q in self._partners[i][1].get(j, {}).items()}
 
-    def bracket_vectors(self, a: Mapping[int, Fraction], b: Mapping[int, Fraction]) -> dict[int, Fraction]:
-        """Bilinear extension of the bracket to sparse coordinate vectors."""
-        return bracket_coordinates(self.brackets, a, b)
-
-    def _check_weights(self) -> None:
-        for (i, j), vec in self.brackets.items():
+    def _check_weights(self, table: Mapping[tuple[int, int], Mapping[int, Fraction]]) -> None:
+        for (i, j), vec in table.items():
             expected = tuple(a + b for a, b in zip(self.weights[i], self.weights[j]))
             for k in vec:
                 if self.weights[k] != expected:
@@ -167,7 +169,7 @@ class GradedLieAlgebra:
                         f"bracket [{self.labels[i]}, {self.labels[j]}] is not weight-additive"
                     )
 
-    def _check_jacobi(self) -> None:
+    def _check_jacobi(self, table: Mapping[tuple[int, int], Mapping[int, Fraction]]) -> None:
         """Raise on the lexicographically first basis triple whose Jacobiator is nonzero.
 
         The Jacobiator is alternating, so on a triple i < j < k it is
@@ -179,7 +181,7 @@ class GradedLieAlgebra:
         """
         partners = self._partners
         jacobiators: dict[tuple[int, int, int], dict[int, int]] = {}
-        for a, b in self.brackets:
+        for a, b in table:
             for l, q in partners[a][1][b].items():
                 for c, outer in partners[l][1].items():
                     coeff = q if c > l else -q  # [e_l, e_c] = sign(c - l) outer / S
@@ -354,6 +356,7 @@ def _blocks(g: GradedLieAlgebra, d: int) -> dict[Weight, tuple[int, int]]:
     cached = g._cache.get(("blocks", d))
     if cached is not None:
         return cached
+    _check_wedge_count(g, d)
     out: dict[Weight, tuple[int, int]] = {}
     buckets = _wedge_buckets(g, d, _permutes_generators(g))
     for weight in list(buckets):
@@ -362,6 +365,16 @@ def _blocks(g: GradedLieAlgebra, d: int) -> dict[Weight, tuple[int, int]]:
         out[weight] = (len(masks), len(pivots))
     g._cache[("blocks", d)] = out
     return out
+
+
+def _check_wedge_count(g: GradedLieAlgebra, d: int) -> None:
+    """Raise ValueError when degree d has more than _MAX_WEDGES wedges."""
+    count = comb(g.dim, d)
+    if count > _MAX_WEDGES:
+        raise ValueError(
+            f"degree {d} of a {g.dim}-dimensional algebra has {count:,} wedges,"
+            f" above the limit of {_MAX_WEDGES:,} per degree"
+        )
 
 
 def _orbit(w: Weight) -> Iterator[Weight]:
@@ -396,6 +409,8 @@ def betti_number(g: GradedLieAlgebra, d: int) -> int:
 
 
 def betti_numbers(g: GradedLieAlgebra) -> list[int]:
+    """Every Betti number, once the widest degree has passed the wedge limit."""
+    _check_wedge_count(g, g.dim // 2)
     return [betti_number(g, d) for d in range(g.dim + 1)]
 
 
@@ -429,9 +444,9 @@ def weighted_betti(g: GradedLieAlgebra, d: int) -> dict[Weight, int]:
             for w, b in weighted_betti(g, g.dim - d).items():
                 out[tuple(a - x for a, x in zip(total, w))] = b
         else:
-            blocks_up = _blocks(g, d + 1)
+            blocks, blocks_up = _blocks(g, d), _blocks(g, d + 1)  # degree d is refused first
             symmetric = _permutes_generators(g)
-            for w, (count, r) in _blocks(g, d).items():
+            for w, (count, r) in blocks.items():
                 b = count - r - blocks_up.get(w, (0, 0))[1]
                 if b:
                     for image in _orbit(w) if symmetric else (w,):
@@ -450,10 +465,11 @@ def lower_central_series_dims(g: GradedLieAlgebra) -> list[int]:
         if len(dims) > g.dim + 1:
             raise ValueError("algebra is not nilpotent")
         produced: list[dict[int, Fraction]] = []
-        for i in range(g.dim):
-            gen = {i: Fraction(1)}
+        for i, (_, row) in enumerate(g._partners):
             for v in current:
-                w = g.bracket_vectors(gen, v)
+                w: dict[int, Fraction] = {}
+                for k, q in v.items():  # S [e_i, e_k] = sign(k - i) row[k]; S changes no span
+                    _add_scaled(w, row.get(k, {}), q if k > i else -q)
                 if w:
                     produced.append(w)
         if not produced:

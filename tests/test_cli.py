@@ -109,17 +109,35 @@ def test_bch_names_the_coefficient_it_cannot_print(monkeypatch, capsys):
     assert "set_int_max_str_digits" not in err
 
 
-def test_bch_refuses_an_exponent_at_once():
-    # in a child process, so a parser that expands the exponent fails the timeout instead of hanging
+def run_child_at_once(argv):
+    """Run nilhom in a child process that must finish within 1 s.
+
+    Work that would not finish fails the 10 s timeout instead of hanging the suite.
+    """
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    argv = ["bch", "-r", "2", "-c", "3", "--u", "1:1e999999999", "--v", "2:1", "--no-cache"]
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "nilhom.cli", *argv], env=env, capture_output=True, text=True, timeout=10
     )
     assert time.perf_counter() - start < 1
+    return proc
+
+
+def test_bch_refuses_an_exponent_at_once():
+    proc = run_child_at_once(["bch", "-r", "2", "-c", "3", "--u", "1:1e999999999", "--v", "2:1", "--no-cache"])
     assert proc.returncode == 1
     assert "item '1:1e999999999'" in proc.stderr
+
+
+def test_betti_refuses_a_degree_past_the_wedge_limit_at_once():
+    # all degrees of the 33-dimensional IA(3,3): the widest is refused before any is ranked
+    proc = run_child_at_once(["betti", "ia", "-r", "3", "-c", "3", "--no-cache"])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "nilhom: error: degree 16 of a 33-dimensional algebra has 1,166,803,110 wedges,"
+        " above the limit of 10,000,000 per degree\n"
+    )
 
 
 def test_bch_reads_integers_fractions_and_decimals(monkeypatch):

@@ -11,7 +11,9 @@ import pytest
 from nilhom.aut import _certify_generator_symmetry, ia_lie_algebra
 from nilhom.exact_linalg import RationalMatrix, rank
 from nilhom.free_lie import hall_basis, witt_dimension
+from nilhom import lie_homology
 from nilhom.lie_homology import (
+    _MAX_WEDGES,
     GradedLieAlgebra,
     _block_rows,
     _orbit,
@@ -330,6 +332,106 @@ def test_lower_central_series():
     assert lower_central_series_dims(g) == [5, 3, 2, 0]
     assert nilpotency_class(g) == 3
     assert layer == [2, 1, 2]
+    # brackets with denominators are read S times each, which changes no span
+    h = rescaled(free_nilpotent_lie(2, 4), random.Random(4))
+    assert any(q.denominator > 1 for vec in h.brackets.values() for q in vec.values())
+    assert lower_central_series_dims(h) == lower_central_series_dims(free_nilpotent_lie(2, 4)) == [8, 6, 5, 3, 0]
+    assert nilpotency_class(h) == 4
+
+
+def one_table_cases():
+    """(an algebra, the table it was built from, zeros included) for F(3,3), IA(3,3) and a rescaled F(2,4)."""
+    f = free_nilpotent_lie(3, 3)
+    cases = [(f, f.hall.structure_constants())]
+    for g in (ia_lie_algebra(3, 3), rescaled(free_nilpotent_lie(2, 4), random.Random(4))):
+        table = {key: {**vec, g.dim - 1: 0} for key, vec in g.brackets.items()}  # an explicit zero coefficient
+        table[next(pair for pair in combinations(range(g.dim), 2) if pair not in table)] = {0: Fraction(0)}
+        cases.append((GradedLieAlgebra(g.labels, g.weights, table, g.weight_length), table))
+    return cases
+
+
+def test_brackets_are_the_input_table_read_from_the_one_integer_table():
+    for g, table in one_table_cases():
+        expected = {key: {k: Fraction(q) for k, q in vec.items() if q} for key, vec in table.items()}
+        expected = {key: vec for key, vec in expected.items() if vec}
+        brackets = g.brackets
+        assert brackets == expected
+        assert all(type(q) is Fraction for vec in brackets.values() for q in vec.values())
+        for i in range(g.dim):
+            for j in range(g.dim):
+                vec = g.bracket_basis(i, j)
+                if i < j:
+                    assert vec == brackets.get((i, j), {})
+                else:
+                    assert vec == {k: -q for k, q in brackets.get((j, i), {}).items()}
+        for i, j in ((-1, 0), (0, -1), (0, g.dim), (g.dim, 0)):
+            with pytest.raises(ValueError, match="outside range"):
+                g.bracket_basis(i, j)
+
+
+def test_editing_returned_brackets_leaves_the_algebra_unchanged():
+    # brackets and bracket_basis hand out copies: clearing or editing them must
+    # reach no later bracket, lower central series or homology
+    for g, table in one_table_cases():
+        fresh = GradedLieAlgebra(g.labels, g.weights, table, g.weight_length)
+        pairs = list(combinations(range(g.dim), 2))
+        before = {pair: g.bracket_basis(*pair) for pair in pairs}
+        first = next(iter(g.brackets))
+        edited = g.brackets
+        edited[first][g.dim - 1] = Fraction(7)
+        edited[(0, 1)] = {0: Fraction(1)}
+        g.brackets.clear()
+        g.bracket_basis(*first).clear()
+        g.bracket_basis(first[1], first[0])[0] = Fraction(5)
+        assert {pair: g.bracket_basis(*pair) for pair in pairs} == before
+        assert lower_central_series_dims(g) == lower_central_series_dims(fresh)
+        for d in range(3):
+            assert weighted_betti(g, d) == weighted_betti(fresh, d)
+
+
+def test_wedge_limit_refuses_a_degree_before_listing_it(monkeypatch):
+    # the documented envelope stays inside the limit: IA(3,4) in degree 3 needs
+    # its degree-4 wedges, and F(2,6)'s full vector its degree-11 ones
+    assert comb(87, 4) == 2_225_895 <= _MAX_WEDGES < comb(87, 5)
+    assert comb(23, 11) == 1_352_078 <= _MAX_WEDGES
+    ia = ia_lie_algebra(3, 3)
+    fresh = GradedLieAlgebra(ia.labels, ia.weights, ia.brackets)
+    for g in (ia, fresh):
+        with pytest.raises(ValueError, match=r"^degree 16 of a 33-dimensional algebra has 1,166,803,110 wedges"):
+            betti_numbers(g)
+    assert not fresh._cache  # refused before any degree was ranked
+    with pytest.raises(ValueError, match=r"^degree 5 of a 87-dimensional algebra has 36,949,857 wedges, above the limit of 10,000,000"):
+        weighted_betti(ia_lie_algebra(3, 4), 5)
+    # at the limit a degree is ranked, one wedge above it is refused
+    f = free_nilpotent_lie(2, 3)
+    monkeypatch.setattr(lie_homology, "_MAX_WEDGES", comb(5, 2))
+    assert betti_numbers(GradedLieAlgebra(f.labels, f.weights, f.brackets)) == betti_numbers(f)
+    monkeypatch.setattr(lie_homology, "_MAX_WEDGES", comb(5, 2) - 1)
+    fresh = GradedLieAlgebra(f.labels, f.weights, f.brackets)
+    for call in (betti_numbers, lambda g: betti_number(g, 2), lambda g: weighted_betti(g, 1)):
+        with pytest.raises(ValueError, match=r"^degree 2 of a 5-dimensional algebra has 10 wedges, above the limit of 9 per degree$"):
+            call(fresh)
+    assert weighted_betti(fresh, 0) == {(0, 0): 1}
+
+
+def test_euler_characteristic_of_each_weight_matches_wedge_counts():
+    # for each weight w, sum_d (-1)^d b_d(w) = sum_d (-1)^d #{d-wedges of weight w}:
+    # ranks telescope out, so this checks the symmetry spread, the duality map
+    # and that every bucket was counted, against combinations() alone
+    algebras = (
+        free_nilpotent_lie(3, 3), free_nilpotent_lie(2, 5), free_nilpotent_lie(5, 2),
+        ia_lie_algebra(2, 4), ia_lie_algebra(3, 2), rescaled(free_nilpotent_lie(2, 4), random.Random(4)),
+    )
+    for g in algebras:
+        homology, wedges = {}, {}
+        for d in range(g.dim + 1):
+            for w, b in weighted_betti(g, d).items():
+                homology[w] = homology.get(w, 0) + (-1) ** d * b
+            for combo in combinations(range(g.dim), d):
+                w = tuple(sum(g.weights[i][t] for i in combo) for t in range(g.weight_length))
+                wedges[w] = wedges.get(w, 0) + (-1) ** d
+        nonzero = {w: x for w, x in wedges.items() if x}
+        assert {w: x for w, x in homology.items() if x} == nonzero
 
 
 def test_zero_algebra():
