@@ -264,7 +264,6 @@ def derivation_from_images(algebra: GradedLieAlgebra, images: Mapping[int, LieEl
         if any(len(w) < 2 for w in img.coords):
             raise ValueError("generator images must have coordinates in degrees 2..c only")
         assigned[pos] = {basis.index[w]: q for w, q in img.coords.items()}
-    table = basis.structure_constants()
     columns: list[dict[int, Fraction]] = []
     for col, word in enumerate(basis.elements):
         if len(word) == 1:
@@ -273,9 +272,9 @@ def derivation_from_images(algebra: GradedLieAlgebra, images: Mapping[int, LieEl
             # D[e_u, e_v] = [D e_u, e_v] + [e_u, D e_v]
             u, v = basis.factorization[word]
             u, v = basis.index[u], basis.index[v]
-            value = bracket_coordinates(table, columns[u], {v: _ONE}) if columns[u] else {}
+            value = bracket_coordinates(basis, columns[u], {v: _ONE}) if columns[u] else {}
             if columns[v]:
-                for k, q in bracket_coordinates(table, {u: _ONE}, columns[v]).items():
+                for k, q in bracket_coordinates(basis, {u: _ONE}, columns[v]).items():
                     _add(value, k, q)
         columns.append(value)
     return DerivationMatrix(algebra, RationalMatrix._from_columns(algebra.dim, columns))

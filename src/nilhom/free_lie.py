@@ -13,7 +13,13 @@ The expansion of a Lyndon bracketing is its own word plus lexicographically
 larger words of the same multidegree, so the solve is a unit-triangular
 forward substitution; a remainder whose smallest word is not Lyndon
 certifies that the input was not a Lie element, so the projection certifies
-every constant.
+every constant.  The constants are held in rows, in the format of
+lie_homology's ``GradedLieAlgebra._partners``: row i is the dict
+{j: [e_min(i,j), e_max(i,j)]} over the j with a nonzero bracket, one dict per
+pair held at both ends, so [e_i, e_j] = sign(j - i) rows[i][j].  Only this
+module reads them: ``bracket_coordinates(basis, a, b)`` is the one sparse
+bracket on index-keyed coordinates, and ``structure_constants()`` returns a
+new i < j keyed copy.
 
 Lie elements and nilgroup's group elements hold the same data, sparse
 exact coordinates on the basis words, and share one base, ``_HallElement``,
@@ -108,11 +114,13 @@ class HallBasis:
     Elements are sorted by (degree, lexicographic word); every element of
     degree >= 2 factors as a bracket [u, v] of two earlier elements, the
     standard factorization taking v to be the lexicographically least
-    proper suffix.
+    proper suffix.  Instances are shared through ``hall_basis``: treat
+    ``index``, ``factorization`` and ``degree_start`` as read-only, as
+    ``RationalMatrix.entries`` is.
     """
 
     __slots__ = ("rank", "cls", "elements", "index", "factorization", "degree_start",
-                 "_expansions", "_structure")
+                 "_expansions", "_rows")
 
     def __init__(self, rank: int, cls: int) -> None:
         if rank < 0:
@@ -139,7 +147,7 @@ class HallBasis:
             factorization[w] = (w[:split], w[split:])
         self.factorization = factorization
         self._expansions: dict[Word, dict[Word, int]] = {}
-        self._structure: dict[tuple[int, int], dict[int, int]] | None = None
+        self._rows: list[dict[int, dict[int, int]]] | None = None
 
     def elements_of_degree(self, n: int) -> tuple[Word, ...]:
         if not 1 <= n <= self.cls:
@@ -153,8 +161,8 @@ class HallBasis:
             counts[letter - 1] += 1
         return tuple(counts)
 
-    def expansion(self, word: Word) -> dict[Word, int]:
-        """Image of the bracketing of ``word`` in the tensor algebra."""
+    def _expansion(self, word: Word) -> dict[Word, int]:
+        """Image of the bracketing of ``word`` in the tensor algebra: the cached dict itself."""
         cached = self._expansions.get(word)
         if cached is not None:
             return cached
@@ -164,33 +172,42 @@ class HallBasis:
             out = {word: 1}
         else:
             u, v = self.factorization[word]
-            out = _commutator(self.expansion(u), self.expansion(v))
+            out = _commutator(self._expansion(u), self._expansion(v))
         self._expansions[word] = out
         return out
 
-    def structure_constants(self) -> dict[tuple[int, int], dict[int, int]]:
-        """Nonzero [e_i, e_j], i < j, keyed as GradedLieAlgebra.brackets; read-only.
+    def expansion(self, word: Word) -> dict[Word, int]:
+        """Image of the bracketing of ``word`` in the tensor algebra, as a new dict."""
+        return dict(self._expansion(word))
 
-        Built once by the certifying tensor route and published whole.  The
-        values are plain ints: the Lyndon basis is a Z-basis of the free Lie
-        ring, so the projection of an integer commutator, a unit-triangular
-        solve, has integer coordinates.  That is checked here, once.
+    def _bracket_rows(self) -> list[dict[int, dict[int, int]]]:
+        """The bracket table in rows: [e_i, e_j] = sign(j - i) ``rows[i][j]``; read-only.
+
+        Built once by the certifying tensor route and published whole, one
+        dict per nonzero pair held at both ends.  The values are plain ints:
+        the Lyndon basis is a Z-basis of the free Lie ring, so the projection
+        of an integer commutator, a unit-triangular solve, has integer
+        coordinates.  That is checked here, once.
         """
-        table = self._structure
-        if table is not None:
-            return table
-        table = {}
+        rows = self._rows
+        if rows is not None:
+            return rows
+        rows = [{} for _ in self.elements]
         for i, wi in enumerate(self.elements):
-            ti = self.expansion(wi)
+            ti = self._expansion(wi)
             for j in range(i + 1, self.degree_start[self.cls - len(wi) + 1]):
-                acc = _commutator(ti, self.expansion(self.elements[j]))
+                acc = _commutator(ti, self._expansion(self.elements[j]))
                 if acc:
                     coords = _lie_coords_from_tensor(self, acc)
-                    table[(i, j)] = {self.index[w]: q for w, q in coords.items()}
-        if any(type(q) is not int for vec in table.values() for q in vec.values()):
+                    rows[i][j] = rows[j][i] = {self.index[w]: q for w, q in coords.items()}
+        if any(type(q) is not int for row in rows for vec in row.values() for q in vec.values()):
             raise ArithmeticError("a structure constant of the Lyndon basis is not an integer")
-        self._structure = table
-        return table
+        self._rows = rows
+        return rows
+
+    def structure_constants(self) -> dict[tuple[int, int], dict[int, int]]:
+        """The nonzero [e_i, e_j], i < j, keyed as GradedLieAlgebra.brackets, as a new dict."""
+        return {(i, j): dict(vec) for i, row in enumerate(self._bracket_rows()) for j, vec in row.items() if i < j}
 
     def label(self, word: Word) -> str:
         return "".join(str(letter) for letter in word)
@@ -359,7 +376,7 @@ def generator(basis: HallBasis, letter: int) -> LieElement:
 def _expansion_dict(a: LieElement) -> dict[Word, Fraction]:
     out: dict[Word, Fraction] = {}
     for w, q in a.coords.items():
-        for word, n in a.basis.expansion(w).items():
+        for word, n in a.basis._expansion(w).items():
             _add(out, word, q * n)
     return out
 
@@ -381,17 +398,23 @@ def _lie_coords_from_tensor(basis: HallBasis, tensor: Mapping[Word, Fraction]) -
             )
         c = work[w]
         coords[w] = c
-        for word, n in basis.expansion(w).items():
+        for word, n in basis._expansion(w).items():
             _add(work, word, -c * n)
     return coords
 
 
-def bracket_coordinates(table: Mapping, a: Mapping[int, Fraction], b: Mapping[int, Fraction]) -> dict:
-    """[a, b] for index-keyed coordinate vectors, given brackets [e_i, e_j] keyed (i, j) with i < j."""
+def bracket_coordinates(basis: HallBasis, a: Mapping[int, Fraction], b: Mapping[int, Fraction]) -> dict:
+    """[a, b] for vectors keyed by index into ``basis``, read from its bracket rows.
+
+    Row i holds {j: [e_min(i,j), e_max(i,j)]} over the j with a nonzero
+    bracket, so [e_i, e_j] = sign(j - i) ``rows[i][j]``.
+    """
+    rows = basis._bracket_rows()
     out: dict[int, Fraction] = {}
     for i, qa in a.items():
+        row = rows[i]
         for j, qb in b.items():
-            vec = table.get((i, j)) if i < j else table.get((j, i))
+            vec = row.get(j)
             if vec:
                 c = qa * qb if i < j else -qa * qb
                 for k, q in vec.items():  # _add, inlined: this loop carries every BCH product
@@ -411,7 +434,7 @@ def bracket(a: LieElement, b: LieElement) -> LieElement:
     basis = a.basis
     index = basis.index
     out = bracket_coordinates(
-        basis.structure_constants(),
+        basis,
         {index[w]: q for w, q in a.coords.items()},
         {index[w]: q for w, q in b.coords.items()},
     )
@@ -467,14 +490,13 @@ def induced_map_lie(matrix, degree: int) -> RationalMatrix:
     letters = m.columns()
     src = hall_basis(m.cols, degree)
     dst = hall_basis(m.rows, degree)
-    table = dst.structure_constants()
     images: list[dict[int, Fraction]] = []
     for w in src.elements:
         if len(w) == 1:
             images.append(letters[w[0] - 1])
         else:
             u, v = src.factorization[w]
-            images.append(bracket_coordinates(table, images[src.index[u]], images[src.index[v]]))
+            images.append(bracket_coordinates(dst, images[src.index[u]], images[src.index[v]]))
     offset = dst.degree_start[degree]
     columns = [{k - offset: q for k, q in image.items()} for image in images[src.degree_start[degree]:]]
     return RationalMatrix._from_columns(len(dst.elements_of_degree(degree)), columns)

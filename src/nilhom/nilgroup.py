@@ -205,7 +205,6 @@ def multiply(u: MalcevElement, v: MalcevElement) -> MalcevElement:
     basis = u.basis
     start = basis.degree_start
     cls = basis.cls
-    table = basis.structure_constants()
     factorization = hall_basis(2, cls).factorization
     du, x = _cleared(u)
     dv, y = _cleared(v)
@@ -218,7 +217,7 @@ def multiply(u: MalcevElement, v: MalcevElement) -> MalcevElement:
             a, b = factorization[word]
             # image(w) starts in degree len(w): drop the terms whose bracket passes the class
             images[word] = bracket_coordinates(
-                table,
+                basis,
                 {k: n for k, n in images[a].items() if k < start[cls - len(b) + 1]},
                 {k: n for k, n in images[b].items() if k < start[cls - len(a) + 1]},
             )
@@ -275,9 +274,8 @@ def adjoint_matrix(u: MalcevElement) -> RationalMatrix:
     """Matrix of x -> [log u, x] on the Hall basis; strictly degree-raising."""
     basis = u.basis
     m = len(basis.elements)
-    table = basis.structure_constants()
     x = {basis.index[w]: q for w, q in u.coords.items()}
-    return RationalMatrix._from_columns(m, [bracket_coordinates(table, x, {j: Fraction(1)}) for j in range(m)])
+    return RationalMatrix._from_columns(m, [bracket_coordinates(basis, x, {j: Fraction(1)}) for j in range(m)])
 
 
 def center_basis(r: int, c: int) -> list[MalcevElement]:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from nilhom.aut import ia_lie_algebra
 from nilhom.exact_linalg import RationalMatrix
 from nilhom.free_lie import (
     LieElement,
@@ -12,6 +13,7 @@ from nilhom.free_lie import (
     TensorElement,
     _lie_coords_from_tensor,
     bracket,
+    bracket_coordinates,
     dynkin,
     expand_to_tensor,
     generator,
@@ -21,7 +23,8 @@ from nilhom.free_lie import (
     witt_dimension,
 )
 from nilhom.invariants import brute_lyndon_words
-from nilhom.lie_homology import free_nilpotent_lie
+from nilhom.lie_homology import free_nilpotent_lie, group_betti
+from nilhom.nilgroup import _bch_series, malcev_element, multiply
 
 
 def tensor_to_hall(t, basis):
@@ -402,3 +405,78 @@ def test_induced_map_rejects_ragged_rows():
         induced_map_lie([[1], [2, 3]], 1)
     with pytest.raises(ValueError, match="ragged rows"):
         induced_map_lie([[1, 2], [3]], 1)
+
+
+def test_bracket_coordinates_match_structure_constants():
+    # the tuple-keyed loop over the i < j table, written apart from the rows
+    rng = random.Random(808)
+    for r, c in ((2, 5), (3, 4), (4, 4)):
+        basis = hall_basis(r, c)
+        table = basis.structure_constants()
+        for _ in range(3):
+            a, b = ({i: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for i in range(len(basis))} for _ in "ab")
+            want = {}
+            for i, qa in a.items():
+                for j, qb in b.items():
+                    vec = table.get((i, j), {}) if i < j else {k: -q for k, q in table.get((j, i), {}).items()}
+                    for k, q in vec.items():
+                        want[k] = want.get(k, 0) + qa * qb * q
+            assert bracket_coordinates(basis, a, b) == {k: q for k, q in want.items() if q}
+
+
+# -- what hall_basis caches is out of its callers' reach -------------------------
+
+
+@pytest.fixture
+def clear_hall_caches():
+    """Empty every cache that holds a Hall basis or is built from one, before and after the test."""
+
+    def clear():
+        for cache in (hall_basis, free_nilpotent_lie, ia_lie_algebra, _bch_series):
+            cache.cache_clear()
+
+    clear()
+    yield clear
+    clear()
+
+
+def hall_results(r, c):
+    """Brackets, a BCH product, Lie^c of a map, the algebra and its Betti numbers, all read from hall_basis(r, c)."""
+    rng = random.Random(10 * r + c)
+    basis = hall_basis(r, c)
+    x, y = random_lie_element(rng, basis), random_lie_element(rng, basis)
+    units = [LieElement(basis, {w: 1}) for w in basis.elements]
+    return (
+        bracket(x, y),
+        [bracket(u, v) for u in units for v in units],
+        multiply(malcev_element(basis, x.coords), malcev_element(basis, y.coords)),
+        induced_map_lie([[rng.randint(-2, 2) for _ in range(r)] for _ in range(r)], c),
+        free_nilpotent_lie(r, c).brackets,
+        group_betti(r, c),
+    )
+
+
+def clear_table(basis):
+    basis.structure_constants().clear()
+
+
+def edit_table(basis):
+    for vec in basis.structure_constants().values():
+        for k in vec:
+            vec[k] *= 5
+
+
+def edit_expansion(basis):
+    basis.expansion((1, 2))[(9, 9)] = 5
+
+
+@pytest.mark.parametrize("mutate", [clear_table, edit_table, edit_expansion])
+@pytest.mark.parametrize("shape", [(2, 3), (3, 3)])
+def test_cached_basis_survives_what_callers_do_to_its_outputs(clear_hall_caches, shape, mutate):
+    want = hall_results(*shape)
+    clear_hall_caches()
+    basis = hall_basis(*shape)
+    mutate(basis)  # before anything else reads the fresh basis
+    assert hall_results(*shape) == want
+    assert expand_to_tensor(LieElement(basis, {(1, 2): 1})) == TensorElement(shape[0], {(1, 2): 1, (2, 1): -1})
+    assert basis.expansion((1, 2)) == {(1, 2): 1, (2, 1): -1}

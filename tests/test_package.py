@@ -4,8 +4,10 @@ The pytest process has already imported every nilhom module, so what a bare
 import loads can only be seen in a new process.
 """
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -162,3 +164,34 @@ def test_version_is_declared_once():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())
     assert "version" not in project["project"] and "version" in project["project"]["dynamic"]
     assert project["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "nilhom.__version__"}
+
+
+def _calls_by_function(tree, name):
+    """(innermost enclosing function, line) of each call to ``name`` or ``.name``."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "attr", getattr(func, "id", None)) == name:
+                    found.append((where, child.lineno))
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+            visit(child, inner)
+
+    visit(tree, None)
+    return found
+
+
+def test_hall_bracket_rows_stay_inside_free_lie():
+    # the Hall basis's bracket rows have one format, known only in free_lie:
+    # other modules pass the basis to bracket_coordinates, and the one caller
+    # of structure_constants() hands its copy to the GradedLieAlgebra constructor
+    readers, callers = [], []
+    for path in sorted((ROOT / "src" / "nilhom").glob("*.py")):
+        source = path.read_text()
+        if re.search(r"\b_(bracket_)?rows\b", source):
+            readers.append(path.stem)
+        callers += [(path.stem, where) for where, _ in _calls_by_function(ast.parse(source), "structure_constants")]
+    assert readers == ["free_lie"]
+    assert callers == [("lie_homology", "free_nilpotent_lie")]
