@@ -414,7 +414,7 @@ def test_bracket_coordinates_match_structure_constants():
         basis = hall_basis(r, c)
         table = basis.structure_constants()
         for _ in range(3):
-            a, b = ({i: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for i in range(len(basis))} for _ in "ab")
+            a, b = ({i: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for i in range(len(basis))} for _ in range(2))
             want = {}
             for i, qa in a.items():
                 for j, qb in b.items():
