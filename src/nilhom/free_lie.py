@@ -18,7 +18,7 @@ lie_homology's ``GradedLieAlgebra._partners``: row i is the dict
 {j: [e_min(i,j), e_max(i,j)]} over the j with a nonzero bracket, one dict per
 pair held at both ends, so [e_i, e_j] = sign(j - i) rows[i][j].  Only this
 module reads them: ``bracket_coordinates(basis, a, b)`` is the one sparse
-bracket on index-keyed coordinates, and ``structure_constants()`` returns a
+bracket on index-keyed coordinates, and ``structure_constants`` returns a
 new i < j keyed copy.
 
 Lie elements and nilgroup's group elements hold the same data, sparse
