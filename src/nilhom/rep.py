@@ -6,7 +6,7 @@ powers, tensor products, direct sums, and Hom out of the standard
 representation.  An expression evaluates at a rank to its torus-weight
 multiset; weight multiplicities determine a rational representation up to
 isomorphism, so the weight module is the equivariant fingerprint used for
-all comparisons.
+all comparisons.  It is counted without listing a basis.
 
 Irreducible multiplicities come from the Weyl character formula
 (Fulton-Harris, section 24): multiplying a symmetric weight multiset by
@@ -31,9 +31,11 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import Sequence, Union
 
 from .exact_linalg import RationalMatrix, _add, _as_matrix, _kron, invert
@@ -53,7 +55,6 @@ __all__ = [
     "WeightModule",
     "NotCharacterError",
     "evaluate",
-    "basis_weights",
     "action_matrix",
     "lie_interval",
     "weight_dominance_compare",
@@ -173,58 +174,63 @@ class WeightModule:
         return f"WeightModule(rank={self.rank}, dim={self.dimension})"
 
 
-def basis_weights(expr: ReprExpr, rank_: int) -> list[Weight]:
-    """Ordered basis weight labels of the evaluation at the given rank.
-
-    The order fixes the basis used by action_matrix: tensor factors pair
-    row-major, sums concatenate, exterior powers run over index
-    combinations in lexicographic order.
-    """
-    if rank_ < 1:
-        raise ValueError("rank must be at least 1")
-    zero = (0,) * rank_
-    if isinstance(expr, Std):
-        return [tuple(1 if t == i else 0 for t in range(rank_)) for i in range(rank_)]
-    if isinstance(expr, DualStd):
-        return [tuple(-1 if t == i else 0 for t in range(rank_)) for i in range(rank_)]
-    if isinstance(expr, Const):
-        return [zero] * expr.dimension
-    if isinstance(expr, Lie):
-        basis = hall_basis(rank_, expr.degree)
-        return [basis.multiweight(w) for w in basis.elements_of_degree(expr.degree)]
-    if isinstance(expr, Wedge):
-        inner = basis_weights(expr.inner, rank_)
-        return [
-            tuple(sum(ws) for ws in zip(zero, *(inner[i] for i in combo)))
-            for combo in combinations(range(len(inner)), expr.power)
-        ]
-    if isinstance(expr, Tensor):
-        left = basis_weights(expr.left, rank_)
-        right = basis_weights(expr.right, rank_)
-        return [tuple(a + b for a, b in zip(wl, wr)) for wl in left for wr in right]
-    if isinstance(expr, Sum):
-        return basis_weights(expr.left, rank_) + basis_weights(expr.right, rank_)
-    if isinstance(expr, HomStd):
-        return basis_weights(Tensor(DualStd(), expr.inner), rank_)
-    raise TypeError(f"not a representation expression: {expr!r}")
-
-
 def evaluate(expr: ReprExpr, rank_: int) -> WeightModule:
     """Dimension and torus-weight multiset of the evaluation at a rank."""
-    counts: dict[Weight, int] = {}
-    for w in basis_weights(expr, rank_):
-        counts[w] = counts.get(w, 0) + 1
-    return WeightModule(rank_, counts)
+    if rank_ < 1:
+        raise ValueError("rank must be at least 1")
+    return WeightModule(rank_, _weights(expr, rank_))
+
+
+def _weights(expr: ReprExpr, rank_: int) -> Counter:
+    """{weight: multiplicity} of the evaluation; no basis is listed.
+
+    Lambda^q visits each distinct inner weight w, of multiplicity m, once:
+    layer k, from q down to 1, gains t*w on a (k - t)-wedge in comb(m, t) ways.
+    """
+    if isinstance(expr, (Std, DualStd)):
+        sign = 1 if isinstance(expr, Std) else -1
+        return Counter(tuple(sign if t == i else 0 for t in range(rank_)) for i in range(rank_))
+    if isinstance(expr, Const):
+        return Counter({(0,) * rank_: expr.dimension})
+    if isinstance(expr, Lie):
+        basis = hall_basis(rank_, expr.degree)
+        return Counter(basis.multiweight(w) for w in basis.elements_of_degree(expr.degree))
+    if isinstance(expr, Wedge):
+        inner, q = _weights(expr.inner, rank_), expr.power
+        if q > sum(inner.values()):
+            return Counter()
+        layers = [Counter({(0,) * rank_: 1})] + [Counter() for _ in range(q)]
+        for w, m in inner.items():
+            ways = [comb(m, t) for t in range(min(q, m) + 1)]
+            for k in range(q, 0, -1):
+                for t in range(1, min(k, m) + 1):
+                    for v, count in layers[k - t].items():
+                        layers[k][tuple(a + t * b for a, b in zip(v, w))] += count * ways[t]
+        return layers[q]
+    if isinstance(expr, Tensor):
+        left, right = _weights(expr.left, rank_), _weights(expr.right, rank_)
+        out: Counter = Counter()
+        for wl, ml in left.items():
+            for wr, mr in right.items():
+                out[tuple(a + b for a, b in zip(wl, wr))] += ml * mr
+        return out
+    if isinstance(expr, Sum):
+        return _weights(expr.left, rank_) + _weights(expr.right, rank_)
+    if isinstance(expr, HomStd):
+        return _weights(Tensor(DualStd(), expr.inner), rank_)
+    raise TypeError(f"not a representation expression: {expr!r}")
 
 
 def action_matrix(expr: ReprExpr, matrix, rank_: int) -> RationalMatrix:
     """Matrix of an invertible r x r matrix acting on the evaluation.
 
-    Basis order is the one fixed by basis_weights.  The dual standard
-    representation acts by the inverse transpose; an exterior power sends
-    e_j1 ^ ... ^ e_jq to A e_j1 ^ ... ^ A e_jq, the wedge of the inner
-    action's columns.  The matrix is read here, once, not per
-    subexpression; a RationalMatrix is taken as it is.
+    Only this function fixes a basis: tensor factors pair row-major, sums
+    concatenate, exterior powers run over index combinations in
+    lexicographic order.  The dual standard representation acts by the
+    inverse transpose; an exterior power sends e_j1 ^ ... ^ e_jq to
+    A e_j1 ^ ... ^ A e_jq, the wedge of the inner action's columns.  The
+    matrix is read here, once, not per subexpression; a RationalMatrix is
+    taken as it is.
     """
     m = _as_matrix(matrix)
     if (m.rows, m.cols) != (rank_, rank_):
@@ -243,6 +249,8 @@ def _action(expr: ReprExpr, m: RationalMatrix) -> RationalMatrix:
         return induced_map_lie(m, expr.degree)
     if isinstance(expr, Wedge):
         inner = _action(expr.inner, m).columns()
+        if expr.power > len(inner):
+            return RationalMatrix(0, 0)
         row_index = {combo: i for i, combo in enumerate(combinations(range(len(inner)), expr.power))}
         columns = []
         for combo in combinations(range(len(inner)), expr.power):

@@ -140,6 +140,13 @@ def test_betti_refuses_a_degree_past_the_wedge_limit_at_once():
     )
 
 
+def test_coinv_counts_a_wide_wedge_at_once():
+    # C(33, 6) = 1,107,568 wedges, counted by weight rather than listed
+    proc = run_child_at_once(["coinv", "--expr", "wedge(6, hom(std, lie[2..3]))", "-r", "3", "--no-cache"])
+    assert proc.returncode == 0
+    assert '"dim":38' in proc.stdout
+
+
 def test_bch_reads_integers_fractions_and_decimals(monkeypatch):
     code, records = run_records(
         ["bch", "-r", "2", "-c", "2", "--u", "1:-0.5, 12 : 3/04", "--v", "2:2.,1:.25", "--no-cache"],

@@ -138,7 +138,7 @@ def test_every_public_name_resolves_to_its_object():
     # no name is public in two modules, so the lookup order cannot change an answer
     names = [x for m in PUBLIC_MODULES for x in report[m]]
     assert len(names) == len(set(names))
-    for name in ("row_space_basis", "bracket_coordinates", "basis_weights", "DominanceReport"):
+    for name in ("row_space_basis", "bracket_coordinates", "evaluate", "DominanceReport"):
         assert name in names
 
 
@@ -195,3 +195,11 @@ def test_hall_bracket_rows_stay_inside_free_lie():
         callers += [(path.stem, where) for where, _ in _calls_by_function(ast.parse(source), "structure_constants")]
     assert readers == ["free_lie"]
     assert callers == [("lie_homology", "free_nilpotent_lie")]
+
+
+def test_rep_lists_combinations_only_for_matrices_and_weyl_signs():
+    # weights are counted, not listed: only the action matrix's basis and the
+    # Weyl formula's inversion count call itertools.combinations in rep
+    tree = ast.parse((ROOT / "src" / "nilhom" / "rep.py").read_text())
+    callers = {where for where, _ in _calls_by_function(tree, "combinations")}
+    assert callers == {"_action", "_weyl_multiplicities"}

@@ -73,6 +73,16 @@ def test_wedge_dimensions_binomial():
     for q in range(5):
         assert evaluate(Wedge(q, Std()), 3).dimension == comb(3, q)
     assert evaluate(Wedge(2, Std()), 2).weights == {(1, 1): 1}
+    # a power above the dimension, and a power of a huge constant, are counted, not listed
+    assert evaluate(Wedge(2**61, Std()), 2).dimension == 0
+    assert evaluate(Wedge(2, Const(2**61)), 2).weights == {(0, 0): comb(2**61, 2)}
+
+
+def test_wedge_of_hom_is_counted_without_listing():
+    # the 1,107,568 wedges of Lambda^6 Hom(H, L_2 + L_3) at rank 3
+    expr = Wedge(6, HomStd(lie_interval(2, 3)))
+    assert evaluate(expr, 3).dimension == comb(33, 6)
+    assert coinvariants_dim(expr, 3) == 38
 
 
 def test_tensor_weight_convolution():
@@ -157,30 +167,6 @@ def test_action_matrix_multiplicative():
         assert lhs == rhs
 
 
-def test_action_of_diagonal_matches_weights():
-    # the reflection diag(-1, 1) acts on each basis vector by the parity of
-    # the first weight coordinate; this pins the basis order shared by
-    # basis_weights and action_matrix
-    from fractions import Fraction
-
-    refl = [[-1, 0], [0, 1]]
-    exprs = (
-        Std(),
-        DualStd(),
-        Lie(3),
-        Tensor(Std(), DualStd()),
-        Wedge(2, HomStd(lie_interval(2, 3))),
-    )
-    for expr in exprs:
-        weights = rep.basis_weights(expr, 2)
-        expected = RationalMatrix(
-            len(weights),
-            len(weights),
-            {(i, i): Fraction(-1 if w[0] % 2 else 1) for i, w in enumerate(weights)},
-        )
-        assert action_matrix(expr, refl, 2) == expected
-
-
 def test_wedge_entries_are_minors():
     # each entry of Lambda^q(A) is the q x q minor of the inner action on the
     # matching row and column combinations, taken by the independent
@@ -223,6 +209,7 @@ def test_wedge_entries_are_minors():
             assert top == RationalMatrix(1, 1, {(0, 0): determinant(inner)})
             assert action_matrix(Wedge(0, expr), a, r) == RationalMatrix.identity(1)
             assert action_matrix(Wedge(n + 1, expr), a, r) == RationalMatrix(0, 0)
+            assert action_matrix(Wedge(2**61, expr), a, r) == RationalMatrix(0, 0)
     assert singular_seen >= 6
 
 
@@ -252,7 +239,7 @@ def matrix_coinvariants(expr, r, reflection=True):
     ]
     if reflection:
         gens.append([[(-1 if a == 0 else 1) if a == b else 0 for b in range(r)] for a in range(r)])
-    dim = len(rep.basis_weights(expr, r))
+    dim = evaluate(expr, r).dimension
     if dim == 0:
         return 0
     eye = RationalMatrix.identity(dim)
@@ -353,6 +340,27 @@ def test_weyl_multiplicities_on_random_expressions(expr, r):
     if r == 3:
         assert sum(m * weyl_dimension(lam) for lam, m in multiplicities.items()) == module.dimension
     assert coinvariants_dim(expr, r) == matrix_coinvariants(expr, r)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(EXPRS, st.sampled_from((2, 3)))
+def test_diagonal_action_has_the_evaluated_weights(expr, r):
+    # diag(2, 3[, 5]) scales a vector of weight w by prod p_i^w_i, distinct
+    # for distinct weights; the action matrix, which builds its own basis,
+    # is diagonal with exactly these eigenvalues, counted by evaluate
+    n = expr_dimension(expr, r)
+    assume(n <= 120)
+    primes = (2, 3, 5)[:r]
+    action = action_matrix(expr, [[p if i == j else 0 for j in range(r)] for i, p in enumerate(primes)], r)
+    assert (action.rows, action.cols) == (n, n)
+    assert all(i == j for i, j in action.entries)
+    eigenvalues = [action.entry(i, i) for i in range(n)]
+    expected = [
+        prod(Fraction(p) ** x for p, x in zip(primes, w))
+        for w, mult in evaluate(expr, r).weights.items()
+        for _ in range(mult)
+    ]
+    assert sorted(eigenvalues) == sorted(expected)
 
 
 def test_degree_estimate():
