@@ -16,7 +16,11 @@ certificate aut.ia_lie_algebra has checked, a permutation of the
 generators carries each weight block onto the block of the permuted
 weight, so only non-increasing weights are computed; and when no basis
 weight is zero the algebra is unimodular, so Poincare duality gives the
-degrees above half the dimension.
+degrees above half the dimension, and in even dimension n the ranks of
+degree n/2 + 1 as well, which is never listed.  Degrees ranked in turn
+are chained: the rows of degree d - 1's pivot columns are left out of
+degree d's blocks, which keeps their ranks.  Only the latest degree's
+pivot columns are held, each block's packed into one bytes string.
 
 A wedge e_i1 ^ ... ^ e_id is held as the int bitmask 2^i1 + ... + 2^id
 from enumeration through assembly: weight buckets list masks, a sign is
@@ -32,7 +36,7 @@ always checks weight additivity and the Jacobi identity, which d^2 = 0
 rests on, and no path builds an algebra without them.
 
 Practical envelope: the full Betti vector of F(6,2), dimension 21, takes
-about 2-2.5 s and 23 MB, and the degree-3 weight table of IA(3,4),
+about 2-2.5 s and 23-24 MB, and the degree-3 weight table of IA(3,4),
 dimension 87, about 8-9 s and 61 MB (2-core Xeon VM, Python 3.11);
 per-weight blocks reach further.  A degree d whose C(dim, d) wedges pass
 _MAX_WEDGES (10^7) is refused with ValueError before any wedge is listed,
@@ -47,7 +51,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, lcm
-from typing import Iterator, Mapping
+from typing import AbstractSet, Iterator, Mapping
 
 from .exact_linalg import RationalMatrix, _add, _add_scaled, _as_fraction, _eliminate, row_space_basis
 from .exact_linalg import rank  # noqa: F401 - perfbench wraps it by name
@@ -302,8 +306,8 @@ def _wedge_buckets(g: GradedLieAlgebra, d: int, dominant: bool) -> dict[Weight, 
     return {weight(key): bucket for key, bucket in buckets.items() if bucket is not None}
 
 
-def _block_rows(g: GradedLieAlgebra, masks: list[int]) -> list[dict[int, int]]:
-    """The integer rows of S times the boundary on the d-wedges ``masks``.
+def _block_rows(g: GradedLieAlgebra, masks: list[int], skip: AbstractSet[int] = frozenset()) -> list[dict[int, int]]:
+    """The integer rows of S times the boundary on the d-wedges ``masks``, less the rows in ``skip``.
 
     S is the bracket scale of g._partners, which changes no rank.  Column
     c is the wedge masks[c]; the boundary of x_1 ^ ... ^ x_d is the sum
@@ -312,8 +316,9 @@ def _block_rows(g: GradedLieAlgebra, masks: list[int]) -> list[dict[int, int]]:
     member i, the partners of i inside the wedge.  Positions are bit
     counts of the mask below an index, and each term is added straight
     into the row of its (d-1)-wedge, made when that wedge's mask is first
-    reached.  An entry that cancels to 0 is deleted, so a row can be left
-    empty.
+    reached; a term whose (d-1)-wedge is in ``skip`` is dropped, so that
+    row is never built.  An entry that cancels to 0 is deleted, so a row
+    can be left empty.
     """
     table = g._partners
     rows: dict[int, dict[int, int]] = {}  # by target mask, in the order first reached
@@ -338,9 +343,11 @@ def _block_rows(g: GradedLieAlgebra, masks: list[int]) -> list[dict[int, int]]:
                         continue  # a repeated vector: the term is zero
                     # the sign of moving e_k into place is (-1)^(members of rest below k)
                     coeff = -q if (parity + (rest & (bit_k - 1)).bit_count()) & 1 else q
-                    row = rows.get(rest | bit_k)
+                    target = rest | bit_k
+                    row = rows.get(target)
                     if row is None:
-                        rows[rest | bit_k] = {col: coeff}
+                        if target not in skip:
+                            rows[target] = {col: coeff}
                     else:
                         _add(row, col, coeff)
     return list(rows.values())
@@ -352,17 +359,40 @@ def _blocks(g: GradedLieAlgebra, d: int) -> dict[Weight, tuple[int, int]]:
     For an algebra whose generators may be permuted, only the blocks of
     non-increasing weights are computed: a permutation of the generators
     carries each block isomorphically onto the block of the permuted weight.
+
+    Degrees are chained (Kaczynski-Mrozek-Slusarek, Comput. Math. Appl. 35,
+    1998).  Let P be the pivot columns of the degree-(d-1) boundary on
+    block w.  Then C_{d-1}(w) = ker ∂_{d-1} ⊕ span(P), and im ∂_d lies in
+    ker ∂_{d-1}, which meets no nonzero vector supported on P; so deleting
+    P's rows keeps the rank of ∂_d, and when degree d - 1's pivots are
+    still held those rows are never built.  The reduced matrix has the
+    column dependencies of ∂_d, so its pivot columns are again a valid P
+    for degree d + 1.  Each block's pivot columns are held
+    as one bytes string, ceil(dim/8) little-endian bytes a wedge mask,
+    decoded into a set for one block at a time; only the latest degree
+    ranked keeps them in g._cache, so degree d - 1's go once degree d is
+    ranked.  When none are held for degree d - 1, P is empty.
     """
     cached = g._cache.get(("blocks", d))
     if cached is not None:
         return cached
     _check_wedge_count(g, d)
+    held_degree, held = g._cache.get("pivots", (None, {}))
+    if held_degree != d - 1:
+        held = {}
+    width = max(1, -(-g.dim // 8))
     out: dict[Weight, tuple[int, int]] = {}
+    kept: dict[Weight, bytes] = {}
     buckets = _wedge_buckets(g, d, _permutes_generators(g))
     for weight in list(buckets):
         masks = buckets.pop(weight)  # each bucket is freed once its block is ranked
-        pivots = _eliminate(_block_rows(g, masks), len(masks))
+        packed = held.get(weight, b"")
+        skip = {int.from_bytes(packed[i : i + width], "little") for i in range(0, len(packed), width)}
+        pivots = _eliminate(_block_rows(g, masks, skip), len(masks))
         out[weight] = (len(masks), len(pivots))
+        if pivots:
+            kept[weight] = b"".join(masks[c].to_bytes(width, "little") for _, c in pivots)
+    g._cache["pivots"] = (d, kept)
     g._cache[("blocks", d)] = out
     return out
 
@@ -429,8 +459,13 @@ def weighted_betti(g: GradedLieAlgebra, d: int) -> dict[Weight, int]:
     Only weights with nonzero homology appear, in increasing order; the
     values sum to betti_number(g, d).  For a unimodular algebra the upper
     half is read off by Poincare duality, which pairs weight w in degree d
-    with the total weight minus w in degree dim - d.  Each degree's table
-    is memoized on g; callers get a copy.
+    with the total weight minus w in degree dim - d.  The same duality
+    makes the boundary on k-wedges of weight w the transpose of the
+    boundary on (dim + 1 - k)-wedges of weight total - w, so at d = dim/2
+    the rank of the degree-(d + 1) boundary on w is read off degree d at
+    total - w, at its non-increasing rearrangement when the generators
+    permute, and degree d + 1 is never listed.  Each degree's table is
+    memoized on g; callers get a copy.
     """
     if d < 0:
         raise ValueError("degree must be non-negative")
@@ -439,15 +474,23 @@ def weighted_betti(g: GradedLieAlgebra, d: int) -> dict[Weight, int]:
     table = g._cache.get(("betti", d))
     if table is None:
         out: dict[Weight, int] = {}
-        if 2 * d > g.dim and _is_unimodular(g):
-            total = tuple(map(sum, zip(*g.weights)))
+        unimodular = _is_unimodular(g)
+        total = tuple(map(sum, zip(*g.weights)))
+        symmetric = _permutes_generators(g)
+        if 2 * d > g.dim and unimodular:
             for w, b in weighted_betti(g, g.dim - d).items():
                 out[tuple(a - x for a, x in zip(total, w))] = b
         else:
-            blocks, blocks_up = _blocks(g, d), _blocks(g, d + 1)  # degree d is refused first
-            symmetric = _permutes_generators(g)
+            blocks = _blocks(g, d)  # degree d is refused first
+            if 2 * d == g.dim and unimodular:
+                ranks_up = {}
+                for w in blocks:
+                    dual = tuple(a - x for a, x in zip(total, w))
+                    ranks_up[w] = blocks.get(tuple(sorted(dual, reverse=True)) if symmetric else dual, (0, 0))[1]
+            else:
+                ranks_up = {w: r for w, (_, r) in _blocks(g, d + 1).items()}
             for w, (count, r) in blocks.items():
-                b = count - r - blocks_up.get(w, (0, 0))[1]
+                b = count - r - ranks_up.get(w, 0)
                 if b:
                     for image in _orbit(w) if symmetric else (w,):
                         out[image] = b

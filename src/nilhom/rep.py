@@ -35,12 +35,13 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import factorial, gcd, prod
 from typing import Sequence, Union
 
 from .exact_linalg import RationalMatrix, _add, _as_matrix, _kron, invert
 from .exact_linalg import rank as matrix_rank  # noqa: F401 - perfbench wraps it by name
-from .free_lie import hall_basis, induced_map_lie
+from .free_lie import _mobius, induced_map_lie
+from .free_lie import hall_basis  # noqa: F401 - perfbench wraps it by name
 
 __all__ = [
     "Std",
@@ -186,6 +187,10 @@ def _weights(expr: ReprExpr, rank_: int) -> Counter:
 
     Lambda^q visits each distinct inner weight w, of multiplicity m, once:
     layer k, from q down to 1, gains t*w on a (k - t)-wedge in comb(m, t) ways.
+    Layer j is empty above the inner multiplicity already visited, so t
+    starts at k minus that.  Lie(n) counts each multiweight w by the
+    multigraded Witt formula (1/n) sum over d | gcd(w) of
+    mu(d) (n/d)! / prod (w_i/d)!, so no Hall basis is built.
     """
     if isinstance(expr, (Std, DualStd)):
         sign = 1 if isinstance(expr, Std) else -1
@@ -193,19 +198,35 @@ def _weights(expr: ReprExpr, rank_: int) -> Counter:
     if isinstance(expr, Const):
         return Counter({(0,) * rank_: expr.dimension})
     if isinstance(expr, Lie):
-        basis = hall_basis(rank_, expr.degree)
-        return Counter(basis.multiweight(w) for w in basis.elements_of_degree(expr.degree))
+        n, heads, out = expr.degree, [()], Counter()
+        for _ in range(rank_ - 1):  # the weights of total n, all entries but the last
+            heads = [(*h, x) for h in heads for x in range(n - sum(h) + 1)]
+        for h in heads:
+            w = (*h, n - sum(h))
+            top = gcd(*w)
+            count = sum(
+                _mobius(d) * factorial(n // d) // prod(factorial(x // d) for x in w)
+                for d in range(1, top + 1)
+                if top % d == 0
+            ) // n
+            if count:
+                out[w] = count
+        return out
     if isinstance(expr, Wedge):
         inner, q = _weights(expr.inner, rank_), expr.power
         if q > sum(inner.values()):
             return Counter()
         layers = [Counter({(0,) * rank_: 1})] + [Counter() for _ in range(q)]
+        seen = 0  # the inner multiplicity visited so far: layers above it are empty
         for w, m in inner.items():
-            ways = [comb(m, t) for t in range(min(q, m) + 1)]
+            ways = [1]  # comb(m, t), each from the one before
+            for t in range(1, min(q, m) + 1):
+                ways.append(ways[-1] * (m - t + 1) // t)
             for k in range(q, 0, -1):
-                for t in range(1, min(k, m) + 1):
+                for t in range(max(1, k - seen), min(k, m) + 1):
                     for v, count in layers[k - t].items():
                         layers[k][tuple(a + t * b for a, b in zip(v, w))] += count * ways[t]
+            seen += m
         return layers[q]
     if isinstance(expr, Tensor):
         left, right = _weights(expr.left, rank_), _weights(expr.right, rank_)

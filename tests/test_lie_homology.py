@@ -11,11 +11,13 @@ import pytest
 from nilhom.aut import _certify_generator_symmetry, ia_lie_algebra
 from nilhom.exact_linalg import RationalMatrix, rank
 from nilhom.free_lie import hall_basis, witt_dimension
+from nilhom.rep import Lie, evaluate
 from nilhom import lie_homology
 from nilhom.lie_homology import (
     _MAX_WEDGES,
     GradedLieAlgebra,
     _block_rows,
+    _blocks,
     _orbit,
     _permutes_generators,
     _wedge_buckets,
@@ -432,6 +434,89 @@ def test_euler_characteristic_of_each_weight_matches_wedge_counts():
                 wedges[w] = wedges.get(w, 0) + (-1) ** d
         nonzero = {w: x for w, x in wedges.items() if x}
         assert {w: x for w, x in homology.items() if x} == nonzero
+
+
+def copy_of(g):
+    """A new algebra with g's table and symmetry certificate, and nothing ranked yet."""
+    h = GradedLieAlgebra(g.labels, g.weights, g.brackets, weight_length=g.weight_length)
+    h._cache["permutes_generators"] = _permutes_generators(g)
+    return h
+
+
+def held_pivots(g):
+    """The degree whose pivot columns g holds, and each block's pivot masks decoded."""
+    degree, held = g._cache["pivots"]
+    width = -(-g.dim // 8)
+    return degree, {w: {int.from_bytes(b[i : i + width], "little") for i in range(0, len(b), width)} for w, b in held.items()}
+
+
+def test_chained_ranks_match_ranks_with_no_pivots_held():
+    # degree d ranked just after d - 1 leaves out the rows of d - 1's pivot
+    # columns; ranked with nothing held it builds every row; the ranks agree
+    cases = ((free_nilpotent_lie(2, 5), 8), (free_nilpotent_lie(3, 3), 8), (free_nilpotent_lie(5, 2), 8), (ia_lie_algebra(3, 3), 4))
+    for g, top in cases:
+        chained, plain = copy_of(g), copy_of(g)
+        for d in range(top + 1):
+            if d:
+                degree, held = held_pivots(chained)
+                assert degree == d - 1
+            if d == 4:  # some rows are left out
+                buckets = _wedge_buckets(g, d, _permutes_generators(g))
+                built = {w: len(_block_rows(g, masks, held.get(w, set()))) for w, masks in buckets.items()}
+                assert sum(built.values()) < sum(len(_block_rows(g, masks)) for masks in buckets.values())
+            blocks = _blocks(chained, d)
+            plain._cache.pop("pivots", None)
+            assert blocks == _blocks(plain, d)
+
+
+def test_degree_above_half_read_by_duality_matches_direct_ranks():
+    # for a unimodular g of even dimension n, the ranks of degree n/2 + 1 are
+    # those of degree n/2 at total - w, and weighted_betti(g, n/2) ranks no more
+    algebras = (
+        free_nilpotent_lie(2, 5), free_nilpotent_lie(3, 3), free_nilpotent_lie(3, 2),
+        ia_lie_algebra(2, 4), rescaled(free_nilpotent_lie(2, 4), random.Random(4)),
+    )
+    for g in algebras:
+        assert g.dim % 2 == 0
+        h, half = copy_of(g), g.dim // 2
+        table = weighted_betti(h, half)
+        assert ("blocks", half + 1) not in h._cache
+        blocks, up = _blocks(h, half), _blocks(copy_of(g), half + 1)
+        total = tuple(map(sum, zip(*g.weights)))
+        for w in {*blocks, *up}:
+            dual = tuple(a - x for a, x in zip(total, w))
+            if _permutes_generators(g):
+                dual = tuple(sorted(dual, reverse=True))
+            assert blocks.get(dual, (0, 0))[1] == up.get(w, (0, 0))[1]
+        direct = {w: count - r - up.get(w, (0, 0))[1] for w, (count, r) in blocks.items()}
+        assert {w: b for w, b in table.items() if w in blocks} == {w: b for w, b in direct.items() if b}
+
+
+def test_only_the_latest_degree_holds_its_pivots_as_bytes():
+    g = copy_of(free_nilpotent_lie(2, 5))
+    assert betti_numbers(g) == group_betti(2, 5)
+    assert g.dim == 14 and ("blocks", 8) not in g._cache  # degree 8 comes from degree 7 by duality
+    assert {key for key in g._cache if type(key) is str} == {"permutes_generators", "pivots"}
+    degree, held = g._cache["pivots"]
+    blocks = _blocks(g, 7)
+    assert degree == 7 and all(type(packed) is bytes for packed in held.values())
+    assert {w: len(packed) for w, packed in held.items()} == {w: 2 * r for w, (_, r) in blocks.items() if r}
+    for w, masks in held_pivots(g)[1].items():
+        assert len(masks) == blocks[w][1]
+        assert all(m.bit_count() == 7 for m in masks)
+        assert all(tuple(map(sum, zip(*(g.weights[i] for i in range(14) if m >> i & 1)))) == w for m in masks)
+
+
+def test_hopf_formula_gives_the_second_homology_and_its_dual():
+    # H_2(F/Γ_{c+1}) ≅ Γ_{c+1}/Γ_{c+2}: H_2 of F(r, c) is the degree-(c + 1) Lie
+    # layer weight for weight, and by duality H_{dim-2} is it at total - w;
+    # degree 3, past every direct oracle here, is ranked chained on degree 2
+    for r, c in ((4, 4), (3, 5), (2, 8), (5, 3)):
+        g = free_nilpotent_lie(r, c)
+        layer = evaluate(Lie(c + 1), r).weights
+        assert weighted_betti(g, 2) == layer
+        total = tuple(map(sum, zip(*g.weights)))
+        assert weighted_betti(g, g.dim - 2) == {tuple(a - x for a, x in zip(total, w)): b for w, b in layer.items()}
 
 
 def test_zero_algebra():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from nilhom.exact_linalg import RationalMatrix, determinant, rank as matrix_rank
-from nilhom.free_lie import witt_dimension
+from nilhom.free_lie import hall_basis, witt_dimension
 from nilhom import rep
 from nilhom.rep import (
     Const,
@@ -53,6 +53,21 @@ def test_evaluate_lie_layers():
             assert evaluate(Lie(b), r).dimension == witt_dimension(r, b)
 
 
+def test_lie_weights_match_the_hall_basis():
+    # the multigraded Witt formula against counting Lyndon words by multiweight
+    for r in range(1, 5):
+        basis = hall_basis(r, 8)
+        for n in range(1, 9):
+            expected = {}
+            for w in basis.elements_of_degree(n):
+                key = basis.multiweight(w)
+                expected[key] = expected.get(key, 0) + 1
+            assert evaluate(Lie(n), r).weights == expected
+    # hall_basis(3, 30) would hold 10,478,769,592,560 Lyndon words
+    assert evaluate(Lie(30), 3).dimension == witt_dimension(3, 30)
+    assert coinvariants_dim(Lie(30), 3) == 254_862_356
+
+
 def test_evaluate_interval_and_combinators():
     assert lie_interval(2, 2) == Lie(2)
     assert parse_expr("lie[2..2]") == Lie(2)
@@ -76,6 +91,8 @@ def test_wedge_dimensions_binomial():
     # a power above the dimension, and a power of a huge constant, are counted, not listed
     assert evaluate(Wedge(2**61, Std()), 2).dimension == 0
     assert evaluate(Wedge(2, Const(2**61)), 2).weights == {(0, 0): comb(2**61, 2)}
+    # one weight class: only layer 0 is nonempty when it is visited, so each layer takes one step
+    assert evaluate(Wedge(2000, Const(4000)), 2).weights == {(0, 0): comb(4000, 2000)}
 
 
 def test_wedge_of_hom_is_counted_without_listing():
