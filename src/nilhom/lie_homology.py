@@ -14,13 +14,19 @@ Only the blocks that symmetry and duality leave undetermined are ranked:
 for the free nilpotent algebra, and for an IA derivation algebra whose
 certificate aut.ia_lie_algebra has checked, a permutation of the
 generators carries each weight block onto the block of the permuted
-weight, so only non-increasing weights are computed; and when no basis
-weight is zero the algebra is unimodular, so Poincare duality gives the
-degrees above half the dimension, and in even dimension n the ranks of
-degree n/2 + 1 as well, which is never listed.  Degrees ranked in turn
-are chained: the rows of degree d - 1's pivot columns are left out of
-degree d's blocks, which keeps their ranks.  Only the latest degree's
-pivot columns are held, each block's packed into one bytes string.
+weight, so only non-increasing weights are computed.  When no basis
+weight is zero the algebra is unimodular, and Poincare duality, which
+pairs weight w with total - w, is applied as one rule: a count of
+k-wedges with 2k > dim is read off degree dim - k, and a rank of the
+degree-k boundary with 2k > dim + 1 off degree dim + 1 - k, both at the
+dual weight.  So no degree above (dim + 1)/2 is ever listed, and in odd
+dimension a block of degree (dim + 1)/2 whose dual block is already
+ranked takes that rank.  Degree d's table is b_d(w) = c_d(w) - r_d(w) -
+r_{d+1}(w), built afresh from the memoized blocks on each call; no
+table is held.  Degrees ranked in turn are chained: the rows of degree
+d - 1's pivot columns are left out of degree d's blocks, which keeps
+their ranks.  Only the latest degree's pivot columns are held, each
+block's packed into one bytes string.
 
 A wedge e_i1 ^ ... ^ e_id is held as the int bitmask 2^i1 + ... + 2^id
 from enumeration through assembly: weight buckets list masks, a sign is
@@ -36,7 +42,7 @@ always checks weight additivity and the Jacobi identity, which d^2 = 0
 rests on, and no path builds an algebra without them.
 
 Practical envelope: the full Betti vector of F(6,2), dimension 21, takes
-about 2-2.5 s and 23-24 MB, and the degree-3 weight table of IA(3,4),
+about 1.3-2 s and 18-19 MB, and the degree-3 weight table of IA(3,4),
 dimension 87, about 8-9 s and 61 MB (2-core Xeon VM, Python 3.11);
 per-weight blocks reach further.  A degree d whose C(dim, d) wedges pass
 _MAX_WEDGES (10^7) is refused with ValueError before any wedge is listed,
@@ -51,7 +57,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, lcm
-from typing import AbstractSet, Iterator, Mapping
+from typing import AbstractSet, Callable, Iterator, Mapping
 
 from .exact_linalg import RationalMatrix, _add, _add_scaled, _as_fraction, _eliminate, row_space_basis
 from .exact_linalg import rank  # noqa: F401 - perfbench wraps it by name
@@ -132,8 +138,8 @@ class GradedLieAlgebra:
         self.weights = tuple(tuple(w) for w in weights)
         self.weight_length = weight_length
         self.hall = hall
-        # memoized derived data (weight blocks, Betti tables) and the
-        # generator-symmetry certificate; recomputing under a race is harmless
+        # memoized derived data (weight blocks, the latest degree's pivots) and
+        # the generator-symmetry certificate; recomputing under a race is harmless
         # because the values are deterministic
         self._cache: dict = {}
         self._check_weights(table)
@@ -241,13 +247,25 @@ def _permutes_generators(g: GradedLieAlgebra) -> bool:
     return g._cache.get("permutes_generators", False)
 
 
-def _is_unimodular(g: GradedLieAlgebra) -> bool:
-    """True when tr ad = 0, which makes H_d and H_{dim-d} dual.
+def _duality(g: GradedLieAlgebra) -> Callable[[Weight], Weight] | None:
+    """The weight map w -> total - w of Poincare duality, or None when tr ad != 0.
 
     Brackets add weights, so when no basis weight is zero, ad(e_i) moves
-    every e_j into another weight space and has zero diagonal.
+    every e_j into another weight space and has zero diagonal: g is
+    unimodular, and H_d at weight w is dual to H_{dim-d} at total - w, with
+    total summed over all weight_length coordinates.  When the generators
+    permute, the dual weight is taken at its non-increasing rearrangement,
+    the one weight of its orbit whose block is ranked.
     """
-    return all(any(w) for w in g.weights)
+    if not all(any(w) for w in g.weights):
+        return None
+    total = tuple(sum(w[t] for w in g.weights) for t in range(g.weight_length))
+
+    def dual(w: Weight) -> Weight:
+        v = tuple(a - x for a, x in zip(total, w))
+        return tuple(sorted(v, reverse=True)) if _permutes_generators(g) else v
+
+    return dual
 
 
 def _wedge_buckets(g: GradedLieAlgebra, d: int, dominant: bool) -> dict[Weight, list[int]]:
@@ -372,6 +390,12 @@ def _blocks(g: GradedLieAlgebra, d: int) -> dict[Weight, tuple[int, int]]:
     decoded into a set for one block at a time; only the latest degree
     ranked keeps them in g._cache, so degree d - 1's go once degree d is
     ranked.  When none are held for degree d - 1, P is empty.
+
+    For a unimodular g of odd dimension, degree (dim + 1)/2 is its own
+    dual: ∂_d on w is the transpose of ∂_d on the dual weight (see
+    _duality).  A block whose dual block is already ranked copies that
+    rank and is not eliminated; its pivots are not held, which costs
+    nothing, as weighted_betti never ranks the degree after this one.
     """
     cached = g._cache.get(("blocks", d))
     if cached is not None:
@@ -383,9 +407,14 @@ def _blocks(g: GradedLieAlgebra, d: int) -> dict[Weight, tuple[int, int]]:
     width = max(1, -(-g.dim // 8))
     out: dict[Weight, tuple[int, int]] = {}
     kept: dict[Weight, bytes] = {}
+    dual = _duality(g) if 2 * d == g.dim + 1 else None  # degree d is its own dual
     buckets = _wedge_buckets(g, d, _permutes_generators(g))
     for weight in list(buckets):
         masks = buckets.pop(weight)  # each bucket is freed once its block is ranked
+        mirror = out.get(dual(weight)) if dual else None
+        if mirror is not None:
+            out[weight] = (len(masks), mirror[1])
+            continue
         packed = held.get(weight, b"")
         skip = {int.from_bytes(packed[i : i + width], "little") for i in range(0, len(packed), width)}
         pivots = _eliminate(_block_rows(g, masks, skip), len(masks))
@@ -457,45 +486,39 @@ def weighted_betti(g: GradedLieAlgebra, d: int) -> dict[Weight, int]:
     """Homology dimensions in degree d, refined by multiweight.
 
     Only weights with nonzero homology appear, in increasing order; the
-    values sum to betti_number(g, d).  For a unimodular algebra the upper
-    half is read off by Poincare duality, which pairs weight w in degree d
-    with the total weight minus w in degree dim - d.  The same duality
-    makes the boundary on k-wedges of weight w the transpose of the
-    boundary on (dim + 1 - k)-wedges of weight total - w, so at d = dim/2
-    the rank of the degree-(d + 1) boundary on w is read off degree d at
-    total - w, at its non-increasing rearrangement when the generators
-    permute, and degree d + 1 is never listed.  Each degree's table is
-    memoized on g; callers get a copy.
+    values sum to betti_number(g, d).  Every degree is read off the weight
+    blocks by one formula, b_d(w) = c_d(w) - r_d(w) - r_{d+1}(w), with c_k
+    the number of k-wedges of weight w and r_k the rank of the degree-k
+    boundary on them.  For a unimodular algebra Poincare duality pairs
+    weight w with total - w (see _duality): a count c_k with 2k > dim is
+    c_{dim-k} at the dual weight, and a rank r_k with 2k > dim + 1 is
+    r_{dim+1-k} there, since that boundary is the transpose of this one.
+    So a lower degree ranks d and d + 1, an upper degree dim - d and
+    dim + 1 - d, and the even middle dim/2 alone.  The table is built anew
+    on each call from the memoized blocks.
     """
     if d < 0:
         raise ValueError("degree must be non-negative")
     if d > g.dim:
         return {}
-    table = g._cache.get(("betti", d))
-    if table is None:
-        out: dict[Weight, int] = {}
-        unimodular = _is_unimodular(g)
-        total = tuple(map(sum, zip(*g.weights)))
-        symmetric = _permutes_generators(g)
-        if 2 * d > g.dim and unimodular:
-            for w, b in weighted_betti(g, g.dim - d).items():
-                out[tuple(a - x for a, x in zip(total, w))] = b
-        else:
-            blocks = _blocks(g, d)  # degree d is refused first
-            if 2 * d == g.dim and unimodular:
-                ranks_up = {}
-                for w in blocks:
-                    dual = tuple(a - x for a, x in zip(total, w))
-                    ranks_up[w] = blocks.get(tuple(sorted(dual, reverse=True)) if symmetric else dual, (0, 0))[1]
-            else:
-                ranks_up = {w: r for w, (_, r) in _blocks(g, d + 1).items()}
-            for w, (count, r) in blocks.items():
-                b = count - r - ranks_up.get(w, 0)
-                if b:
-                    for image in _orbit(w) if symmetric else (w,):
-                        out[image] = b
-        table = g._cache[("betti", d)] = dict(sorted(out.items()))
-    return dict(table)
+    dual = _duality(g)
+
+    def read(k: int, i: int) -> dict[Weight, int]:
+        # degree k's counts (i = 0) or ranks (i = 1) by weight; the counts come first,
+        # so the wedge limit of C(dim, d) = C(dim, dim - d) is checked before any rank
+        if dual and 2 * k > g.dim + i:
+            return {dual(w): block[i] for w, block in _blocks(g, g.dim + i - k).items()}
+        return {w: block[i] for w, block in _blocks(g, k).items()}
+
+    counts, ranks, ranks_up = read(d, 0), read(d, 1), read(d + 1, 1)
+    symmetric = _permutes_generators(g)
+    out: dict[Weight, int] = {}
+    for w, count in counts.items():
+        b = count - ranks.get(w, 0) - ranks_up.get(w, 0)
+        if b:
+            for image in _orbit(w) if symmetric else (w,):
+                out[image] = b
+    return dict(sorted(out.items()))
 
 
 def lower_central_series_dims(g: GradedLieAlgebra) -> list[int]:

@@ -9,7 +9,7 @@ from math import comb, lcm, prod
 import pytest
 
 from nilhom.aut import _certify_generator_symmetry, ia_lie_algebra
-from nilhom.exact_linalg import RationalMatrix, rank
+from nilhom.exact_linalg import RationalMatrix, _eliminate, rank
 from nilhom.free_lie import hall_basis, witt_dimension
 from nilhom.rep import Lie, evaluate
 from nilhom import lie_homology
@@ -311,7 +311,8 @@ def test_weighted_betti_permutation_symmetry():
 
 
 def test_weighted_betti_returns_a_copy():
-    # tables are memoized per degree; what a caller does to one must not reach the next
+    # tables are not memoized but built anew from the weight blocks on each call;
+    # what a caller does to one must not reach the next
     g = free_nilpotent_lie(3, 2)
     for d in (2, g.dim - 2):  # one degree ranked, one read off duality
         first = weighted_betti(g, d)
@@ -497,6 +498,10 @@ def test_only_the_latest_degree_holds_its_pivots_as_bytes():
     assert betti_numbers(g) == group_betti(2, 5)
     assert g.dim == 14 and ("blocks", 8) not in g._cache  # degree 8 comes from degree 7 by duality
     assert {key for key in g._cache if type(key) is str} == {"permutes_generators", "pivots"}
+    ia = copy_of(ia_lie_algebra(3, 2))
+    assert weighted_betti(ia, 3) == weighted_betti(ia_lie_algebra(3, 2), 3)
+    for h in (g, ia):  # no Betti table is held: every other key is a degree's blocks
+        assert all(key[0] == "blocks" for key in h._cache if type(key) is tuple)
     degree, held = g._cache["pivots"]
     blocks = _blocks(g, 7)
     assert degree == 7 and all(type(packed) is bytes for packed in held.values())
@@ -505,6 +510,31 @@ def test_only_the_latest_degree_holds_its_pivots_as_bytes():
         assert len(masks) == blocks[w][1]
         assert all(m.bit_count() == 7 for m in masks)
         assert all(tuple(map(sum, zip(*(g.weights[i] for i in range(14) if m >> i & 1)))) == w for m in masks)
+
+
+def test_self_dual_degree_ranks_one_block_of_each_dual_pair(monkeypatch):
+    # in odd dimension n, degree (n + 1)/2 is its own dual: a block whose dual
+    # block is already ranked takes that rank and is not eliminated
+    calls = []
+
+    def counted(rows, width):
+        calls.append(width)
+        return _eliminate(rows, width)
+
+    monkeypatch.setattr(lie_homology, "_eliminate", counted)
+    # IA(3,2) is abelian with weights of coordinate sum 1, so no block of its
+    # degree 5 meets its dual (of sum 4), and each one is ranked
+    for g, paired in ((free_nilpotent_lie(2, 3), True), (ia_lie_algebra(3, 2), False), (free_nilpotent_lie(5, 2), True)):
+        assert g.dim % 2 == 1
+        d = (g.dim + 1) // 2
+        calls.clear()
+        blocks = _blocks(copy_of(g), d)
+        total = tuple(map(sum, zip(*g.weights)))
+        dual = {w: tuple(sorted((a - x for a, x in zip(total, w)), reverse=True)) for w in blocks}
+        assert len(calls) == len({frozenset((w, dual[w] if dual[w] in blocks else w)) for w in blocks})
+        assert (len(calls) < len(blocks)) == paired
+        buckets = _wedge_buckets(g, d, _permutes_generators(g))
+        assert blocks == {w: (len(masks), len(_eliminate(_block_rows(g, masks), len(masks)))) for w, masks in buckets.items()}
 
 
 def test_hopf_formula_gives_the_second_homology_and_its_dual():
