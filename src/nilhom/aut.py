@@ -56,12 +56,8 @@ from .exact_linalg import invert  # noqa: F401 - perfbench wraps it by name
 from .free_lie import LieElement, bracket_coordinates, hall_basis
 from .free_lie import bracket  # noqa: F401 - perfbench wraps it by name
 from .free_lie import induced_map_lie  # noqa: F401 - perfbench wraps it by name
-from .lie_homology import (
-    GradedLieAlgebra,
-    betti_number,
-    free_nilpotent_lie,
-    weighted_betti,
-)
+from .lie_homology import GradedLieAlgebra, free_nilpotent_lie, weighted_betti
+from .lie_homology import betti_number  # noqa: F401 - perfbench wraps it by name
 
 # after lie_homology, so that whatever imports aut runs the modules in the
 # order exact_linalg, free_lie, lie_homology, rep, aut: a nilhom process's
@@ -364,8 +360,8 @@ def _certify_generator_symmetry(g: GradedLieAlgebra, c: int) -> bool:
 
 def ia_betti(r: int, c: int, q: int) -> tuple[int, dict[tuple[int, ...], int]]:
     """Degree-q homology of the derivation algebra: dimension and weight refinement."""
-    g = ia_lie_algebra(r, c)
-    return betti_number(g, q), weighted_betti(g, q)
+    table = weighted_betti(ia_lie_algebra(r, c), q)
+    return sum(table.values()), table
 
 
 def gl_conjugation_on_ia(matrix, r: int, c: int) -> RationalMatrix:

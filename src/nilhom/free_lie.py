@@ -7,8 +7,10 @@ unique factorization, which gives a canonical and easily testable
 bracketing.
 
 Brackets read structure constants computed once per basis through the
-tensor algebra: [e_u, e_v] is the commutator of the two expansions, projected
-back to Hall coordinates by a solve against the cached basis expansions.
+tensor algebra, whose elements are plain {word: coefficient} dicts
+throughout the package: [e_u, e_v] is the commutator of the two
+expansions, projected back to Hall coordinates by a solve against the
+cached basis expansions.
 The expansion of a Lyndon bracketing is its own word plus lexicographically
 larger words of the same multidegree, so the solve is a unit-triangular
 forward substitution; a remainder whose smallest word is not Lyndon
@@ -44,11 +46,9 @@ __all__ = [
     "NotLieElementError",
     "HallBasis",
     "LieElement",
-    "TensorElement",
     "lyndon_words",
     "witt_dimension",
     "hall_basis",
-    "generator",
     "bracket",
     "bracket_coordinates",
     "expand_to_tensor",
@@ -176,10 +176,6 @@ class HallBasis:
         self._expansions[word] = out
         return out
 
-    def expansion(self, word: Word) -> dict[Word, int]:
-        """Image of the bracketing of ``word`` in the tensor algebra, as a new dict."""
-        return dict(self._expansion(word))
-
     def _bracket_rows(self) -> list[dict[int, dict[int, int]]]:
         """The bracket table in rows: [e_i, e_j] = sign(j - i) ``rows[i][j]``; read-only.
 
@@ -293,9 +289,6 @@ class LieElement(_HallElement):
     def is_zero(self) -> bool:
         return not self.coords
 
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(sorted({len(w) for w in self.coords}))
-
     def scaled(self, factor) -> "LieElement":
         f = _as_fraction(factor)
         if not f:
@@ -319,58 +312,12 @@ class LieElement(_HallElement):
         return f"LieElement({self._terms()})" if self.coords else "LieElement(0)"
 
 
-class TensorElement:
-    """Element of the tensor algebra: a sparse rational combination of words."""
-
-    __slots__ = ("rank", "coords")
-
-    def __init__(self, rank: int, coords: Mapping[Word, object] = ()) -> None:
-        data: dict[Word, Fraction] = {}
-        items = coords.items() if isinstance(coords, Mapping) else coords
-        for word, value in items:
-            if any(not 1 <= letter <= rank for letter in word):
-                raise ValueError(f"word {word} uses letters outside 1..{rank}")
-            _add(data, word, _as_fraction(value))
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "coords", data)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("TensorElement is immutable")
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coords
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self.rank == other.rank and self.coords == other.coords
-
-    def __hash__(self):
-        return hash((self.rank, frozenset(self.coords.items())))
-
-    def __repr__(self) -> str:
-        if not self.coords:
-            return "TensorElement(0)"
-        parts = [
-            f"{q}*{''.join(map(str, w))}"
-            for w, q in sorted(self.coords.items(), key=lambda kv: (len(kv[0]), kv[0]))
-        ]
-        return "TensorElement(" + " + ".join(parts) + ")"
-
-
 def _require_same_basis(a: _HallElement, b: _HallElement) -> None:
     if not a.basis.same_as(b.basis):
         raise ValueError(
             f"basis mismatch: (rank={a.basis.rank}, cls={a.basis.cls}) vs "
             f"(rank={b.basis.rank}, cls={b.basis.cls})"
         )
-
-
-def generator(basis: HallBasis, letter: int) -> LieElement:
-    if not 1 <= letter <= basis.rank:
-        raise ValueError(f"letter {letter} outside 1..{basis.rank}")
-    return LieElement(basis, {(letter,): Fraction(1)})
 
 
 def _expansion_dict(a: LieElement) -> dict[Word, Fraction]:
@@ -441,32 +388,35 @@ def bracket(a: LieElement, b: LieElement) -> LieElement:
     return LieElement._computed(basis, {basis.elements[k]: out[k] for k in sorted(out)})
 
 
-def expand_to_tensor(a: LieElement) -> TensorElement:
-    """Image under the canonical inclusion into the tensor algebra."""
-    return TensorElement(a.basis.rank, _expansion_dict(a))
+def expand_to_tensor(a: LieElement) -> dict[Word, Fraction]:
+    """Image under the canonical inclusion into the tensor algebra, as a new {word: Fraction} dict."""
+    return _expansion_dict(a)
 
 
-def dynkin(t: TensorElement, basis: HallBasis | None = None) -> LieElement:
+def dynkin(tensor: Mapping[Word, object], basis: HallBasis) -> LieElement:
     """Left-to-right bracketing w_1...w_b -> [[..[w_1,w_2],..],w_b] divided by b.
 
     A retract of the tensor algebra onto the Lie subspace: on Lie elements
     of degree b the bracketing multiplies by b, so after division this is
-    the identity (Dynkin-Specht-Wever).
+    the identity (Dynkin-Specht-Wever).  ``tensor`` maps words over the
+    letters 1..basis.rank to exact coefficients; its nonzero terms must
+    share one degree, in 1..basis.cls.
     """
-    if not t.coords:
-        return LieElement(basis if basis is not None else hall_basis(t.rank, 1))
-    lengths = {len(w) for w in t.coords}
+    terms: dict[Word, Fraction] = {}
+    for w, value in tensor.items():
+        if any(not 1 <= letter <= basis.rank for letter in w):
+            raise ValueError(f"word {w} uses letters outside 1..{basis.rank}")
+        _add(terms, w, _as_fraction(value))
+    if not terms:
+        return LieElement(basis)
+    lengths = {len(w) for w in terms}
     if len(lengths) != 1:
         raise ValueError("input must be homogeneous")
     degree = lengths.pop()
-    if degree < 1:
-        raise ValueError("degree must be at least 1")
-    if basis is None:
-        basis = hall_basis(t.rank, degree)
-    elif degree > basis.cls:
-        raise ValueError(f"degree {degree} exceeds class {basis.cls}")
+    if not 1 <= degree <= basis.cls:
+        raise ValueError(f"degree {degree} outside 1..{basis.cls}")
     acc: dict[Word, Fraction] = {}
-    for w, q in t.coords.items():
+    for w, q in terms.items():
         cur: dict[Word, int] = {(w[0],): 1}
         for letter in w[1:]:
             cur = _commutator(cur, {(letter,): 1})

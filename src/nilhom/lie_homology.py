@@ -6,9 +6,7 @@ block-diagonal over the weight lattice; every rank computation here is
 performed weight block by weight block, which is both an enormous speedup
 and an exact equivariant refinement for free.
 
-Betti numbers are read off the weight tables; cycle representatives
-are available on demand through the nullspace of a boundary matrix but
-are never needed for the dimension bookkeeping.
+Betti numbers are read off the weight tables.
 
 Only the blocks that symmetry and duality leave undetermined are ranked:
 for the free nilpotent algebra, and for an IA derivation algebra whose

@@ -160,12 +160,6 @@ class WeightModule:
     def dimension(self) -> int:
         return sum(self.weights.values())
 
-    def multiplicity(self, w: Weight) -> int:
-        return self.weights.get(tuple(w), 0)
-
-    def sorted_items(self) -> list[tuple[Weight, int]]:
-        return sorted(self.weights.items())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightModule):
             return NotImplemented
@@ -326,8 +320,8 @@ def weight_dominance_compare(a: WeightModule, b: WeightModule) -> DominanceRepor
     if a.rank != b.rank:
         raise ValueError("rank mismatch")
     violations = []
-    for w, mult in a.sorted_items():
-        other = b.multiplicity(w)
+    for w, mult in sorted(a.weights.items()):
+        other = b.weights.get(w, 0)
         if mult > other:
             violations.append((w, mult, other))
     return DominanceReport(not violations, tuple(violations))

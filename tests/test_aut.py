@@ -22,7 +22,7 @@ from nilhom.exact_linalg import RationalMatrix, exp_nilpotent, rank
 from nilhom.free_lie import LieElement, bracket, hall_basis, induced_map_lie, witt_dimension
 from nilhom.invariants import _conjugation_by_definition
 from nilhom.lie_homology import GradedLieAlgebra, free_nilpotent_lie, nilpotency_class
-from nilhom import rep
+from nilhom import aut, lie_homology, rep
 
 
 def exp_derivation(d):
@@ -376,6 +376,27 @@ def test_ia_betti_tables_pinned():
         tables = [ia_betti(r, c, q) for q in range(len(bettis))]
         assert [total for total, _ in tables] == bettis
         assert hashlib.sha256(repr([list(t.items()) for _, t in tables]).encode()).hexdigest() == digest
+
+
+def test_ia_betti_builds_its_table_once(monkeypatch):
+    # the dimension is the sum of the weight table, so the table is built
+    # once and betti_number, which would build it again, is not called
+    builds = []
+
+    def counted(g, q):
+        builds.append(q)
+        return lie_homology.weighted_betti(g, q)
+
+    def refuse(g, q):
+        raise AssertionError("ia_betti called betti_number")
+
+    monkeypatch.setattr(aut, "betti_number", refuse)
+    monkeypatch.setattr(aut, "weighted_betti", counted)
+    total, table = ia_betti(3, 3, 2)
+    assert builds == [2]
+    assert total == 165 == sum(table.values())
+    digest = hashlib.sha256(repr(list(table.items())).encode()).hexdigest()
+    assert digest == "a6fc10b00eee71a27cee85d49af25bcc55b0f0e8dce72c03025bc8e0ed2636a7"
 
 
 def test_gl_conjugation_identity_and_permutation():

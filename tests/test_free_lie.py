@@ -10,13 +10,11 @@ from nilhom.exact_linalg import RationalMatrix
 from nilhom.free_lie import (
     LieElement,
     NotLieElementError,
-    TensorElement,
     _lie_coords_from_tensor,
     bracket,
     bracket_coordinates,
     dynkin,
     expand_to_tensor,
-    generator,
     hall_basis,
     induced_map_lie,
     lyndon_words,
@@ -28,17 +26,12 @@ from nilhom.nilgroup import _bch_series, malcev_element, multiply
 
 
 def tensor_to_hall(t, basis):
-    """Inverse of expand_to_tensor on the Lie subspace.
+    """Inverse of expand_to_tensor on the Lie subspace, for a {word: coefficient} dict.
 
-    Raises NotLieElementError when some homogeneous component is not a
-    Lie element, and ValueError when a word exceeds the basis class.
+    Raises NotLieElementError when the tensor is not a Lie element of the
+    basis, as when a word is longer than its class or uses a letter above its rank.
     """
-    if t.rank != basis.rank:
-        raise ValueError("rank mismatch between tensor and basis")
-    for w in t.coords:
-        if len(w) > basis.cls:
-            raise ValueError(f"word of degree {len(w)} exceeds class {basis.cls}")
-    return LieElement(basis, _lie_coords_from_tensor(basis, t.coords))
+    return LieElement(basis, _lie_coords_from_tensor(basis, t))
 
 
 def brute_bracket_expansion(tree):
@@ -104,7 +97,7 @@ def test_hall_basis_invariants():
 
 def test_bracket_examples():
     b = hall_basis(2, 3)
-    x1, x2 = generator(b, 1), generator(b, 2)
+    x1, x2 = LieElement(b, {(1,): 1}), LieElement(b, {(2,): 1})
     assert bracket(x1, x1).is_zero
     assert bracket(x2, x1) == LieElement(b, {(1, 2): -1})
     # [[x1,x2],x1] = -[x1,[x1,x2]], and (1,1,2) is the basis word for [x1,[x1,x2]]
@@ -131,19 +124,17 @@ def test_bracket_antisymmetry_and_jacobi():
 
 def test_bracket_basis_mismatch():
     with pytest.raises(ValueError):
-        bracket(generator(hall_basis(2, 2), 1), generator(hall_basis(2, 3), 1))
+        bracket(LieElement(hall_basis(2, 2), {(1,): 1}), LieElement(hall_basis(2, 3), {(1,): 1}))
 
 
 def test_expand_examples():
     b = hall_basis(2, 3)
-    assert expand_to_tensor(generator(b, 1)) == TensorElement(2, {(1,): 1})
-    assert expand_to_tensor(LieElement(b, {(1, 2): 1})) == TensorElement(
-        2, {(1, 2): 1, (2, 1): -1}
-    )
+    assert expand_to_tensor(LieElement(b, {(1,): 1})) == {(1,): 1}
+    assert expand_to_tensor(LieElement(b, {(1, 2): 1})) == {(1, 2): 1, (2, 1): -1}
     # [[x1,x2],x1] against an independent brute-force expansion
-    got = expand_to_tensor(bracket(LieElement(b, {(1, 2): 1}), generator(b, 1)))
-    expected = brute_bracket_expansion(((1, 2), 1))
-    assert got == TensorElement(2, expected)
+    got = expand_to_tensor(bracket(LieElement(b, {(1, 2): 1}), LieElement(b, {(1,): 1})))
+    assert got == brute_bracket_expansion(((1, 2), 1))
+    assert all(type(q) is Fraction for q in got.values())
 
 
 def test_expansions_match_brute_force_trees():
@@ -157,7 +148,7 @@ def test_expansions_match_brute_force_trees():
             return (tree_of(u), tree_of(v))
 
         for w in b.elements:
-            assert b.expansion(w) == brute_bracket_expansion(tree_of(w))
+            assert expand_to_tensor(LieElement(b, {w: 1})) == brute_bracket_expansion(tree_of(w))
 
 
 def test_tensor_to_hall_round_trip_and_membership():
@@ -168,10 +159,8 @@ def test_tensor_to_hall_round_trip_and_membership():
             assert tensor_to_hall(expand_to_tensor(element), b) == element
     b = hall_basis(2, 2)
     with pytest.raises(NotLieElementError):
-        tensor_to_hall(TensorElement(2, {(1, 2): 1, (2, 1): 1}), b)
-    assert tensor_to_hall(TensorElement(2, {(1, 2): 1, (2, 1): -1}), b) == LieElement(
-        b, {(1, 2): 1}
-    )
+        tensor_to_hall({(1, 2): 1, (2, 1): 1}, b)
+    assert tensor_to_hall({(1, 2): 1, (2, 1): -1}, b) == LieElement(b, {(1, 2): 1})
 
 
 def test_tensor_to_hall_random_lie_combinations():
@@ -195,10 +184,28 @@ def test_dynkin_retract():
 
 
 def test_dynkin_examples():
-    assert dynkin(TensorElement(2, {(1,): 1})) == generator(hall_basis(2, 1), 1)
-    assert dynkin(TensorElement(2, {(1, 2): 1, (2, 1): 1})).is_zero
-    with pytest.raises(ValueError):
-        dynkin(TensorElement(2, {(1,): 1, (1, 2): 1}))
+    b1, b2 = hall_basis(2, 1), hall_basis(2, 2)
+    assert dynkin({(1,): 1}, b1) == LieElement(b1, {(1,): 1})
+    assert dynkin({(1, 2): 1, (2, 1): 1}, b2).is_zero
+    assert dynkin({(1, 2): Fraction(1, 2), (2, 1): "-1/2"}, b2) == LieElement(b2, {(1, 2): 1}).scaled(Fraction(1, 2))
+    assert dynkin({}, b2) == LieElement(b2)
+    # zero coefficients are dropped before the degree is read
+    assert dynkin({(1,): 0, (1, 2): 2, (2, 1): -2}, b2) == LieElement(b2, {(1, 2): 1}).scaled(2)
+    with pytest.raises(ValueError, match="^input must be homogeneous$"):
+        dynkin({(1,): 1, (1, 2): 1}, b2)
+
+
+def test_dynkin_checks_letters_coefficients_and_degree():
+    with pytest.raises(ValueError, match=r"^word \(3,\) uses letters outside 1\.\.2$"):
+        dynkin({(3,): 1}, hall_basis(2, 1))
+    with pytest.raises(ValueError, match=r"outside 1\.\.2$"):
+        dynkin({(1, 0): 1}, hall_basis(2, 2))
+    with pytest.raises(TypeError, match="^exact arithmetic only: cannot accept float$"):
+        dynkin({(1,): 0.5}, hall_basis(2, 1))
+    with pytest.raises(ValueError, match=r"^degree 2 outside 1\.\.1$"):
+        dynkin({(1, 2): 1, (2, 1): -1}, hall_basis(2, 1))
+    with pytest.raises(ValueError, match=r"^degree 0 outside 1\.\.3$"):
+        dynkin({(): 1}, hall_basis(2, 3))
 
 
 def test_induced_map_identity_and_scaling():
@@ -264,7 +271,7 @@ def test_induced_maps_intertwine_brackets():
 
         def apply_map(element):
             coords = {}
-            for n in element.degrees():
+            for n in {len(w) for w in element.coords}:
                 vec = [element.coords.get(w, Fraction(0)) for w in src.elements_of_degree(n)]
                 image = blocks[n].mul_vector(vec)
                 for w, q in zip(dst.elements_of_degree(n), image):
@@ -295,8 +302,8 @@ def test_degree_layers_are_free_abelian():
             index = {w: i for i, w in enumerate(layer)}
             entries = {}
             for col, e in enumerate(layer):
-                for w, v in basis.expansion(e).items():
-                    assert isinstance(v, int)
+                for w, v in expand_to_tensor(LieElement(basis, {e: 1})).items():
+                    assert v.denominator == 1
                     if w in index:
                         entries[(index[w], col)] = v
             m = RationalMatrix(len(layer), len(layer), entries)
@@ -309,14 +316,14 @@ def test_degree_layers_are_free_abelian():
 def tensor_bracket(a, b):
     """[a, b] through the tensor algebra: commutator of the expansions, truncated, projected back."""
     cap = a.basis.cls
-    ta, tb = expand_to_tensor(a).coords, expand_to_tensor(b).coords
+    ta, tb = expand_to_tensor(a), expand_to_tensor(b)
     acc = {}
     for wa, ca in ta.items():
         for wb, cb in tb.items():
             if len(wa) + len(wb) <= cap:
                 acc[wa + wb] = acc.get(wa + wb, 0) + ca * cb
                 acc[wb + wa] = acc.get(wb + wa, 0) - ca * cb
-    return tensor_to_hall(TensorElement(a.basis.rank, acc), a.basis)
+    return tensor_to_hall(acc, a.basis)
 
 
 def tensor_induced_map(matrix, degree):
@@ -330,8 +337,8 @@ def tensor_induced_map(matrix, degree):
     entries = {}
     for col, w in enumerate(src_elems):
         acc = {}
-        for word, n in src.expansion(w).items():
-            cur = {(): Fraction(n)}
+        for word, n in expand_to_tensor(LieElement(src, {w: 1})).items():
+            cur = {(): n}
             for letter in word:
                 nxt = {}
                 for u, q in cur.items():
@@ -341,7 +348,7 @@ def tensor_induced_map(matrix, degree):
                 cur = nxt
             for u, q in cur.items():
                 acc[u] = acc.get(u, 0) + q
-        for word, q in tensor_to_hall(TensorElement(s, acc), dst).coords.items():
+        for word, q in tensor_to_hall(acc, dst).coords.items():
             entries[(dst.index[word] - dst_offset, col)] = q
     return RationalMatrix(len(dst.elements_of_degree(degree)), len(src_elems), entries)
 
@@ -467,7 +474,7 @@ def edit_table(basis):
 
 
 def edit_expansion(basis):
-    basis.expansion((1, 2))[(9, 9)] = 5
+    expand_to_tensor(LieElement(basis, {(1, 2): 1}))[(9, 9)] = 5
 
 
 @pytest.mark.parametrize("mutate", [clear_table, edit_table, edit_expansion])
@@ -478,5 +485,4 @@ def test_cached_basis_survives_what_callers_do_to_its_outputs(clear_hall_caches,
     basis = hall_basis(*shape)
     mutate(basis)  # before anything else reads the fresh basis
     assert hall_results(*shape) == want
-    assert expand_to_tensor(LieElement(basis, {(1, 2): 1})) == TensorElement(shape[0], {(1, 2): 1, (2, 1): -1})
-    assert basis.expansion((1, 2)) == {(1, 2): 1, (2, 1): -1}
+    assert expand_to_tensor(LieElement(basis, {(1, 2): 1})) == {(1, 2): 1, (2, 1): -1}
