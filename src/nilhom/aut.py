@@ -60,8 +60,8 @@ from .lie_homology import GradedLieAlgebra, free_nilpotent_lie, weighted_betti
 from .lie_homology import betti_number  # noqa: F401 - perfbench wraps it by name
 
 # after lie_homology, so that whatever imports aut runs the modules in the
-# order exact_linalg, free_lie, lie_homology, rep, aut: a nilhom process's
-# peak RSS moves with that order
+# order exact_linalg, free_lie, weights, lie_homology, rep, aut: a nilhom
+# process's peak RSS moves with that order
 from . import rep
 
 __all__ = [

@@ -18,11 +18,12 @@ main are all read from those declarations.
 
 Each handler imports the nilhom modules it calls, so a process loads only
 what its command uses: a warm cache hit loads cli, cache, free_lie and
-exact_linalg and nothing else.  lie_homology comes first among the rest:
-aut imports it before rep, and invariants imports aut first, so whatever a
-command loads runs in the order exact_linalg, free_lie, lie_homology, rep,
-aut, nilgroup, invariants.  A nilhom process's peak RSS moves with that
-order.
+exact_linalg and nothing else.  weights, which imports no nilhom module,
+runs first among the rest, since lie_homology and rep import it;
+lie_homology comes next: aut imports it before rep, and invariants imports
+aut first, so whatever a command loads runs in the order exact_linalg,
+free_lie, weights, lie_homology, rep, aut, nilgroup, invariants.  A nilhom
+process's peak RSS moves with that order.
 """
 
 from __future__ import annotations

@@ -6,7 +6,9 @@ block-diagonal over the weight lattice; every rank computation here is
 performed weight block by weight block, which is both an enormous speedup
 and an exact equivariant refinement for free.
 
-Betti numbers are read off the weight tables.
+Betti numbers are read off the weight tables at the ranked weights:
+weighted_betti spreads each over its S_r orbit with weights.orbit, and
+betti_number weighs each by weights.orbit_size, so it lists no weight.
 
 Only the blocks that symmetry and duality leave undetermined are ranked:
 for the free nilpotent algebra, and for an IA derivation algebra whose
@@ -41,7 +43,7 @@ rests on, and no path builds an algebra without them.
 
 Practical envelope: the full Betti vector of F(6,2), dimension 21, takes
 about 1.3-2 s and 18-19 MB, and the degree-3 weight table of IA(3,4),
-dimension 87, about 8-9 s and 61 MB (2-core Xeon VM, Python 3.11);
+dimension 87, about 4.5-6 s and 60-61 MB (2-core Xeon VM, Python 3.11);
 per-weight blocks reach further.  A degree d whose C(dim, d) wedges pass
 _MAX_WEDGES (10^7) is refused with ValueError before any wedge is listed,
 and betti_numbers checks its widest degree before it ranks any.  All
@@ -55,12 +57,13 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, lcm
-from typing import AbstractSet, Callable, Iterator, Mapping
+from typing import AbstractSet, Callable, Mapping
 
 from .exact_linalg import RationalMatrix, _add, _add_scaled, _as_fraction, _eliminate, row_space_basis
 from .exact_linalg import rank  # noqa: F401 - perfbench wraps it by name
 from .free_lie import HallBasis, hall_basis
 from .free_lie import bracket  # noqa: F401 - perfbench wraps it by name
+from .weights import Weight, orbit, orbit_size
 
 __all__ = [
     "GradedLieAlgebra",
@@ -72,8 +75,6 @@ __all__ = [
     "lower_central_series_dims",
     "nilpotency_class",
 ]
-
-Weight = tuple[int, ...]
 
 _MAX_WEDGES = 10**7  # wedges in one degree; a degree with more is refused, not enumerated
 
@@ -434,35 +435,17 @@ def _check_wedge_count(g: GradedLieAlgebra, d: int) -> None:
         )
 
 
-def _orbit(w: Weight) -> Iterator[Weight]:
-    """The distinct rearrangements of w, each once, in increasing order.
-
-    The next-permutation step on the sorted entries: swap the last ascent
-    with the least larger entry after it, then reverse the tail.  A
-    repeated entry is never swapped with its equal, so an orbit of k
-    weights costs k steps, not the len(w)! of all permutations.
-    """
-    a = sorted(w)
-    while True:
-        yield tuple(a)
-        i = len(a) - 2
-        while i >= 0 and a[i] >= a[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = len(a) - 1
-        while a[j] <= a[i]:
-            j -= 1
-        a[i], a[j] = a[j], a[i]
-        a[i + 1 :] = a[:i:-1]
-
-
 def betti_number(g: GradedLieAlgebra, d: int) -> int:
     """dim of the degree-d homology: the sum of the degree-d weight table.
 
-    Degrees beyond the dimension have zero homology.
+    Each ranked weight's b counts once per weight of its S_r orbit when
+    the generators permute, so no weight is listed.  Degrees beyond the
+    dimension have zero homology.
     """
-    return sum(weighted_betti(g, d).values())
+    table = _ranked_table(g, d)
+    if _permutes_generators(g):
+        return sum(b * orbit_size(w) for w, b in table.items())
+    return sum(table.values())
 
 
 def betti_numbers(g: GradedLieAlgebra) -> list[int]:
@@ -484,16 +467,28 @@ def weighted_betti(g: GradedLieAlgebra, d: int) -> dict[Weight, int]:
     """Homology dimensions in degree d, refined by multiweight.
 
     Only weights with nonzero homology appear, in increasing order; the
-    values sum to betti_number(g, d).  Every degree is read off the weight
-    blocks by one formula, b_d(w) = c_d(w) - r_d(w) - r_{d+1}(w), with c_k
-    the number of k-wedges of weight w and r_k the rank of the degree-k
-    boundary on them.  For a unimodular algebra Poincare duality pairs
-    weight w with total - w (see _duality): a count c_k with 2k > dim is
-    c_{dim-k} at the dual weight, and a rank r_k with 2k > dim + 1 is
-    r_{dim+1-k} there, since that boundary is the transpose of this one.
-    So a lower degree ranks d and d + 1, an upper degree dim - d and
-    dim + 1 - d, and the even middle dim/2 alone.  The table is built anew
-    on each call from the memoized blocks.
+    values sum to betti_number(g, d).  When the generators permute, each
+    ranked weight's b is spread over its S_r orbit.  The table is built
+    anew on each call from the memoized blocks.
+    """
+    table = _ranked_table(g, d)
+    if _permutes_generators(g):
+        table = {image: b for w, b in table.items() for image in orbit(w)}
+    return dict(sorted(table.items()))
+
+
+def _ranked_table(g: GradedLieAlgebra, d: int) -> dict[Weight, int]:
+    """Degree d's nonzero homology at the weights whose blocks are ranked.
+
+    Every degree is read off the weight blocks by one formula,
+    b_d(w) = c_d(w) - r_d(w) - r_{d+1}(w), with c_k the number of k-wedges
+    of weight w and r_k the rank of the degree-k boundary on them.  For a
+    unimodular algebra Poincare duality pairs weight w with total - w (see
+    _duality): a count c_k with 2k > dim is c_{dim-k} at the dual weight,
+    and a rank r_k with 2k > dim + 1 is r_{dim+1-k} there, since that
+    boundary is the transpose of this one.  So a lower degree ranks d and
+    d + 1, an upper degree dim - d and dim + 1 - d, and the even middle
+    dim/2 alone.
     """
     if d < 0:
         raise ValueError("degree must be non-negative")
@@ -509,14 +504,7 @@ def weighted_betti(g: GradedLieAlgebra, d: int) -> dict[Weight, int]:
         return {w: block[i] for w, block in _blocks(g, k).items()}
 
     counts, ranks, ranks_up = read(d, 0), read(d, 1), read(d + 1, 1)
-    symmetric = _permutes_generators(g)
-    out: dict[Weight, int] = {}
-    for w, count in counts.items():
-        b = count - ranks.get(w, 0) - ranks_up.get(w, 0)
-        if b:
-            for image in _orbit(w) if symmetric else (w,):
-                out[image] = b
-    return dict(sorted(out.items()))
+    return {w: b for w, count in counts.items() if (b := count - ranks.get(w, 0) - ranks_up.get(w, 0))}
 
 
 def lower_central_series_dims(g: GradedLieAlgebra) -> list[int]:

@@ -42,6 +42,7 @@ from .exact_linalg import RationalMatrix, _add, _as_matrix, _kron, invert
 from .exact_linalg import rank as matrix_rank  # noqa: F401 - perfbench wraps it by name
 from .free_lie import _mobius, induced_map_lie
 from .free_lie import hall_basis  # noqa: F401 - perfbench wraps it by name
+from .weights import Weight, wedge_counts
 
 __all__ = [
     "Std",
@@ -65,8 +66,6 @@ __all__ = [
     "degree_estimate",
     "parse_expr",
 ]
-
-Weight = tuple[int, ...]
 
 
 class NotCharacterError(ValueError):
@@ -179,12 +178,10 @@ def evaluate(expr: ReprExpr, rank_: int) -> WeightModule:
 def _weights(expr: ReprExpr, rank_: int) -> Counter:
     """{weight: multiplicity} of the evaluation; no basis is listed.
 
-    Lambda^q visits each distinct inner weight w, of multiplicity m, once:
-    layer k, from q down to 1, gains t*w on a (k - t)-wedge in comb(m, t) ways.
-    Layer j is empty above the inner multiplicity already visited, so t
-    starts at k minus that.  Lie(n) counts each multiweight w by the
-    multigraded Witt formula (1/n) sum over d | gcd(w) of
-    mu(d) (n/d)! / prod (w_i/d)!, so no Hall basis is built.
+    Lambda^q is counted by weights.wedge_counts over the distinct inner
+    weights.  Lie(n) counts each multiweight w by the multigraded Witt
+    formula (1/n) sum over d | gcd(w) of mu(d) (n/d)! / prod (w_i/d)!, so
+    no Hall basis is built.
     """
     if isinstance(expr, (Std, DualStd)):
         sign = 1 if isinstance(expr, Std) else -1
@@ -207,21 +204,7 @@ def _weights(expr: ReprExpr, rank_: int) -> Counter:
                 out[w] = count
         return out
     if isinstance(expr, Wedge):
-        inner, q = _weights(expr.inner, rank_), expr.power
-        if q > sum(inner.values()):
-            return Counter()
-        layers = [Counter({(0,) * rank_: 1})] + [Counter() for _ in range(q)]
-        seen = 0  # the inner multiplicity visited so far: layers above it are empty
-        for w, m in inner.items():
-            ways = [1]  # comb(m, t), each from the one before
-            for t in range(1, min(q, m) + 1):
-                ways.append(ways[-1] * (m - t + 1) // t)
-            for k in range(q, 0, -1):
-                for t in range(max(1, k - seen), min(k, m) + 1):
-                    for v, count in layers[k - t].items():
-                        layers[k][tuple(a + t * b for a, b in zip(v, w))] += count * ways[t]
-            seen += m
-        return layers[q]
+        return wedge_counts(_weights(expr.inner, rank_), expr.power, rank_)
     if isinstance(expr, Tensor):
         left, right = _weights(expr.left, rank_), _weights(expr.right, rank_)
         out: Counter = Counter()

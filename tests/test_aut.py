@@ -21,7 +21,7 @@ from nilhom.aut import (
 from nilhom.exact_linalg import RationalMatrix, exp_nilpotent, rank
 from nilhom.free_lie import LieElement, bracket, hall_basis, induced_map_lie, witt_dimension
 from nilhom.invariants import _conjugation_by_definition
-from nilhom.lie_homology import GradedLieAlgebra, free_nilpotent_lie, nilpotency_class
+from nilhom.lie_homology import GradedLieAlgebra, free_nilpotent_lie, lower_central_series_dims, nilpotency_class
 from nilhom import aut, lie_homology, rep
 
 
@@ -397,6 +397,24 @@ def test_ia_betti_builds_its_table_once(monkeypatch):
     assert total == 165 == sum(table.values())
     digest = hashlib.sha256(repr(list(table.items())).encode()).hexdigest()
     assert digest == "a6fc10b00eee71a27cee85d49af25bcc55b0f0e8dce72c03025bc8e0ed2636a7"
+
+
+def test_ia_first_homology_is_cut_out_by_morita_traces():
+    # for r >= 3, H_1(IA(r, c)) is H* ⊗ Λ²H ⊕ S²H ⊕ ... ⊕ S^{c-1}H, each
+    # irreducible once: the cokernel of the bracket in each degree k = 2..c-1
+    # is S^k H, what Morita's trace Tr_k detects (Duke Math. J. 70, 1993).
+    # At rank 2, IA(2,5) adds det², which needs q(c - 1) >= 2r, met at q = 1.
+    cases = {
+        (r, c): {(1,) + (0,) * (r - 1): 1, (1, 1) + (0,) * (r - 3) + (-1,): 1}
+        | {(k,) + (0,) * (r - 1): 1 for k in range(2, c)}
+        for r, c in ((3, 3), (4, 3), (3, 4))
+    }
+    cases[2, 5] = {(4, 0): 1, (3, 0): 1, (2, 2): 1, (2, 0): 1, (1, 0): 1}
+    for (r, c), expected in cases.items():
+        g = ia_lie_algebra(r, c)
+        total, table = ia_betti(r, c, 1)
+        assert rep._weyl_multiplicities(rep.WeightModule(r, table)) == expected
+        assert total == g.dim - lower_central_series_dims(g)[1]  # b_1 = dim g/[g, g]
 
 
 def test_gl_conjugation_identity_and_permutation():

@@ -11,14 +11,14 @@ import pytest
 from nilhom.aut import _certify_generator_symmetry, ia_lie_algebra
 from nilhom.exact_linalg import RationalMatrix, _eliminate, rank
 from nilhom.free_lie import hall_basis, witt_dimension
-from nilhom.rep import Lie, evaluate
+from nilhom.rep import Lie, WeightModule, _weyl_multiplicities, evaluate
+from nilhom.weights import orbit
 from nilhom import lie_homology
 from nilhom.lie_homology import (
     _MAX_WEDGES,
     GradedLieAlgebra,
     _block_rows,
     _blocks,
-    _orbit,
     _permutes_generators,
     _wedge_buckets,
     betti_number,
@@ -565,23 +565,32 @@ def test_weight_split_ranks_match_full_matrices():
             assert betti_number(g, d) == comb(g.dim, d) - rank(ce_boundary(g, d)) - up
 
 
-def class_two_betti(r):
-    """Betti numbers of F(r, 2) by Jozefiak-Weyman (1985) and Sigg (1996).
+def self_conjugate_partitions(r):
+    """(k, lam) for each self-conjugate partition lam with at most r parts, k = (|lam| + Durfee rank) / 2.
 
-    H_k(V + wedge^2 V) is the sum of the Schur modules S_lam V over the
-    self-conjugate lam with (|lam| + Durfee rank) / 2 = k.  In Frobenius
-    notation lam = (a_1, ..., a_p | a_1, ..., a_p) with r > a_1 > ... > a_p >= 0,
-    so k = sum(a_i + 1); dim S_lam(Q^r) comes from the hook-content formula.
+    In Frobenius notation lam = (a_1, ..., a_p | a_1, ..., a_p) with
+    r > a_1 > ... > a_p >= 0, so k = sum(a_i + 1).
     """
-    out = [0] * (r + r * (r - 1) // 2 + 1)
     for p in range(r + 1):
         for arms in combinations(range(r - 1, -1, -1), p):
             lam = [a + i + 1 for i, a in enumerate(arms)]
             lam += [sum(1 for part in lam if part > i) for i in range(p, lam[0] if lam else 0)]
-            cells = [(i, j) for i, part in enumerate(lam) for j in range(part)]
-            contents = prod(r + j - i for i, j in cells)
-            hooks = prod(lam[i] - j + lam[j] - i - 1 for i, j in cells)  # lam is its own conjugate
-            out[sum(a + 1 for a in arms)] += contents // hooks
+            yield sum(a + 1 for a in arms), lam
+
+
+def class_two_betti(r):
+    """Betti numbers of F(r, 2) by Jozefiak-Weyman (1985) and Sigg (1996).
+
+    H_k(V + wedge^2 V) is the sum of the Schur modules S_lam V over the
+    self-conjugate lam with (|lam| + Durfee rank) / 2 = k; dim S_lam(Q^r)
+    comes from the hook-content formula.
+    """
+    out = [0] * (r + r * (r - 1) // 2 + 1)
+    for k, lam in self_conjugate_partitions(r):
+        cells = [(i, j) for i, part in enumerate(lam) for j in range(part)]
+        contents = prod(r + j - i for i, j in cells)
+        hooks = prod(lam[i] - j + lam[j] - i - 1 for i, j in cells)  # lam is its own conjugate
+        out[k] += contents // hooks
     return out
 
 
@@ -589,6 +598,28 @@ def test_class_two_closed_form():
     assert class_two_betti(2) == [1, 2, 2, 1]
     for r in range(2, 6):
         assert group_betti(r, 2) == class_two_betti(r)
+
+
+def test_class_two_homology_splits_into_self_conjugate_schur_modules():
+    # Jozefiak-Weyman and Sigg irreducible by irreducible: H_k(F(r, 2)) holds
+    # each S_lam with lam self-conjugate, (|lam| + Durfee rank) / 2 = k and at
+    # most r parts, once, and nothing else
+    for r in (3, 4):
+        g = free_nilpotent_lie(r, 2)
+        expected = [{} for _ in range(g.dim + 1)]
+        for k, lam in self_conjugate_partitions(r):
+            expected[k][tuple(lam) + (0,) * (r - len(lam))] = 1
+        assert [_weyl_multiplicities(WeightModule(r, weighted_betti(g, k))) for k in range(g.dim + 1)] == expected
+
+
+def test_weights_with_last_entry_zero_restrict_to_one_generator_fewer():
+    # a block whose weight has last entry 0 holds only wedges of basis elements
+    # free of the last generator, and those span F(r - 1, c)
+    for r, c in ((4, 2), (3, 3), (2, 4)):
+        g, h = free_nilpotent_lie(r, c), free_nilpotent_lie(r - 1, c)
+        for d in range(g.dim + 1):
+            restricted = {w[:-1]: b for w, b in weighted_betti(g, d).items() if w[-1] == 0}
+            assert restricted == weighted_betti(h, d)
 
 
 def direct_weighted_betti(g, d):
@@ -649,7 +680,7 @@ def test_orbit_lists_each_distinct_permutation_once():
     for n in range(8):
         for _ in range(40):
             w = tuple(rng.randint(-2, 2) for _ in range(n))
-            assert list(_orbit(w)) == sorted(set(permutations(w)))
+            assert list(orbit(w)) == sorted(set(permutations(w)))
 
 
 def test_weight_tables_equal_the_spread_over_all_permutations():

@@ -45,7 +45,7 @@ def test_import_loads_no_submodule():
 
 
 # the order in which the nilhom modules below cli run when a command loads them all
-RUN_ORDER = ("exact_linalg", "free_lie", "lie_homology", "rep", "aut", "nilgroup", "invariants")
+RUN_ORDER = ("exact_linalg", "free_lie", "weights", "lie_homology", "rep", "aut", "nilgroup", "invariants")
 # what every command loads before its handler runs
 CLI_BASE = ["nilhom", "nilhom.cache", "nilhom.cli", "nilhom.exact_linalg", "nilhom.free_lie"]
 
@@ -106,7 +106,7 @@ def _cli_loads(argv: list[str]) -> list[str]:
 
 def test_warm_hit_hall_and_witt_load_only_cache_and_free_lie(tmp_path):
     betti = ["betti", "group", "-r", "2", "-c", "3", "--cache-dir", str(tmp_path)]
-    assert _cli_loads(betti) == sorted(CLI_BASE + ["nilhom.lie_homology"])  # cold
+    assert _cli_loads(betti) == sorted(CLI_BASE + ["nilhom.lie_homology", "nilhom.weights"])  # cold
     assert _cli_loads(betti) == CLI_BASE  # warm
     assert _cli_loads(["hall", "-r", "2", "-c", "3", "--no-cache"]) == CLI_BASE
     assert _cli_loads(["witt", "-r", "2", "--max-degree", "3", "--no-cache"]) == CLI_BASE
@@ -114,11 +114,11 @@ def test_warm_hit_hall_and_witt_load_only_cache_and_free_lie(tmp_path):
 
 def test_bch_loads_neither_aut_nor_rep():
     loaded = _cli_loads(["bch", "-r", "2", "-c", "3", "--u", "1:1", "--v", "2:1", "--no-cache"])
-    assert loaded == sorted(CLI_BASE + ["nilhom.lie_homology", "nilhom.nilgroup"])
+    assert loaded == sorted(CLI_BASE + ["nilhom.lie_homology", "nilhom.nilgroup", "nilhom.weights"])
 
 
 def test_selftest_loads_every_module_in_run_order():
-    # _cli_loads checks the order: all seven modules below cli, exactly RUN_ORDER
+    # _cli_loads checks the order: all eight modules below cli, exactly RUN_ORDER
     loaded = _cli_loads(["selftest", "--no-cache"])
     assert loaded == sorted(["nilhom", "nilhom.cache", "nilhom.cli"] + [f"nilhom.{m}" for m in RUN_ORDER])
 
@@ -203,3 +203,29 @@ def test_rep_lists_combinations_only_for_matrices_and_weyl_signs():
     tree = ast.parse((ROOT / "src" / "nilhom" / "rep.py").read_text())
     callers = {where for where, _ in _calls_by_function(tree, "combinations")}
     assert callers == {"_action", "_weyl_multiplicities"}
+
+
+def test_weight_tables_are_counted_and_spread_only_in_weights():
+    # weights is the one module that counts a weight table or walks an S_r
+    # orbit: it imports no nilhom module, rep counts Lambda^q through it, and
+    # betti_number sums orbit sizes without spreading a table
+    src = ROOT / "src" / "nilhom"
+    imported = set()
+    for node in ast.walk(ast.parse((src / "weights.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert imported == {"__future__", "collections", "typing"}
+    homology = ast.parse((src / "lie_homology.py").read_text())
+    for name in ("weighted_betti", "orbit"):
+        assert "betti_number" not in {where for where, _ in _calls_by_function(homology, name)}
+    rep_tree = ast.parse((src / "rep.py").read_text())
+    assert "_weights" in {where for where, _ in _calls_by_function(rep_tree, "wedge_counts")}
+    defined = [
+        (path.stem, node.name)
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name in ("orbit", "_orbit")
+    ]
+    assert defined == [("weights", "orbit")]
