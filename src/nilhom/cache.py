@@ -1,19 +1,21 @@
 """On-disk result cache, one file per entry.
 
-Byte layout of a cache file:
+Each cache file is one record:
 
-    bytes 0..7    magic b"NHCACHE1"
-    bytes 8..11   big-endian section count (always 2)
-    per section   8-byte big-endian length, then the raw bytes
-    trailer       32-byte SHA-256 digest of everything before it
+    bytes 0..7    magic b"NHCACHE2"
+    bytes 8..39   SHA-256 digest of the body
+    bytes 40..    body: the canonical key JSON, one b"\\n", the payload JSON
 
-Section 0 is the canonical key JSON (schema version, package version,
-computation kind, parameters), section 1 the payload JSON.  File name is
-the SHA-256 hex of the key, so an entry another release wrote is a miss.
-A corrupt or mismatched file reads as a miss and is overwritten on the
-next store, never returned.  A store writes a temporary file in the
-cache directory and renames it over the entry, so a reader finds the old
-entry or the new one, never part of one.
+The key JSON holds the schema version, package version, computation kind
+and parameters.  Canonical JSON escapes every newline inside a string, so
+the body's first newline is the one that ends the key.  File name is the
+SHA-256 hex of the key, so an entry another release wrote is a miss.  A
+corrupt or mismatched file (a wrong magic, a wrong digest, no separator,
+another key, or a payload that does not decode) reads as a miss and is
+overwritten on the next store, never returned; so is a file in an older
+layout.  A store writes a temporary file in the cache directory and
+renames it over the entry, so a reader finds the old entry or the new
+one, never part of one.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from pathlib import Path
 
 from . import __version__
 
-MAGIC = b"NHCACHE1"
+MAGIC = b"NHCACHE2"
 SCHEMA_VERSION = 1
 
 __all__ = ["Cache", "SCHEMA_VERSION", "canonical_json"]
@@ -54,47 +56,33 @@ class Cache:
         if not self.enabled:
             return None
         key = self._key(kind, params)
-        path = self._path(key)
         try:
-            blob = path.read_bytes()
+            blob = self._path(key).read_bytes()
         except OSError:
             return None
+        header, body = blob[: len(MAGIC) + 32], blob[len(MAGIC) + 32 :]
+        if header != MAGIC + hashlib.sha256(body).digest():
+            return None
+        stored_key, _, payload = body.partition(b"\n")
+        if stored_key != key:  # with no newline, stored_key is the whole body
+            return None
         try:
-            if len(blob) < len(MAGIC) + 4 + 32 or not blob.startswith(MAGIC):
-                return None
-            body, digest = blob[:-32], blob[-32:]
-            if hashlib.sha256(body).digest() != digest:
-                return None
-            if int.from_bytes(body[8:12], "big") != 2:
-                return None
-            sections = []
-            pos = 12
-            for _ in range(2):
-                size = int.from_bytes(body[pos : pos + 8], "big")
-                pos += 8
-                sections.append(body[pos : pos + size])
-                pos += size
-            if pos != len(body) or sections[0] != key:
-                return None
-            return json.loads(sections[1].decode("utf-8"))
-        except (ValueError, IndexError, RecursionError):  # RecursionError: a payload nested too deeply
+            return json.loads(payload.decode("utf-8"))
+        except (ValueError, RecursionError):  # RecursionError: a payload nested too deeply
             return None
 
     def put(self, kind: str, params, payload) -> None:
         if not self.enabled:
             return
         key = self._key(kind, params)
-        payload_bytes = canonical_json(payload).encode("utf-8")
-        body = MAGIC + (2).to_bytes(4, "big")
-        for section in (key, payload_bytes):
-            body += len(section).to_bytes(8, "big") + section
+        body = key + b"\n" + canonical_json(payload).encode("utf-8")
         self.directory.mkdir(parents=True, exist_ok=True)
         import tempfile  # here, so that a process that only reads the cache does not load it
 
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
-                fh.write(body + hashlib.sha256(body).digest())
+                fh.write(MAGIC + hashlib.sha256(body).digest() + body)
             os.replace(tmp, self._path(key))
         except BaseException:
             os.unlink(tmp)

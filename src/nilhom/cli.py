@@ -40,6 +40,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .cache import Cache, SCHEMA_VERSION, canonical_json
+from .exact_linalg import _EXACT_NUMBER
 from .free_lie import hall_basis, witt_dimension
 
 if TYPE_CHECKING:
@@ -55,9 +56,7 @@ def _check_label_rank(rank: int) -> None:
         raise ValueError(f"rank {rank} is above 9: words are written one digit per generator")
 
 
-# exact coefficients only: no exponent to expand, no zero denominator
 _WORD = re.compile(r"[0-9]+")
-_COEFFICIENT = re.compile(r"[+-]?([0-9]+(/[0-9]*[1-9][0-9]*)?|[0-9]+\.[0-9]*|\.[0-9]+)")
 
 
 def _parse_coords(basis, text: str) -> MalcevElement:
@@ -69,7 +68,7 @@ def _parse_coords(basis, text: str) -> MalcevElement:
         for item in text.split(","):
             word_part, _, value_part = item.partition(":")
             word_part, value_part = word_part.strip(), value_part.strip() or "1"
-            if not _WORD.fullmatch(word_part) or not _COEFFICIENT.fullmatch(value_part):
+            if not _WORD.fullmatch(word_part) or not _EXACT_NUMBER.fullmatch(value_part):
                 raise ValueError(
                     f"item {item.strip()!r} is not word:coefficient with an integer, "
                     "n/d (d nonzero) or plain decimal coefficient"

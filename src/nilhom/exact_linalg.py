@@ -39,6 +39,7 @@ functions; everything in this module is safe to use concurrently.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
@@ -55,12 +56,20 @@ __all__ = [
 ]
 
 
+# the one grammar of an exact number written as a string, for the library
+# and the CLI alike: an integer, n/d with d nonzero, or a plain decimal;
+# no exponent to expand, no zero denominator, no surrounding blanks
+_EXACT_NUMBER = re.compile(r"[+-]?([0-9]+(/[0-9]*[1-9][0-9]*)?|[0-9]+\.[0-9]*|\.[0-9]+)")
+
+
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if not _EXACT_NUMBER.fullmatch(value):
+            raise ValueError(f"{value!r} is not an integer, n/d (d nonzero) or plain decimal")
         return Fraction(value)
     raise TypeError(f"exact arithmetic only: cannot accept {type(value).__name__}")
 

@@ -338,30 +338,77 @@ def test_selftest_store_failure_still_prints_every_record(tmp_path, monkeypatch,
     assert err.count("\n") == 1
 
 
-def test_cache_forged_section_count_is_a_miss_at_once(tmp_path):
-    # the checksum holds, but the format has two sections: a reader that
-    # looped over the stored count would run 2^32 - 1 times here
+def _record(body: bytes) -> bytes:
+    """Seal a body as a cache record with a valid digest."""
+    return nilhom.cache.MAGIC + hashlib.sha256(body).digest() + body
+
+
+def _forged_entry_is_a_miss_and_is_rewritten(tmp_path, forge) -> None:
+    """Replace a stored entry by forge(key, payload): a miss, which the next store overwrites."""
     cache = Cache(tmp_path)
     cache.put("betti", {"rank": 2}, {"betti": [1]})
     (entry,) = tmp_path.glob("*.nhc")
-    body = bytearray(entry.read_bytes()[:-32])
-    body[8:12] = (2**32 - 1).to_bytes(4, "big")
-    entry.write_bytes(bytes(body) + hashlib.sha256(body).digest())
-    start = time.perf_counter()
+    good = entry.read_bytes()
+    key, _, payload = good[40:].partition(b"\n")
+    entry.write_bytes(forge(key, payload))
     assert cache.get("betti", {"rank": 2}) is None
-    assert time.perf_counter() - start < 1.0
+    cache.put("betti", {"rank": 2}, {"betti": [1]})
+    assert entry.read_bytes() == good
+    assert cache.get("betti", {"rank": 2}) == {"betti": [1]}
+
+
+def test_cache_forged_key_line_is_a_miss(tmp_path):
+    # the digest holds, but the key line names another computation
+    def forge(key, payload):
+        other = key.replace(b'"rank":2', b'"rank":3')
+        assert other != key
+        return _record(other + b"\n" + payload)
+
+    _forged_entry_is_a_miss_and_is_rewritten(tmp_path, forge)
+
+
+def test_cache_record_with_no_separator_is_a_miss(tmp_path):
+    # the digest holds, but no newline ends the key
+    _forged_entry_is_a_miss_and_is_rewritten(tmp_path, lambda key, payload: _record(key + payload))
+    _forged_entry_is_a_miss_and_is_rewritten(tmp_path, lambda key, payload: _record(key))
+
+
+def test_cache_payload_altered_under_its_old_digest_is_a_miss(tmp_path):
+    # the altered payload still decodes, and only the digest tells
+    def forge(key, payload):
+        assert payload == b'{"betti":[1]}'
+        return _record(key + b"\n" + payload)[:-3] + b"2]}"
+
+    _forged_entry_is_a_miss_and_is_rewritten(tmp_path, forge)
+
+
+def test_cache_record_under_another_magic_is_a_miss(tmp_path):
+    def forge(key, payload):
+        return b"NHCACHE3" + _record(key + b"\n" + payload)[len(nilhom.cache.MAGIC) :]
+
+    _forged_entry_is_a_miss_and_is_rewritten(tmp_path, forge)
+
+
+def test_cache_entry_in_the_sectioned_layout_is_a_miss(tmp_path):
+    # the earlier NHCACHE1 layout: a section count, two length-prefixed
+    # sections (key, payload) and a trailing digest, all of them valid
+    def forge(key, payload):
+        body = b"NHCACHE1" + (2).to_bytes(4, "big")
+        for section in (key, payload):
+            body += len(section).to_bytes(8, "big") + section
+        return body + hashlib.sha256(body).digest()
+
+    _forged_entry_is_a_miss_and_is_rewritten(tmp_path, forge)
 
 
 def _forge_payload(entry, payload: bytes) -> None:
-    """Keep the entry's key section, replace its payload, and seal it with a valid checksum."""
-    body = entry.read_bytes()[:-32]
-    key = body[20 : 20 + int.from_bytes(body[12:20], "big")]
-    forged = body[:20] + key + len(payload).to_bytes(8, "big") + payload
-    entry.write_bytes(forged + hashlib.sha256(forged).digest())
+    """Keep the entry's key line, replace its payload, and reseal it with a valid digest."""
+    key = entry.read_bytes()[40:].partition(b"\n")[0]
+    entry.write_bytes(_record(key + b"\n" + payload))
 
 
 def test_cache_too_deeply_nested_payload_is_a_miss(tmp_path, monkeypatch):
-    # the checksum and both sections hold, but decoding a 200,000-deep JSON
+    # the digest and the key line hold, but decoding a 200,000-deep JSON
     # array raises RecursionError; that must read as a miss, not an error
     deep = b"[" * 200_000 + b"]" * 200_000
     cache = Cache(tmp_path / "direct")
@@ -601,8 +648,8 @@ def test_json_golden_cold_and_warm_and_only_declared_commands_cached(tmp_path, m
             assert hashlib.sha256(out.encode()).hexdigest() == JSON_GOLDEN[command], command
     kinds = []
     for entry in tmp_path.glob("*.nhc"):
-        blob = entry.read_bytes()  # section 0, the key JSON, starts at byte 20
-        kinds.append(json.loads(blob[20 : 20 + int.from_bytes(blob[12:20], "big")])["kind"])
+        blob = entry.read_bytes()  # the key JSON starts after the magic and the digest, at byte 40
+        kinds.append(json.loads(blob[40:].partition(b"\n")[0])["kind"])
     # the two betti lines and selftest's betti_cache check each leave a betti entry
     assert sorted(kinds) == ["betti", "betti", "betti", "degree-check", "weighted-betti"]
 
@@ -654,3 +701,21 @@ def test_selftest_reports_a_failing_check(monkeypatch):
     assert results["witt_lyndon"]["status"] == "fail"
     assert results["witt_lyndon"]["detail"] == {"rank": 2, "degree": 3}
     assert results["betti_heisenberg"]["status"] == "pass"
+
+
+def test_selftest_fails_on_a_stored_betti_entry_that_disagrees(tmp_path, monkeypatch):
+    # selftest's betti_cache check reads the betti subcommand's entry; a wrong
+    # payload stored there fails that check, and only that check
+    monkeypatch.delenv("NILHOM_CACHE_DIR", raising=False)
+    params = {"target": "group", "rank": 2, "cls": 3, "degree": None}
+    Cache(tmp_path).put("betti", params, {"betti": [1, 2, 3]})
+    code, records = run_records(["selftest", "--cache-dir", str(tmp_path)], monkeypatch)
+    assert code == 1
+    results = {record["result"]["check"]: record["result"] for record in records}
+    assert len(results) == 15
+    assert results.pop("betti_cache") == {
+        "check": "betti_cache",
+        "status": "fail",
+        "detail": {"reason": "cache disagrees with recomputation"},
+    }
+    assert all(result["status"] == "pass" for result in results.values())

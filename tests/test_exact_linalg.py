@@ -1,9 +1,15 @@
 """Exact linear algebra: examples, invariants, and an independent oracle."""
 
 import copy
+import os
 import random
+import re
+import subprocess
+import sys
+import time
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -325,6 +331,48 @@ def test_from_rows_checks_entries_before_row_lengths():
         RationalMatrix.from_rows([[1, 0], [1]])
     assert RationalMatrix.from_rows([]) == RationalMatrix(0, 0)
     assert RationalMatrix.from_rows([["1/2", 0]]).entries == {(0, 0): Fraction(1, 2)}
+
+
+# each library entry point that reads a number given as a string, as a
+# statement with X in place of that string
+STRING_READERS = {
+    "RationalMatrix.from_rows": "from nilhom.exact_linalg import RationalMatrix\n"
+    "value = RationalMatrix.from_rows([[X]]).entry(0, 0)",
+    "LieElement": "from nilhom.free_lie import LieElement, hall_basis\n"
+    "value = LieElement(hall_basis(2, 2), {(1,): X}).coords[(1,)]",
+    "dynkin": "from nilhom.free_lie import dynkin, hall_basis\n"
+    "value = dynkin({(1,): X}, hall_basis(2, 2)).coords[(1,)]",
+    "GradedLieAlgebra": "from nilhom.lie_homology import GradedLieAlgebra\n"
+    "value = GradedLieAlgebra(('a', 'b', 'c'), ((1,), (1,), (2,)), {(0, 1): {2: X}}).bracket_basis(0, 1)[2]",
+}
+
+
+@pytest.mark.parametrize("reader", sorted(STRING_READERS))
+def test_string_readers_refuse_an_exponent_at_once(reader):
+    # Fraction("1e99999999") would build a 10^99999999 first; run in a child
+    # process, so that work which would not finish fails the 10 s timeout
+    code = STRING_READERS[reader].replace("X", repr("1e99999999"))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=10)
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 1
+    assert proc.stderr.rstrip().endswith(
+        "ValueError: '1e99999999' is not an integer, n/d (d nonzero) or plain decimal"
+    )
+
+
+@pytest.mark.parametrize("reader", sorted(STRING_READERS))
+def test_string_readers_share_one_number_grammar(reader):
+    read = {"1/2": Fraction(1, 2), "-3": -3, "0.25": Fraction(1, 4), ".5": Fraction(1, 2), "7.": 7,
+            "+04/06": Fraction(2, 3)}
+    for text, expected in read.items():
+        scope = {}
+        exec(STRING_READERS[reader].replace("X", repr(text)), scope)
+        assert scope["value"] == expected, text
+    for text in ["1e3", "1/0", "1/00", " 1", "1 ", "1_000", "inf", "nan", "0x10", "", "+", "1/2.5", "--1"]:
+        with pytest.raises(ValueError, match="^" + re.escape(repr(text)) + " is not"):
+            exec(STRING_READERS[reader].replace("X", repr(text)), {})
 
 
 def weight_blocks(g, max_degree, dominant):

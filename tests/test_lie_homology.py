@@ -766,6 +766,18 @@ def test_duality_needs_unimodular_algebra():
     assert_matches_direct_oracle(g)
 
 
+def test_sl2_is_not_nilpotent_and_has_the_homology_of_a_three_sphere():
+    # sl_2 with [e, f] = h, [h, e] = 2e, [h, f] = -2f, graded by the eigenvalue of ad h / 2;
+    # H_*(sl_2) = Λ[x_3], with both classes of weight zero
+    g = GradedLieAlgebra(("e", "f", "h"), ((1,), (-1,), (0,)), {(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2}})
+    assert betti_numbers(g) == [1, 0, 0, 1]
+    assert [weighted_betti(g, d) for d in range(4)] == [{(0,): 1}, {}, {}, {(0,): 1}]
+    assert_matches_direct_oracle(g)
+    for invariant in (lower_central_series_dims, nilpotency_class):
+        with pytest.raises(ValueError, match="^algebra is not nilpotent$"):
+            invariant(g)
+
+
 def test_symmetry_needs_free_nilpotent_algebra():
     # the weights and Hall basis of F(2,3) with [e0,e1] = e2 and [e0,e2] = e3 only:
     # swapping the generators is no automorphism, so H_1 has weight (1,2) but not (2,1)
