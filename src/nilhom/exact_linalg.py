@@ -214,9 +214,6 @@ class RationalMatrix:
             _add(data, k, q)
         return RationalMatrix._computed(self.rows, self.cols, data)
 
-    def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return self + other.scaled(-1)
-
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
@@ -251,9 +248,6 @@ class RationalMatrix:
             and self.cols == other.cols
             and self.entries == other.entries
         )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, frozenset(self.entries.items())))
 
     def __repr__(self) -> str:
         return f"RationalMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"

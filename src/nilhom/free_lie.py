@@ -211,9 +211,6 @@ class HallBasis:
     def same_as(self, other: "HallBasis") -> bool:
         return self.rank == other.rank and self.cls == other.cls
 
-    def __len__(self) -> int:
-        return len(self.elements)
-
     def __repr__(self) -> str:
         return f"HallBasis(rank={self.rank}, cls={self.cls}, dim={len(self.elements)})"
 
@@ -270,9 +267,6 @@ class _HallElement:
             return NotImplemented
         return self.basis.same_as(other.basis) and self.coords == other.coords
 
-    def __hash__(self):
-        return hash((self.basis.rank, self.basis.cls, frozenset(self.coords.items())))
-
     def _terms(self) -> str:
         return " + ".join(
             f"{q}*[{self.basis.label(w)}]"
@@ -301,12 +295,6 @@ class LieElement(_HallElement):
         for w, q in other.coords.items():
             _add(data, w, q)
         return LieElement._computed(self.basis, data)
-
-    def __sub__(self, other: "LieElement") -> "LieElement":
-        return self + other.scaled(-1)
-
-    def __neg__(self) -> "LieElement":
-        return self.scaled(-1)
 
     def __repr__(self) -> str:
         return f"LieElement({self._terms()})" if self.coords else "LieElement(0)"

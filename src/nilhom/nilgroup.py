@@ -76,12 +76,6 @@ class MalcevElement(_HallElement):
     def log(self) -> LieElement:
         return LieElement._computed(self.basis, self.coords)
 
-    def __mul__(self, other: "MalcevElement") -> "MalcevElement":
-        return multiply(self, other)
-
-    def __invert__(self) -> "MalcevElement":
-        return inverse(self)
-
     def __repr__(self) -> str:
         return f"MalcevElement(exp({self._terms()}))" if self.coords else "MalcevElement(1)"
 

@@ -2,11 +2,13 @@
 
 Representations are symbolic expressions built from the standard
 representation, its dual, constants, the Lie-functor layers, exterior
-powers, tensor products, direct sums, and Hom out of the standard
-representation.  An expression evaluates at a rank to its torus-weight
-multiset; weight multiplicities determine a rational representation up to
-isomorphism, so the weight module is the equivariant fingerprint used for
-all comparisons.  It is counted without listing a basis.
+powers, tensor products and direct sums.  Hom out of the standard
+representation is no node of its own: HomStd(V) builds std* tensor V,
+as lie_interval(a, c) builds a sum of Lie layers.  An expression
+evaluates at a rank to its torus-weight multiset; weight multiplicities
+determine a rational representation up to isomorphism, so the weight
+module is the equivariant fingerprint used for all comparisons.  It is
+counted without listing a basis.
 
 Irreducible multiplicities come from the Weyl character formula
 (Fulton-Harris, section 24): multiplying a symmetric weight multiset by
@@ -122,14 +124,7 @@ class Sum:
     right: "ReprExpr"
 
 
-@dataclass(frozen=True)
-class HomStd:
-    """Hom(standard, inner) = dual-standard tensor inner."""
-
-    inner: "ReprExpr"
-
-
-ReprExpr = Union[Std, DualStd, Const, Lie, Wedge, Tensor, Sum, HomStd]
+ReprExpr = Union[Std, DualStd, Const, Lie, Wedge, Tensor, Sum]
 
 
 class WeightModule:
@@ -214,8 +209,6 @@ def _weights(expr: ReprExpr, rank_: int) -> Counter:
         return out
     if isinstance(expr, Sum):
         return _weights(expr.left, rank_) + _weights(expr.right, rank_)
-    if isinstance(expr, HomStd):
-        return _weights(Tensor(DualStd(), expr.inner), rank_)
     raise TypeError(f"not a representation expression: {expr!r}")
 
 
@@ -275,9 +268,12 @@ def _action(expr: ReprExpr, m: RationalMatrix) -> RationalMatrix:
         for (i, j), q in right.entries.items():
             entries[(left.rows + i, left.cols + j)] = q
         return RationalMatrix._computed(left.rows + right.rows, left.cols + right.cols, entries)
-    if isinstance(expr, HomStd):
-        return _action(Tensor(DualStd(), expr.inner), m)
     raise TypeError(f"not a representation expression: {expr!r}")
+
+
+def HomStd(inner: ReprExpr) -> ReprExpr:
+    """Hom(standard, inner), built as dual-standard tensor inner."""
+    return Tensor(DualStd(), inner)
 
 
 def lie_interval(a: int, c: int) -> ReprExpr:

@@ -292,7 +292,7 @@ def test_exp_log_round_trip():
     )
     auto = exp_derivation(d)
     # matrix logarithm of a unipotent matrix, truncated sum
-    n = auto.matrix - RationalMatrix.identity(algebra.dim)
+    n = auto.matrix + RationalMatrix.identity(algebra.dim).scaled(-1)
     log = RationalMatrix(algebra.dim, algebra.dim)
     power = RationalMatrix.identity(algebra.dim)
     for k in range(1, algebra.dim + 1):

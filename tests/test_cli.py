@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import nilhom.cache
-from nilhom import cli, invariants
+from nilhom import aut, cli, invariants, lie_homology, nilgroup, rep
 from nilhom.cache import Cache
 from nilhom.cli import main
 
@@ -91,6 +91,18 @@ def test_bch_refuses_coefficients_it_cannot_read_exactly(monkeypatch, capsys):
         assert code == 1
         assert out == ""
         assert f"item {item!r} is not word:coefficient" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this Python reads integers of any length")
+def test_bch_refuses_a_coefficient_with_too_many_digits(monkeypatch, capsys):
+    item = "1:" + "9" * (sys.get_int_max_str_digits() + 700)
+    code, out = run_cli(["bch", "-r", "2", "-c", "3", "--u", item, "--v", "2:1", "--no-cache"], monkeypatch)
+    assert code == 1
+    assert out == ""
+    err = capsys.readouterr().err
+    assert f"item {item!r} has too many digits" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
@@ -701,6 +713,74 @@ def test_selftest_reports_a_failing_check(monkeypatch):
     assert results["witt_lyndon"]["status"] == "fail"
     assert results["witt_lyndon"]["detail"] == {"rank": 2, "degree": 3}
     assert results["betti_heisenberg"]["status"] == "pass"
+
+
+@pytest.fixture(scope="module")
+def selftest_registry():
+    """{check: (invariant, args, kwargs)} exactly as selftest calls each one, betti_cache aside."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in invariants.__all__:
+            real = getattr(invariants, name)
+            mp.setattr(invariants, name, lambda *a, _real=real, **k: calls.append((_real, a, k)) or (True, {}))
+        mp.setattr(cli, "_betti_cache_check", lambda cache: (True, {}))
+        _, records = run_records(["selftest", "--no-cache"], mp)
+    names = [record["result"]["check"] for record in records][:-1]
+    assert records[-1]["result"]["check"] == "betti_cache" and len(names) == len(calls) == 14
+    return dict(zip(names, calls))
+
+
+def _witt_off_at(case):
+    return lambda real: lambda r, n: real(r, n) + ((r, n) == case)
+
+
+# (check, layer module, attribute, stand-in built from the real attribute, detail
+# of the first failing case): one row for each way an invariant can fail
+REGISTRY_FAILURES = [
+    ("witt_lyndon", invariants, "witt_dimension", _witt_off_at((2, 3)), {"rank": 2, "degree": 3}),
+    ("bch_group_law", nilgroup, "multiply", lambda real: lambda a, b: real(a, real(b, b)),
+     {"rank": 2, "cls": 2, "law": "associativity"}),
+    ("bch_group_law", nilgroup, "multiply", lambda real: lambda a, b: a, {"rank": 2, "cls": 2, "law": "unit"}),
+    ("bch_group_law", nilgroup, "inverse", lambda real: lambda u: u, {"rank": 2, "cls": 2, "law": "inverse"}),
+    ("bch_commutator", nilgroup, "group_commutator", lambda real: lambda a, b: real(b, a), {"cls": 2}),
+    ("lcs_ranks", nilgroup, "lcs_ranks", lambda real: lambda r, c: real(r, c)[:-1] if r == 3 else real(r, c),
+     {"rank": 3, "cls": 2}),
+    ("center", nilgroup, "center_basis", lambda real: lambda r, c: real(r, c)[1:] if c == 3 else real(r, c),
+     {"rank": 2, "cls": 3}),
+    ("betti_heisenberg", lie_homology, "group_betti", lambda real: lambda r, c: [1, 2, 3, 1],
+     {"betti": [1, 2, 3, 1]}),
+    ("betti_symmetry", lie_homology, "group_betti", lambda real: lambda r, c: [1, r, 0],
+     {"rank": 3, "cls": 2, "betti": [1, 3, 0]}),
+    ("dynkin_retract", invariants, "dynkin", lambda real: lambda tensor, basis: real(tensor, basis).scaled(2),
+     {"rank": 2, "word": "1"}),
+    ("ia_ledger", invariants, "witt_dimension", _witt_off_at((3, 2)), {"rank": 3, "cls": 2, "dim": 9}),
+    ("ia_ledger", lie_homology, "nilpotency_class", lambda real: lambda g: real(g) + 1,
+     {"rank": 2, "cls": 3, "reason": "nilpotency"}),
+    ("summand_c2", rep, "evaluate", lambda real: lambda e, r: real(e, r) if r == 2 else rep.WeightModule(r, {}),
+     {"rank": 3, "degree": 0}),
+    ("summand_2_3", rep, "evaluate", lambda real: lambda e, r: rep.WeightModule(r, {}) if e.power == 2 else real(e, r),
+     {"degree": 2}),
+    ("coinvariants", rep, "coinvariants_dim", lambda real: lambda e, r: real(e, r) + (r == 3),
+     {"expr": "std", "rank": 3}),
+    ("coinvariants", rep, "coinvariants_dim", lambda real: lambda e, r: real(e, r) if e != rep.Const(3) else 0,
+     {"expr": "const(3)", "rank": 2}),
+    ("conjugation_consistency", aut, "gl_conjugation_on_ia",
+     lambda real: lambda a, r, c: real(a, r, c).scaled(-1) if c == 3 else real(a, r, c), {"rank": 2, "cls": 3}),
+    ("degree_bound", rep, "degree_estimate", lambda real: lambda dims: (3, False),
+     {"dims": [0, 1, 2, 3, 4], "estimate": 3}),
+]
+
+
+@pytest.mark.parametrize("check, layer, attr, stand_in, detail", REGISTRY_FAILURES,
+                         ids=[f"{row[0]}-{row[2]}" for row in REGISTRY_FAILURES])
+def test_every_registry_check_names_its_first_failing_case(
+    selftest_registry, check, layer, attr, stand_in, detail, monkeypatch
+):
+    invariant, args, kwargs = selftest_registry[check]
+    monkeypatch.setattr(layer, attr, stand_in(getattr(layer, attr)))
+    ok, got = invariant(*args, **kwargs)
+    assert ok is False
+    assert got == detail
 
 
 def test_selftest_fails_on_a_stored_betti_entry_that_disagrees(tmp_path, monkeypatch):

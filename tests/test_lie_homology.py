@@ -811,3 +811,10 @@ def test_symmetry_certificate_rejects_a_non_automorphic_swap():
     assert not _permutes_generators(g)
     assert weighted_betti(g, 1)[(2, 1)] == 2 and weighted_betti(g, 1)[(1, 2)] == 1
     assert_matches_direct_oracle(g)
+    # IA(2,3)'s brackets with weights (2a, b): Jacobi and additivity still
+    # hold, but the swap sends a vector of weight (2a, b) to one of weight
+    # (2b, a), not (b, 2a), so the certificate fails on weights alone
+    ia = ia_lie_algebra(2, 3)
+    h = GradedLieAlgebra(ia.labels, tuple((2 * a, b) for a, b in ia.weights), ia.brackets)
+    assert not _certify_generator_symmetry(h, 3)
+    assert not _permutes_generators(h)

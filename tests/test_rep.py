@@ -259,8 +259,8 @@ def matrix_coinvariants(expr, r, reflection=True):
     dim = evaluate(expr, r).dimension
     if dim == 0:
         return 0
-    eye = RationalMatrix.identity(dim)
-    return dim - matrix_rank(RationalMatrix.hstack([action_matrix(expr, g, r) - eye for g in gens]))
+    minus_eye = RationalMatrix.identity(dim).scaled(-1)
+    return dim - matrix_rank(RationalMatrix.hstack([action_matrix(expr, g, r) + minus_eye for g in gens]))
 
 
 def test_coinvariants_reflection_matters():
@@ -327,7 +327,7 @@ def expr_dimension(expr, r):
         return expr_dimension(expr.left, r) * expr_dimension(expr.right, r)
     if isinstance(expr, Sum):
         return expr_dimension(expr.left, r) + expr_dimension(expr.right, r)
-    return r * expr_dimension(expr.inner, r)  # HomStd
+    raise TypeError(f"not a representation expression: {expr!r}")
 
 
 LEAVES = st.one_of(
@@ -399,6 +399,8 @@ def test_degree_estimate():
 def test_parse_and_print():
     expr = parse_expr("wedge(2, hom(std, lie[2..3]))")
     assert expr == Wedge(2, HomStd(lie_interval(2, 3)))
+    # Hom(std, V) is std* tensor V, built, not a node of its own
+    assert parse_expr("hom(std, lie(2))") == HomStd(Lie(2)) == Tensor(DualStd(), Lie(2))
     assert parse_expr("tensor(std, dual)") == Tensor(Std(), DualStd())
     assert parse_expr("sum(const(2), lie(4))") == Sum(Const(2), Lie(4))
     for text, message in [
