@@ -23,7 +23,10 @@ dual weight.  So no degree above (dim + 1)/2 is ever listed, and in odd
 dimension a block of degree (dim + 1)/2 whose dual block is already
 ranked takes that rank.  Degree d's table is b_d(w) = c_d(w) - r_d(w) -
 r_{d+1}(w), built afresh from the memoized blocks on each call; no
-table is held.  Degrees ranked in turn are chained: the rows of degree
+table is held.  A read of one degree ranks the degree whose counts it
+reads whole, and the other degree only at the weights those counts
+carry; betti_numbers ranks every block of every degree it reads, each
+once.  Degrees ranked in turn are chained: the rows of degree
 d - 1's pivot columns are left out of degree d's blocks, which keeps
 their ranks.  Only the latest degree's pivot columns are held, each
 block's packed into one bytes string.
@@ -43,7 +46,7 @@ rests on, and no path builds an algebra without them.
 
 Practical envelope: the full Betti vector of F(6,2), dimension 21, takes
 about 1.0-1.6 s and 19 MB, and the degree-3 weight table of IA(3,4),
-dimension 87, about 4.1-4.8 s and 60 MB (2-core Xeon VM, Python 3.11,
+dimension 87, about 3.4-4.5 s and 44 MB (2-core Xeon VM, Python 3.11,
 fresh processes, algebra construction included);
 per-weight blocks reach further.  A degree d whose C(dim, d) wedges pass
 _MAX_WEDGES (10^7) is refused with ValueError before any wedge is listed,
@@ -268,8 +271,11 @@ def _duality(g: GradedLieAlgebra) -> Callable[[Weight], Weight] | None:
     return dual
 
 
-def _wedge_buckets(g: GradedLieAlgebra, d: int, dominant: bool) -> dict[Weight, list[int]]:
-    """The d-wedges of g bucketed by weight; only non-increasing weights when ``dominant``.
+def _wedge_buckets(
+    g: GradedLieAlgebra, d: int, dominant: bool, wanted: Callable[[Weight], bool] | None = None
+) -> dict[Weight, list[int]]:
+    """The d-wedges of g bucketed by weight; only non-increasing weights when ``dominant``,
+    and only the weights ``wanted`` accepts when it is given.
 
     A wedge e_i1 ^ ... ^ e_id (i1 < ... < id) is the bitmask 2^i1 + ... + 2^id.
     Each bucket lists its masks in lexicographic order of the index
@@ -317,7 +323,7 @@ def _wedge_buckets(g: GradedLieAlgebra, d: int, dominant: bool) -> dict[Weight, 
                 bucket = buckets.get(key, False)  # False: a weight not met before
                 if bucket is False:
                     w = weight(key)
-                    kept = not dominant or list(w) == sorted(w, reverse=True)
+                    kept = (not dominant or list(w) == sorted(w, reverse=True)) and (wanted is None or wanted(w))
                     bucket = buckets[key] = [] if kept else None
                 if bucket is not None:
                     bucket.append(j_mask | k_bit)
@@ -371,12 +377,21 @@ def _block_rows(g: GradedLieAlgebra, masks: list[int], skip: AbstractSet[int] = 
     return list(rows.values())
 
 
-def _blocks(g: GradedLieAlgebra, d: int) -> dict[Weight, tuple[int, int]]:
+def _blocks(g: GradedLieAlgebra, d: int, weights: AbstractSet[Weight] | None = None) -> dict[Weight, tuple[int, int]]:
     """(number of d-wedges, rank of the degree-d boundary) for each weight block.
 
     For an algebra whose generators may be permuted, only the blocks of
     non-increasing weights are computed: a permutation of the generators
     carries each block isomorphically onto the block of the permuted weight.
+
+    Pruning: given ``weights``, only the blocks at those weights are
+    needed, and the wedges of any other weight are never built.  Such a
+    read is answered from the whole degree when it is memoized, and
+    otherwise from g._cache[("pruned", d)], which holds the weights asked
+    for so far and the blocks ranked at them; a block not yet ranked is
+    ranked and added there.  A read with no ``weights`` wants every block:
+    it ranks only the blocks no pruned read has ranked, and stores the
+    whole degree under ("blocks", d), which therefore never holds a part.
 
     Degrees are chained (Kaczynski-Mrozek-Slusarek, Comput. Math. Appl. 35,
     1998).  Let P be the pivot columns of the degree-(d-1) boundary on
@@ -389,7 +404,9 @@ def _blocks(g: GradedLieAlgebra, d: int) -> dict[Weight, tuple[int, int]]:
     as one bytes string, ceil(dim/8) little-endian bytes a wedge mask,
     decoded into a set for one block at a time; only the latest degree
     ranked keeps them in g._cache, so degree d - 1's go once degree d is
-    ranked.  When none are held for degree d - 1, P is empty.
+    ranked, and a degree ranked in parts keeps those of each part.  When
+    none are held for a block of degree d - 1, P is empty, which keeps
+    every rank.
 
     For a unimodular g of odd dimension, degree (dim + 1)/2 is its own
     dual: ∂_d on w is the transpose of ∂_d on the dual weight (see
@@ -400,29 +417,40 @@ def _blocks(g: GradedLieAlgebra, d: int) -> dict[Weight, tuple[int, int]]:
     cached = g._cache.get(("blocks", d))
     if cached is not None:
         return cached
+    asked, ranked = g._cache.get(("pruned", d), (frozenset(), {}))
+    if weights is not None and weights <= asked:
+        return ranked
     _check_wedge_count(g, d)
     held_degree, held = g._cache.get("pivots", (None, {}))
-    if held_degree != d - 1:
-        held = {}
+    chained = held if held_degree == d - 1 else {}
     width = max(1, -(-g.dim // 8))
-    out: dict[Weight, tuple[int, int]] = {}
-    kept: dict[Weight, bytes] = {}
+    out = dict(ranked)
+    kept: dict[Weight, bytes] = dict(held) if held_degree == d else {}
     dual = _duality(g) if 2 * d == g.dim + 1 else None  # degree d is its own dual
-    buckets = _wedge_buckets(g, d, _permutes_generators(g))
-    for weight in list(buckets):
-        masks = buckets.pop(weight)  # each bucket is freed once its block is ranked
+
+    def wanted(w: Weight) -> bool:
+        return w not in asked and (weights is None or w in weights)
+
+    buckets = _wedge_buckets(g, d, _permutes_generators(g), wanted)
+    # each bucket is freed once its block is ranked, the largest first
+    for weight in sorted(buckets, key=lambda w: -len(buckets[w])):
+        masks = buckets.pop(weight)
         mirror = out.get(dual(weight)) if dual else None
         if mirror is not None:
             out[weight] = (len(masks), mirror[1])
             continue
-        packed = held.get(weight, b"")
+        packed = chained.get(weight, b"")
         skip = {int.from_bytes(packed[i : i + width], "little") for i in range(0, len(packed), width)}
         pivots = _eliminate(_block_rows(g, masks, skip), len(masks))
         out[weight] = (len(masks), len(pivots))
         if pivots:
             kept[weight] = b"".join(masks[c].to_bytes(width, "little") for _, c in pivots)
     g._cache["pivots"] = (d, kept)
-    g._cache[("blocks", d)] = out
+    if weights is None:
+        g._cache[("blocks", d)] = out
+        g._cache.pop(("pruned", d), None)
+    else:
+        g._cache[("pruned", d)] = (asked | weights, out)
     return out
 
 
@@ -443,16 +471,24 @@ def betti_number(g: GradedLieAlgebra, d: int) -> int:
     the generators permute, so no weight is listed.  Degrees beyond the
     dimension have zero homology.
     """
-    table = _ranked_table(g, d)
-    if _permutes_generators(g):
-        return sum(b * orbit_size(w) for w, b in table.items())
-    return sum(table.values())
+    return _table_sum(g, _ranked_table(g, d))
 
 
 def betti_numbers(g: GradedLieAlgebra) -> list[int]:
-    """Every Betti number, once the widest degree has passed the wedge limit."""
+    """Every Betti number, once the widest degree has passed the wedge limit.
+
+    Each degree is read with every block ranked, so the degrees are ranked
+    whole and in turn, each chained on the one before.
+    """
     _check_wedge_count(g, g.dim // 2)
-    return [betti_number(g, d) for d in range(g.dim + 1)]
+    return [_table_sum(g, _ranked_table(g, d, every_block=True)) for d in range(g.dim + 1)]
+
+
+def _table_sum(g: GradedLieAlgebra, table: Mapping[Weight, int]) -> int:
+    """The sum of a weight table kept at its ranked weights, each counted over its orbit."""
+    if _permutes_generators(g):
+        return sum(b * orbit_size(w) for w, b in table.items())
+    return sum(table.values())
 
 
 def group_betti(rank_: int, cls: int) -> list[int]:
@@ -478,7 +514,7 @@ def weighted_betti(g: GradedLieAlgebra, d: int) -> dict[Weight, int]:
     return dict(sorted(table.items()))
 
 
-def _ranked_table(g: GradedLieAlgebra, d: int) -> dict[Weight, int]:
+def _ranked_table(g: GradedLieAlgebra, d: int, every_block: bool = False) -> dict[Weight, int]:
     """Degree d's nonzero homology at the weights whose blocks are ranked.
 
     Every degree is read off the weight blocks by one formula,
@@ -490,6 +526,12 @@ def _ranked_table(g: GradedLieAlgebra, d: int) -> dict[Weight, int]:
     boundary is the transpose of this one.  So a lower degree ranks d and
     d + 1, an upper degree dim - d and dim + 1 - d, and the even middle
     dim/2 alone.
+
+    Pruning rule: the degree whose counts are read is ranked whole, and the
+    other degree only at the weights that carry those counts, mapped by
+    _duality when the rank is read off the dual degree; no other rank
+    enters b_d.  With ``every_block``, as betti_numbers reads each degree
+    in turn, both are ranked whole, so no degree is ranked in two parts.
     """
     if d < 0:
         raise ValueError("degree must be non-negative")
@@ -497,14 +539,18 @@ def _ranked_table(g: GradedLieAlgebra, d: int) -> dict[Weight, int]:
         return {}
     dual = _duality(g)
 
-    def read(k: int, i: int) -> dict[Weight, int]:
-        # degree k's counts (i = 0) or ranks (i = 1) by weight; the counts come first,
-        # so the wedge limit of C(dim, d) = C(dim, dim - d) is checked before any rank
+    def read(k: int, i: int, weights: AbstractSet[Weight] | None = None) -> dict[Weight, int]:
+        # degree k's counts (i = 0) or ranks (i = 1) by weight, at least at ``weights``;
+        # the counts come first, so the wedge limit of C(dim, d) = C(dim, dim - d) is
+        # checked before any rank
         if dual and 2 * k > g.dim + i:
-            return {dual(w): block[i] for w, block in _blocks(g, g.dim + i - k).items()}
-        return {w: block[i] for w, block in _blocks(g, k).items()}
+            wanted = None if weights is None else {dual(w) for w in weights}
+            return {dual(w): block[i] for w, block in _blocks(g, g.dim + i - k, wanted).items()}
+        return {w: block[i] for w, block in _blocks(g, k, weights).items()}
 
-    counts, ranks, ranks_up = read(d, 0), read(d, 1), read(d + 1, 1)
+    counts = read(d, 0)
+    weights = None if every_block else set(counts)
+    ranks, ranks_up = read(d, 1, weights), read(d + 1, 1, weights)
     return {w: b for w, count in counts.items() if (b := count - ranks.get(w, 0) - ranks_up.get(w, 0))}
 
 

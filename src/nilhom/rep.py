@@ -37,7 +37,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, gcd, prod
+from math import comb, factorial, gcd, prod
 from typing import Sequence, Union
 
 from .exact_linalg import RationalMatrix, _add, _as_matrix, _kron, invert
@@ -68,6 +68,10 @@ __all__ = [
     "degree_estimate",
     "parse_expr",
 ]
+
+# weights of total n at rank r that Lie(n) may list, C(n + r - 1, r - 1); a layer
+# with more is refused, not listed (at the limit, rank 4: about 1 s, 44 MB peak RSS)
+_MAX_LIE_WEIGHTS = 10**5
 
 
 class NotCharacterError(ValueError):
@@ -176,7 +180,9 @@ def _weights(expr: ReprExpr, rank_: int) -> Counter:
     Lambda^q is counted by weights.wedge_counts over the distinct inner
     weights.  Lie(n) counts each multiweight w by the multigraded Witt
     formula (1/n) sum over d | gcd(w) of mu(d) (n/d)! / prod (w_i/d)!, so
-    no Hall basis is built.
+    no Hall basis is built; it lists the C(n + r - 1, r - 1) weights of
+    total n, and more than _MAX_LIE_WEIGHTS of them are refused with
+    ValueError before any is listed.
     """
     if isinstance(expr, (Std, DualStd)):
         sign = 1 if isinstance(expr, Std) else -1
@@ -185,6 +191,12 @@ def _weights(expr: ReprExpr, rank_: int) -> Counter:
         return Counter({(0,) * rank_: expr.dimension})
     if isinstance(expr, Lie):
         n, heads, out = expr.degree, [()], Counter()
+        count = comb(n + rank_ - 1, rank_ - 1)
+        if count > _MAX_LIE_WEIGHTS:
+            raise ValueError(
+                f"lie({n}) at rank {rank_} has {count:,} weights of total {n},"
+                f" above the limit of {_MAX_LIE_WEIGHTS:,}"
+            )
         for _ in range(rank_ - 1):  # the weights of total n, all entries but the last
             heads = [(*h, x) for h in heads for x in range(n - sum(h) + 1)]
         for h in heads:

@@ -152,6 +152,16 @@ def test_betti_refuses_a_degree_past_the_wedge_limit_at_once():
     )
 
 
+def test_coinv_refuses_a_lie_layer_past_its_weight_limit_at_once():
+    # C(2003, 3) weights of total 2000 at rank 4: refused before any is listed
+    proc = run_child_at_once(["coinv", "--expr", "lie(2000)", "-r", "4", "--no-cache"])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "nilhom: error: lie(2000) at rank 4 has 1,337,337,001 weights of total 2000, above the limit of 100,000\n"
+    )
+
+
 def test_coinv_counts_a_wide_wedge_at_once():
     # C(33, 6) = 1,107,568 wedges, counted by weight rather than listed
     proc = run_child_at_once(["coinv", "--expr", "wedge(6, hom(std, lie[2..3]))", "-r", "3", "--no-cache"])

@@ -8,7 +8,7 @@ from math import comb, lcm, prod
 
 import pytest
 
-from nilhom.aut import _certify_generator_symmetry, ia_lie_algebra
+from nilhom.aut import _certify_generator_symmetry, ia_betti, ia_lie_algebra
 from nilhom.exact_linalg import RationalMatrix, _eliminate, rank
 from nilhom.free_lie import hall_basis, witt_dimension
 from nilhom.rep import Lie, WeightModule, _weyl_multiplicities, evaluate
@@ -500,8 +500,17 @@ def test_only_the_latest_degree_holds_its_pivots_as_bytes():
     assert {key for key in g._cache if type(key) is str} == {"permutes_generators", "pivots"}
     ia = copy_of(ia_lie_algebra(3, 2))
     assert weighted_betti(ia, 3) == weighted_betti(ia_lie_algebra(3, 2), 3)
-    for h in (g, ia):  # no Betti table is held: every other key is a degree's blocks
-        assert all(key[0] == "blocks" for key in h._cache if type(key) is tuple)
+    assert ("pruned", 4) in ia._cache and ("blocks", 4) not in ia._cache  # degree 4 ranked where degree 3 reads it
+    for h in (g, ia):  # no Betti table is held: every other key is a degree's blocks, whole or pruned
+        assert all(key[0] in ("blocks", "pruned") for key in h._cache if type(key) is tuple)
+        for (kind, d), value in ((key, v) for key, v in h._cache.items() if type(key) is tuple):
+            counts = {w: len(masks) for w, masks in _wedge_buckets(h, d, True).items()}
+            if kind == "blocks":  # the whole degree, never a part
+                assert {w: count for w, (count, _) in value.items()} == counts
+            else:
+                asked, blocks = value
+                assert {w: count for w, (count, _) in blocks.items()} == {w: c for w, c in counts.items() if w in asked}
+                assert set(blocks) < set(counts)
     degree, held = g._cache["pivots"]
     blocks = _blocks(g, 7)
     assert degree == 7 and all(type(packed) is bytes for packed in held.values())
@@ -535,6 +544,66 @@ def test_self_dual_degree_ranks_one_block_of_each_dual_pair(monkeypatch):
         assert (len(calls) < len(blocks)) == paired
         buckets = _wedge_buckets(g, d, _permutes_generators(g))
         assert blocks == {w: (len(masks), len(_eliminate(_block_rows(g, masks), len(masks)))) for w, masks in buckets.items()}
+
+
+def test_pruned_reads_match_the_full_path():
+    # a single-degree read ranks its other degree only at the weights it reads,
+    # through the dual degree above dim/2 and through the self-dual degree
+    # (dim + 1)/2 of F(2,3) and IA(3,2); the full path ranks every block first
+    pruned_somewhere = False
+    for g in direct_oracle_algebras():
+        full = copy_of(g)
+        betti_numbers(full)
+        for d in range(g.dim + 1):
+            h = copy_of(g)
+            assert weighted_betti(h, d) == weighted_betti(full, d)
+            assert betti_number(copy_of(g), d) == betti_number(full, d)
+            for (kind, k), value in ((key, v) for key, v in h._cache.items() if type(key) is tuple):
+                pruned_somewhere |= kind == "pruned" and len(value[1]) < len(full._cache[("blocks", k)])
+    assert pruned_somewhere
+
+
+def test_reads_in_turn_on_one_algebra_match_fresh_answers():
+    # weighted_betti(g, q), then weighted_betti(g, q + 1), then betti_numbers(g):
+    # a pruned degree read whole later is completed, and never answers in part
+    for g in direct_oracle_algebras():
+        expected = betti_numbers(copy_of(g))
+        for q in range(g.dim):
+            h = copy_of(g)
+            assert weighted_betti(h, q) == weighted_betti(copy_of(g), q)
+            assert weighted_betti(h, q + 1) == weighted_betti(copy_of(g), q + 1)
+            assert betti_numbers(h) == expected
+            assert not any(key[0] == "pruned" for key in h._cache if type(key) is tuple)
+
+
+def test_no_block_is_ranked_twice(monkeypatch):
+    # betti_numbers ranks each degree whole and chained, as many blocks and
+    # boundary rows as before pruning (296 blocks and 2,391 rows for F(2,5),
+    # 21 blocks for the abelian IA(3,2)); a chain of single-degree reads
+    # completes each pruned degree without ranking its blocks again
+    calls = []
+
+    def counted(rows, width):
+        calls.append(len(rows))
+        return _eliminate(rows, width)
+
+    monkeypatch.setattr(lie_homology, "_eliminate", counted)
+    for g, blocks, rows in ((free_nilpotent_lie(2, 5), 296, 2391), (ia_lie_algebra(3, 2), 21, 0)):
+        calls.clear()
+        betti_numbers(copy_of(g))
+        assert (len(calls), sum(calls)) == (blocks, rows)
+    # the ia_betti(2, 4, q) chain for q = 0..4, counted on a fresh copy of its algebra
+    tables = [ia_betti(2, 4, q)[1] for q in range(5)]
+    g = copy_of(ia_lie_algebra(2, 4))
+    assert g.dim % 2 == 0  # no self-dual degree: each block ranked is eliminated
+    calls.clear()
+    assert [weighted_betti(g, q) for q in range(5)] == tables
+    ranked = [len(blocks) for key, blocks in g._cache.items() if type(key) is tuple and key[0] == "blocks"]
+    _, pruned = g._cache[("pruned", 5)]
+    assert len(ranked) == 5 and len(calls) == sum(ranked) + len(pruned)
+    # betti_number reads as weighted_betti does, so the same degrees answer it
+    assert [betti_number(g, q) for q in range(5)] == [sum(table.values()) for table in tables]
+    assert len(calls) == sum(ranked) + len(pruned)
 
 
 def test_hopf_formula_gives_the_second_homology_and_its_dual():

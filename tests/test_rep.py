@@ -68,6 +68,18 @@ def test_lie_weights_match_the_hall_basis():
     assert coinvariants_dim(Lie(30), 3) == 254_862_356
 
 
+def test_lie_layer_with_too_many_weights_is_refused_before_listing(monkeypatch):
+    # Lie(n) at rank r lists the C(n + r - 1, r - 1) weights of total n: at the
+    # limit it is counted, one weight above it is refused
+    assert comb(30 + 2, 2) == 496 <= rep._MAX_LIE_WEIGHTS
+    expected = evaluate(Lie(6), 3).weights
+    monkeypatch.setattr(rep, "_MAX_LIE_WEIGHTS", comb(6 + 2, 2))
+    assert evaluate(Lie(6), 3).weights == expected
+    monkeypatch.setattr(rep, "_MAX_LIE_WEIGHTS", comb(6 + 2, 2) - 1)
+    with pytest.raises(ValueError, match=r"^lie\(6\) at rank 3 has 28 weights of total 6, above the limit of 27$"):
+        evaluate(Lie(6), 3)
+
+
 def test_evaluate_interval_and_combinators():
     assert lie_interval(2, 2) == Lie(2)
     assert parse_expr("lie[2..2]") == Lie(2)
