@@ -357,25 +357,32 @@ def _cmd_selftest(cache):
 # output
 
 
-def _emit(args, records_with_timing) -> None:
-    if args.format == "csv":
-        command = _COMMANDS[args.command]
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(command.header.split(","))
-        for params, result, _elapsed in records_with_timing:
-            writer.writerows(command.rows(params, result))
-        sys.stdout.write(buffer.getvalue())
-        return
-    for params, result, elapsed in records_with_timing:
-        record = {
-            "command": args.command,
-            "params": params,
-            "result": result,
-            "elapsed_ms": elapsed if args.timings else None,
-            "schema_version": SCHEMA_VERSION,
-        }
-        sys.stdout.write(canonical_json(record) + "\n")
+def _render(args, records_with_timing) -> str:
+    """The whole output, CSV or one JSON line per record, built before any of it is written."""
+    buffer = io.StringIO()
+    try:
+        if args.format == "csv":
+            command = _COMMANDS[args.command]
+            writer = csv.writer(buffer, lineterminator="\n")
+            writer.writerow(command.header.split(","))
+            for params, result, _elapsed in records_with_timing:
+                writer.writerows(command.rows(params, result))
+        else:
+            for params, result, elapsed in records_with_timing:
+                record = {
+                    "command": args.command,
+                    "params": params,
+                    "result": result,
+                    "elapsed_ms": elapsed if args.timings else None,
+                    "schema_version": SCHEMA_VERSION,
+                }
+                buffer.write(canonical_json(record) + "\n")
+    except ValueError:  # more digits than str() converts from an int
+        raise ValueError(
+            f"the result holds an integer of more than {sys.get_int_max_str_digits()} digits,"
+            " Python's limit for printing an integer"
+        ) from None
+    return buffer.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +433,7 @@ def main(argv=None) -> int:
         else:
             records = [(params, handler(**params))]
         elapsed = int((time.perf_counter() - start) * 1000)
+        output = _render(args, [(params, result, elapsed) for params, result in records])
     except (KeyboardInterrupt, SystemExit):
         raise
     except MemoryError:
@@ -435,7 +443,7 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(f"nilhom: error: {exc}", file=sys.stderr)
         return 1
-    _emit(args, [(params, result, elapsed) for params, result in records])
+    sys.stdout.write(output)
     if args.command == "selftest":
         if any(result["status"] != "pass" for _, result in records):
             return 1

@@ -16,6 +16,15 @@ those row factors from an identity block riding along.  Pivots are chosen
 by a Markowitz minimum-fill score with a deterministic (row, column) tie-break, the same pivots classical
 Bareiss elimination picks, so results are reproducible byte for byte.
 
+The pivots of score 0 (a row with one pivotable entry, or a column met by
+one row) are taken first, lowest row first, in one pass that rescores
+nothing.  That is the order the scores give: 0 is the least score, and
+such a step fills no pivotable column, because either no other row meets
+the pivot column or the pivot row has no other pivotable entry.  So
+counts only fall, and a row that scores 0 keeps scoring 0 until it is
+pivoted or emptied.  Rescoring is needed only once scores can change order
+(Markowitz, Management Sci. 3 (1957)), in the loop that takes the rest.
+
 Sparse vectors throughout the package are dicts holding no zero value.
 Their accumulators live here in the bottom module: ``_add`` adds one
 value, and ``_add_scaled`` adds an integer multiple of a whole integer
@@ -303,14 +312,28 @@ def _eliminate(rows: list[dict[int, int]], ncols: int) -> list[tuple[int, int]]:
     row classical Bareiss elimination would hold, and supports, scores and
     pivots are the same as Bareiss's.
 
-    Each non-pivot row's best candidate sits in a heap.  After a pivot
-    step only the counts of the pivot row's other columns have moved, so a
-    rewritten row is rescanned in full, and a row the step did not rewrite
-    is rescored only through the pivot row's columns it meets: when its
-    best column's count did not grow, its new best is the least of that
-    column at its new count and those changed columns, because every other
-    column it meets kept a count that already lost to the best; when the
-    best column's count grew through fill-in, it is rescanned in full.
+    The pivots of score 0 come first, in one pass that rescores nothing.
+    A row scores 0 when it has one pivotable entry or meets a column that
+    no other row meets.  Score 0 is the least score, so while such a row
+    is left, the lowest-indexed one is the next pivot, at its best column.
+    Such a step fills no pivotable column: either no other row meets the
+    pivot column, and no row is rewritten, or the pivot row has no other
+    pivotable entry, and each rewritten row only loses the pivot column.
+    So row and column counts only fall, and a row that scores 0 keeps
+    scoring 0 until it is pivoted or emptied.  The pass pops row indices
+    from a min-heap: a row is pushed when its count falls to 1 or when one
+    of its columns comes to be met by it alone, and a row pivoted or
+    emptied since it was pushed is skipped.
+
+    The rows left then go through the Markowitz loop, each non-pivot
+    row's best candidate in a heap.  After a pivot step only the counts of
+    the pivot row's other columns have moved, so a rewritten row is
+    rescanned in full, and a row the step did not rewrite is rescored only
+    through the pivot row's columns it meets: when its best column's count
+    did not grow, its new best is the least of that column at its new
+    count and those changed columns, because every other column it meets
+    kept a count that already lost to the best; when the best column's
+    count grew through fill-in, it is rescanned in full.
     """
     nnz = [0] * len(rows)  # pivotable nonzeros of each non-pivot row
     by_col: dict[int, set[int]] = {}  # column -> non-pivot rows meeting it
@@ -335,28 +358,19 @@ def _eliminate(rows: list[dict[int, int]], ncols: int) -> list[tuple[int, int]]:
                     bk, bc = k, c
         return (nnz[i] - 1) * (bk - 1), i, bc
 
-    current = {i: entry(i) for i, n in enumerate(nnz) if n}
-    heap = list(current.values())
-    heapify(heap)
     pivots: list[tuple[int, int]] = []
-    while heap:
-        top = heappop(heap)
-        _, pi, pj = top
-        if current.get(pi) != top:
-            continue  # stale: the row has been rescored or has left
-        del current[pi]
+
+    def step(pi: int, pj: int, pcols: list[int]) -> set[int]:
+        # pivot at (pi, pj), pcols being the pivot row's other pivotable
+        # columns; returns the rows it rewrote, those meeting column pj
         pivots.append((pi, pj))
-        prow = rows[pi]
-        p = prow[pj]
         nnz[pi] = 0
-        pcols = [c for c in prow if c < ncols and c != pj]
-        before = {}  # each changed column's count before the step
         for c in pcols:
-            col = by_col[c]
-            before[c] = len(col)
-            col.discard(pi)
+            by_col[c].discard(pi)
         targets = by_col.pop(pj)
         targets.discard(pi)
+        prow = rows[pi]
+        p = prow[pj]
         for k in targets:
             row = rows[k]
             f = row[pj]
@@ -386,6 +400,37 @@ def _eliminate(rows: list[dict[int, int]], ncols: int) -> list[tuple[int, int]]:
             if content != 1:
                 new = {c: v // content for c, v in new.items()}
             rows[k] = new
+        return targets
+
+    queue = [i for i, n in enumerate(nnz) if n == 1]
+    queue += [next(iter(col)) for col in by_col.values() if len(col) == 1]
+    heapify(queue)
+    while queue:
+        pi = heappop(queue)
+        if not nnz[pi]:
+            continue  # pivoted or emptied since it was pushed
+        pj = entry(pi)[2]
+        pcols = [c for c in rows[pi] if c < ncols and c != pj]
+        for k in step(pi, pj, pcols):
+            if nnz[k] == 1:
+                heappush(queue, k)
+        for c in pcols:
+            col = by_col[c]
+            if len(col) == 1:
+                heappush(queue, next(iter(col)))
+
+    current = {i: entry(i) for i, n in enumerate(nnz) if n}
+    heap = list(current.values())
+    heapify(heap)
+    while heap:
+        top = heappop(heap)
+        _, pi, pj = top
+        if current.get(pi) != top:
+            continue  # stale: the row has been rescored or has left
+        del current[pi]
+        pcols = [c for c in rows[pi] if c < ncols and c != pj]
+        before = {c: len(by_col[c]) for c in pcols}  # each changed column's count before the step
+        targets = step(pi, pj, pcols)
         for k in targets:
             if nnz[k]:
                 e = entry(k)

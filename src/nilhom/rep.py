@@ -37,14 +37,14 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial, gcd, prod
+from math import comb, gcd
 from typing import Sequence, Union
 
 from .exact_linalg import RationalMatrix, _add, _as_matrix, _kron, invert
 from .exact_linalg import rank as matrix_rank  # noqa: F401 - perfbench wraps it by name
 from .free_lie import _mobius, induced_map_lie
 from .free_lie import hall_basis  # noqa: F401 - perfbench wraps it by name
-from .weights import Weight, wedge_counts
+from .weights import Weight, multinomials, wedge_counts
 
 __all__ = [
     "Std",
@@ -182,7 +182,9 @@ def _weights(expr: ReprExpr, rank_: int) -> Counter:
     formula (1/n) sum over d | gcd(w) of mu(d) (n/d)! / prod (w_i/d)!, so
     no Hall basis is built; it lists the C(n + r - 1, r - 1) weights of
     total n, and more than _MAX_LIE_WEIGHTS of them are refused with
-    ValueError before any is listed.
+    ValueError before any is listed.  The multinomials come from
+    weights.multinomials, one walk per squarefree divisor d of n, each
+    value from the one before it, so no factorial is taken.
     """
     if isinstance(expr, (Std, DualStd)):
         sign = 1 if isinstance(expr, Std) else -1
@@ -190,23 +192,25 @@ def _weights(expr: ReprExpr, rank_: int) -> Counter:
     if isinstance(expr, Const):
         return Counter({(0,) * rank_: expr.dimension})
     if isinstance(expr, Lie):
-        n, heads, out = expr.degree, [()], Counter()
+        n, out = expr.degree, Counter()
         count = comb(n + rank_ - 1, rank_ - 1)
         if count > _MAX_LIE_WEIGHTS:
             raise ValueError(
                 f"lie({n}) at rank {rank_} has {count:,} weights of total {n},"
                 f" above the limit of {_MAX_LIE_WEIGHTS:,}"
             )
-        for _ in range(rank_ - 1):  # the weights of total n, all entries but the last
-            heads = [(*h, x) for h in heads for x in range(n - sum(h) + 1)]
-        for h in heads:
-            w = (*h, n - sum(h))
+        # one walk per squarefree divisor d > 1 of n: the weights w / d of total
+        # n / d come in the order of the weights w that d divides, so each
+        # walk is read alongside the walk of total n
+        walks = [(d, mu, multinomials(n // d, rank_))
+                 for d in range(2, n + 1) if n % d == 0 and (mu := _mobius(d))]
+        for w, total in multinomials(n, rank_):
             top = gcd(*w)
-            count = sum(
-                _mobius(d) * factorial(n // d) // prod(factorial(x // d) for x in w)
-                for d in range(1, top + 1)
-                if top % d == 0
-            ) // n
+            if top > 1:
+                for d, mu, walk in walks:
+                    if top % d == 0:
+                        total += mu * next(walk)[1]
+            count = total // n
             if count:
                 out[w] = count
         return out

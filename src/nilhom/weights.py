@@ -52,6 +52,25 @@ def orbit_size(w: Weight) -> int:
     return size
 
 
+def multinomials(total: int, length: int) -> Iterator[tuple[Weight, int]]:
+    """Each weight of ``length`` entries >= 0 summing to ``total``, with total! / prod w_i!.
+
+    The weights come in lexicographic order, and no factorial is taken.
+    With entries h_1..h_k placed and rest left to place, a level holds
+    total! / (h_1! ... h_k! rest!); raising the next entry from x to x + 1
+    multiplies that by rest - x and divides it, exactly, by x + 1.
+    """
+    def walk(head: Weight, rest: int, value: int) -> Iterator[tuple[Weight, int]]:
+        if len(head) == length - 1:
+            yield (*head, rest), value
+            return
+        for x in range(rest + 1):
+            yield from walk((*head, x), rest - x, value)
+            value = value * (rest - x) // (x + 1)
+
+    return walk((), total, 1)
+
+
 def wedge_counts(inner: Mapping[Weight, int], q: int, length: int) -> Counter:
     """{weight: count} of the q-wedges of a basis whose weights have multiplicities ``inner``.
 

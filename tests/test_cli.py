@@ -121,6 +121,22 @@ def test_bch_names_the_coefficient_it_cannot_print(monkeypatch, capsys):
     assert "set_int_max_str_digits" not in err
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this Python prints integers of any length")
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_result_too_long_to_print_is_an_error_not_a_traceback(monkeypatch, capsys, fmt):
+    # the Witt dimension at rank 10^20 in degree 300 has about 6,000 digits
+    code, out = run_cli(
+        ["witt", "--rank", str(10**20), "--max-degree", "300", "--format", fmt, "--no-cache"], monkeypatch
+    )
+    assert code == 1
+    assert out == ""
+    assert capsys.readouterr().err == (
+        f"nilhom: error: the result holds an integer of more than {sys.get_int_max_str_digits()} digits,"
+        " Python's limit for printing an integer\n"
+    )
+
+
 def run_child_at_once(argv):
     """Run nilhom in a child process that must finish within 1 s.
 

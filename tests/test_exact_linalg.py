@@ -20,6 +20,7 @@ from nilhom.exact_linalg import (
     RationalMatrix,
     _add,
     _eliminate,
+    _integer_rows,
     determinant,
     exp_nilpotent,
     invert,
@@ -435,6 +436,86 @@ def test_eliminate_pivots_match_bareiss_oracle():
         assert pivots == expected
         pivoted += bool(pivots)
     assert pivoted > 900
+
+
+def assert_multiples_of_oracle_rows(rows, oracle_rows):
+    """Row i of the kernel is a nonzero rational multiple of the oracle's row i, for every i."""
+    assert len(rows) == len(oracle_rows)
+    for row, ref in zip(rows, oracle_rows):
+        assert row.keys() == ref.keys()
+        if ref:
+            c0 = next(iter(ref))
+            assert all(row[c] * ref[c0] == ref[c] * row[c0] for c in ref)
+
+
+def shuffled(rng, dense):
+    """dense with its rows and its columns in seeded random orders."""
+    n = len(dense)
+    rperm, cperm = rng.sample(range(n), n), rng.sample(range(n), n)
+    return [[dense[i][j] for j in cperm] for i in rperm]
+
+
+def zero_score_squares(rng):
+    """Square integer matrices whose pivots are all, some or none of score 0 at the start.
+
+    Signed permutations and unit triangular matrices are eliminated by the
+    zero-score pass alone.  A unit triangular block beside a dense block is
+    handed over to the Markowitz loop once the triangle is used up.  A
+    matrix with no zero anywhere has no score-0 row at the start, and a
+    cycle's rows all score 1 until its first pivot.
+    """
+    def unit_triangular(n):
+        return [[1 if i == j else rng.randint(-9, 9) if j > i else 0 for j in range(n)] for i in range(n)]
+
+    cases = []
+    for _ in range(6):
+        n = rng.randint(2, 9)
+        perm = rng.sample(range(n), n)
+        cases.append([[rng.choice([-3, -1, 1, 2]) if j == perm[i] else 0 for j in range(n)] for i in range(n)])
+        upper = unit_triangular(n)
+        cases += [upper, [list(col) for col in zip(*upper)], shuffled(rng, unit_triangular(n))]
+        k, d = rng.randint(1, 5), rng.randint(2, 4)
+        tri, dense = unit_triangular(k), [[rng.choice([-1, 1]) * rng.randint(1, 9) for _ in range(d)] for _ in range(d)]
+        cases.append(shuffled(rng, [row + [0] * d for row in tri] + [[0] * k + row for row in dense]))
+        cases.append([[rng.choice([-1, 1]) * rng.randint(1, 9) for _ in range(n)] for _ in range(n)])
+    for n in (4, 5):
+        cases.append([[1 if j in (i, (i + 1) % n) else 0 for j in range(n)] for i in range(n)])
+    return cases
+
+
+def test_zero_score_pass_keeps_bareiss_pivots_and_rows():
+    # row 2 scores 0 (one entry) and row 4 likewise; pivoting row 2 leaves
+    # row 0 with one entry while row 4 waits, so row 0 must go next, and
+    # row 4, emptied by row 3's step, is never pivoted
+    rows = [{0: 1, 1: 1}, {0: 1, 2: 1}, {1: 1}, {2: 1, 3: 1}, {3: 1}]
+    expected = bareiss_oracle(copy.deepcopy(rows), 4)
+    assert expected == [(2, 1), (0, 0), (1, 2), (3, 3)]
+    assert _eliminate(rows, 4) == expected
+
+    for dense in zero_score_squares(random.Random(1957)):
+        n = len(dense)
+        m = RationalMatrix.from_rows(dense)
+        rows = _integer_rows(RationalMatrix.hstack([m, RationalMatrix.identity(n)]))
+        oracle_rows = copy.deepcopy(rows)
+        assert _eliminate(rows, n) == bareiss_oracle(oracle_rows, n)
+        assert_multiples_of_oracle_rows(rows, oracle_rows)
+        assert determinant(m) == fraction_det(dense)
+        expected = fraction_inverse(dense)
+        if expected is None:
+            with pytest.raises(ValueError, match="singular"):
+                invert(m)
+        else:
+            assert invert(m) == RationalMatrix.from_rows(expected)
+
+    # rows with ride-along columns, some empty or dependent: every row, pivoted
+    # or not, ends as a multiple of the oracle's, ride-along entries included
+    rng = random.Random(1958)
+    for _ in range(150):
+        ncols = rng.randint(1, 10)
+        rows = random_integer_rows(rng, rng.randint(0, 10), ncols, rng.randint(0, 3))
+        oracle_rows = copy.deepcopy(rows)
+        assert _eliminate(rows, ncols) == bareiss_oracle(oracle_rows, ncols)
+        assert_multiples_of_oracle_rows(rows, oracle_rows)
 
 
 def test_determinant_and_invert_with_fill_in_match_fraction_oracles():

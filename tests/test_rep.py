@@ -2,14 +2,14 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
-from math import comb, prod
+from itertools import combinations, product
+from math import comb, factorial, gcd, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from nilhom.exact_linalg import RationalMatrix, determinant, rank as matrix_rank
-from nilhom.free_lie import hall_basis, witt_dimension
+from nilhom.free_lie import _mobius, hall_basis, witt_dimension
 from nilhom import rep
 from nilhom.rep import (
     Const,
@@ -66,6 +66,27 @@ def test_lie_weights_match_the_hall_basis():
     # hall_basis(3, 30) would hold 10,478,769,592,560 Lyndon words
     assert evaluate(Lie(30), 3).dimension == witt_dimension(3, 30)
     assert coinvariants_dim(Lie(30), 3) == 254_862_356
+
+
+def test_lie_weights_match_the_factorial_formula():
+    # the multigraded Witt formula with every multinomial taken from factorials,
+    # weights in lexicographic order, against the multinomials built step by step
+    for r in range(1, 5):
+        for n in range(1, 31):
+            expected = []
+            for head in product(range(n + 1), repeat=r - 1):
+                if sum(head) <= n:
+                    w = (*head, n - sum(head))
+                    top = gcd(*w)
+                    count = sum(
+                        _mobius(d) * factorial(n // d) // prod(factorial(x // d) for x in w)
+                        for d in range(1, top + 1) if top % d == 0
+                    ) // n
+                    if count:
+                        expected.append((w, count))
+            weights = rep._weights(Lie(n), r)
+            assert list(weights.items()) == expected
+            assert sum(weights.values()) == witt_dimension(r, n)
 
 
 def test_lie_layer_with_too_many_weights_is_refused_before_listing(monkeypatch):
