@@ -13,7 +13,8 @@ rows that meet the pivot column, then divides each of them by its content
 again.  No row is rescaled by a pivot it does not meet, and nothing is
 divided by the previous pivot.  The determinant reads the product of
 those row factors from an identity block riding along.  Pivots are chosen
-by a Markowitz minimum-fill score with a deterministic (row, column) tie-break, the same pivots classical
+by a Markowitz minimum-fill score (Markowitz, Management Sci. 3 (1957))
+with a deterministic (row, column) tie-break, the same pivots classical
 Bareiss elimination picks, so results are reproducible byte for byte.
 
 The pivots of score 0 (a row with one pivotable entry, or a column met by
@@ -22,8 +23,16 @@ nothing.  That is the order the scores give: 0 is the least score, and
 such a step fills no pivotable column, because either no other row meets
 the pivot column or the pivot row has no other pivotable entry.  So
 counts only fall, and a row that scores 0 keeps scoring 0 until it is
-pivoted or emptied.  Rescoring is needed only once scores can change order
-(Markowitz, Management Sci. 3 (1957)), in the loop that takes the rest.
+pivoted or emptied.
+
+The loop that takes the rest keeps, for each row, a heap key that is a
+lower bound of its true (score, row, column), and checks a key when it is
+popped.  A heap of lower bounds pops the true minimum first: a popped key
+that equals its row's recomputed entry is at or below every other key,
+and so below every other row's entry.  After a step a row it did not
+rewrite is only visited through a column whose count fell, because for a
+fixed row count the score grows with the column count.  So the pivots and
+rows stay Bareiss's.
 
 Sparse vectors throughout the package are dicts holding no zero value.
 Their accumulators live here in the bottom module: ``_add`` adds one
@@ -326,14 +335,24 @@ def _eliminate(rows: list[dict[int, int]], ncols: int) -> list[tuple[int, int]]:
     emptied since it was pushed is skipped.
 
     The rows left then go through the Markowitz loop, each non-pivot
-    row's best candidate in a heap.  After a pivot step only the counts of
-    the pivot row's other columns have moved, so a rewritten row is
-    rescanned in full, and a row the step did not rewrite is rescored only
-    through the pivot row's columns it meets: when its best column's count
-    did not grow, its new best is the least of that column at its new
-    count and those changed columns, because every other column it meets
-    kept a count that already lost to the best; when the best column's
-    count grew through fill-in, it is rescanned in full.
+    row's key in a heap.  A key is a lower bound of the row's true entry,
+    (score, row, column), and is checked when it is popped: a key that is
+    no longer the row's current one is skipped, and one that differs from
+    the row's recomputed entry is replaced by that entry, which is pushed
+    and waits its turn.  A key that equals its row's entry is at or below
+    every other key, each a lower bound of its row's entry, so the row is
+    the next pivot, the one Bareiss's full scan picks.
+
+    A pivot step moves only the counts of the pivot row's columns.  A row
+    the step rewrote is rescanned in full.  Any other row keeps its count,
+    and each row in a pivot-row column whose count fell has its key
+    lowered to the least of the key and (score at the new count, row,
+    column).  The key stays a lower bound.  Every column of the row whose
+    count fell is in that minimum.  Every other column's (score, column)
+    is no less than before, because for a fixed row count the score grows
+    with the column count (a row still in the loop has at least two
+    pivotable entries, or just one column), so it is at least the row's
+    old entry and therefore at least the old key.
     """
     nnz = [0] * len(rows)  # pivotable nonzeros of each non-pivot row
     by_col: dict[int, set[int]] = {}  # column -> non-pivot rows meeting it
@@ -423,42 +442,38 @@ def _eliminate(rows: list[dict[int, int]], ncols: int) -> list[tuple[int, int]]:
     heap = list(current.values())
     heapify(heap)
     while heap:
-        top = heappop(heap)
-        _, pi, pj = top
-        if current.get(pi) != top:
-            continue  # stale: the row has been rescored or has left
+        key = heappop(heap)
+        pi = key[1]
+        if current.get(pi) != key:
+            continue  # superseded by a lower key, or the row has left
+        e = entry(pi)
+        if e != key:
+            current[pi] = e  # the key was a lower bound: the true entry waits its turn
+            heappush(heap, e)
+            continue
         del current[pi]
+        pj = e[2]
         pcols = [c for c in rows[pi] if c < ncols and c != pj]
-        before = {c: len(by_col[c]) for c in pcols}  # each changed column's count before the step
-        targets = step(pi, pj, pcols)
-        for k in targets:
+        counts = [len(by_col[c]) for c in pcols]  # before the step
+        for k in step(pi, pj, pcols):
             if nnz[k]:
                 e = entry(k)
                 if current.get(k) != e:
                     current[k] = e
                     heappush(heap, e)
             else:
-                current.pop(k, None)
-        # each other row meeting a changed column: its least (count, column) among them
-        through: dict[int, tuple[int, int]] = {}
-        for c in pcols:
-            kc = (len(by_col[c]), c)
-            for k in by_col[c]:
-                if k not in targets:
-                    old = through.get(k)
-                    if old is None or kc < old:
-                        through[k] = kc
-        for k, kc in through.items():
-            bc = current[k][2]
-            bk = len(by_col[bc])
-            if bk > before.get(bc, bk):
-                e = entry(k)
-            else:
-                bk, bc = min((bk, bc), kc)
-                e = ((nnz[k] - 1) * (bk - 1), k, bc)
-            if current[k] != e:
-                current[k] = e
-                heappush(heap, e)
+                del current[k]
+        # any other row's entry can fall only through a column whose count
+        # fell; a rewritten row's key is exact, so no column lowers it
+        for c, before in zip(pcols, counts):
+            col = by_col[c]
+            count = len(col)
+            if count < before:
+                for k in col:
+                    e = ((nnz[k] - 1) * (count - 1), k, c)
+                    if e < current[k]:
+                        current[k] = e
+                        heappush(heap, e)
     return pivots
 
 

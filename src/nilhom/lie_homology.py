@@ -45,9 +45,9 @@ always checks weight additivity and the Jacobi identity, which d^2 = 0
 rests on, and no path builds an algebra without them.
 
 Practical envelope: the full Betti vector of F(6,2), dimension 21, takes
-about 1.0-1.6 s and 19 MB, and the degree-3 weight table of IA(3,4),
-dimension 87, about 3.4-4.5 s and 44 MB (2-core Xeon VM, Python 3.11,
-fresh processes, algebra construction included);
+about 1.7-2.0 s and 18 MB, and the degree-3 weight table of IA(3,4),
+dimension 87, about 4.7-6.5 s and 41 MB (2-core Xeon VM under shared
+load, Python 3.11, fresh processes, algebra construction included);
 per-weight blocks reach further.  A degree d whose C(dim, d) wedges pass
 _MAX_WEDGES (10^7) is refused with ValueError before any wedge is listed,
 and betti_numbers checks its widest degree before it ranks any.  All

@@ -72,6 +72,9 @@ __all__ = [
 # weights of total n at rank r that Lie(n) may list, C(n + r - 1, r - 1); a layer
 # with more is refused, not listed (at the limit, rank 4: about 1 s, 44 MB peak RSS)
 _MAX_LIE_WEIGHTS = 10**5
+# bits that Lie(n)'s counts may hold at once, bounded by the weights times
+# n * (r - 1).bit_length(); lie(82) at rank 4 comes to 16,198,280
+_MAX_LIE_BITS = 10**8
 
 
 class NotCharacterError(ValueError):
@@ -182,7 +185,10 @@ def _weights(expr: ReprExpr, rank_: int) -> Counter:
     formula (1/n) sum over d | gcd(w) of mu(d) (n/d)! / prod (w_i/d)!, so
     no Hall basis is built; it lists the C(n + r - 1, r - 1) weights of
     total n, and more than _MAX_LIE_WEIGHTS of them are refused with
-    ValueError before any is listed.  The multinomials come from
+    ValueError before any is listed.  Each count is below r^n, so it takes
+    at most n * (r - 1).bit_length() bits; a layer whose weights times that
+    is above _MAX_LIE_BITS is refused the same way, since all its counts are
+    held at once.  The multinomials come from
     weights.multinomials, one walk per squarefree divisor d of n, each
     value from the one before it, so no factorial is taken.
     """
@@ -198,6 +204,12 @@ def _weights(expr: ReprExpr, rank_: int) -> Counter:
             raise ValueError(
                 f"lie({n}) at rank {rank_} has {count:,} weights of total {n},"
                 f" above the limit of {_MAX_LIE_WEIGHTS:,}"
+            )
+        bits = n * (rank_ - 1).bit_length()  # each count is below r^n
+        if count * bits > _MAX_LIE_BITS:
+            raise ValueError(
+                f"lie({n}) at rank {rank_} holds {count:,} counts of up to {bits:,} bits,"
+                f" above the limit of {_MAX_LIE_BITS:,} bits in all"
             )
         # one walk per squarefree divisor d > 1 of n: the weights w / d of total
         # n / d come in the order of the weights w that d divides, so each

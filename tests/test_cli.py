@@ -178,6 +178,14 @@ def test_coinv_refuses_a_lie_layer_past_its_weight_limit_at_once():
     )
 
 
+def test_coinv_refuses_a_lie_layer_whose_counts_hold_too_many_bits_at_once():
+    # 50,001 weights, under the weight limit, but counts of up to 50,000 bits each
+    proc = run_child_at_once(["coinv", "--expr", "lie(50000)", "-r", "2", "--no-cache"])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("nilhom: error: lie(50000) at rank 2 holds 50,001 counts")
+
+
 def test_coinv_counts_a_wide_wedge_at_once():
     # C(33, 6) = 1,107,568 wedges, counted by weight rather than listed
     proc = run_child_at_once(["coinv", "--expr", "wedge(6, hom(std, lie[2..3]))", "-r", "3", "--no-cache"])

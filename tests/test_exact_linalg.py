@@ -414,7 +414,12 @@ def fill_in_rows(rng, nrows, ncols, extra):
 
 
 def test_eliminate_pivots_match_bareiss_oracle():
-    cases = []
+    # no row scores 0.  Row 0 goes first, at column 0; rewriting rows 1 and 3
+    # fills in column 2, row 2's best (count 3 -> 4), while column 3 falls
+    # (5 -> 4).  Row 2 is not rewritten and (6, 2, 3) does not lower its key
+    # (4, 2, 2), so that key is stale when popped: its true entry is (6, 2, 1)
+    cases = [([{0: -1, 2: 2, 3: -1}, {0: -1, 1: 2, 3: 2}, {1: -1, 2: 2, 3: 2},
+               {0: -1, 1: 1, 3: 2}, {1: 1, 2: 2, 3: 1}], 4)]
     for r, c in ((5, 2), (3, 3), (2, 5)):
         g = lie_homology.free_nilpotent_lie(r, c)
         cases.extend(weight_blocks(g, g.dim, dominant=True))
@@ -431,9 +436,11 @@ def test_eliminate_pivots_match_bareiss_oracle():
         cases.append((fill_in_rows(rng, nrows, ncols, rng.randint(1, 4)), ncols))
     pivoted = 0
     for rows, ncols in cases:
-        expected = bareiss_oracle(copy.deepcopy(rows), ncols)
+        oracle_rows = copy.deepcopy(rows)
+        expected = bareiss_oracle(oracle_rows, ncols)
         pivots = _eliminate(rows, ncols)
         assert pivots == expected
+        assert_multiples_of_oracle_rows(rows, oracle_rows)
         pivoted += bool(pivots)
     assert pivoted > 900
 

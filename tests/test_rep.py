@@ -101,6 +101,20 @@ def test_lie_layer_with_too_many_weights_is_refused_before_listing(monkeypatch):
         evaluate(Lie(6), 3)
 
 
+def test_lie_layer_whose_counts_hold_too_many_bits_is_refused(monkeypatch):
+    # Lie(6) at rank 3: 28 counts, each below 3^6 and so of at most 6 * 2 bits
+    assert 28 * 12 == 336 <= rep._MAX_LIE_BITS
+    expected = evaluate(Lie(6), 3).weights
+    monkeypatch.setattr(rep, "_MAX_LIE_BITS", 336)
+    assert evaluate(Lie(6), 3).weights == expected
+    assert max(expected.values()).bit_length() <= 12
+    monkeypatch.setattr(rep, "_MAX_LIE_BITS", 335)
+    with pytest.raises(
+        ValueError, match=r"^lie\(6\) at rank 3 holds 28 counts of up to 12 bits, above the limit of 335 bits in all$"
+    ):
+        evaluate(Lie(6), 3)
+
+
 def test_evaluate_interval_and_combinators():
     assert lie_interval(2, 2) == Lie(2)
     assert parse_expr("lie[2..2]") == Lie(2)
