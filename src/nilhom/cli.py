@@ -74,6 +74,11 @@ def _parse_coords(basis, text: str) -> MalcevElement:
                     "n/d (d nonzero) or plain decimal coefficient"
                 )
             word = tuple(int(ch) for ch in word_part)
+            if word not in basis.index:
+                raise ValueError(
+                    f"item {item.strip()!r}: {word_part} is not a word of the Hall basis"
+                    f" at rank {basis.rank}, class {basis.cls}"
+                )
             if word in coords:
                 raise ValueError(f"word {word_part} is given more than once")
             try:

@@ -188,21 +188,6 @@ class RationalMatrix:
             offset += m.rows
         return cls._computed(offset, cols, entries)
 
-    @classmethod
-    def hstack(cls, mats: Sequence["RationalMatrix"]) -> "RationalMatrix":
-        if not mats:
-            return cls._computed(0, 0, {})
-        rows = mats[0].rows
-        entries = {}
-        offset = 0
-        for m in mats:
-            if m.rows != rows:
-                raise ValueError("row count mismatch in hstack")
-            for (i, j), q in m.entries.items():
-                entries[(i, offset + j)] = q
-            offset += m.cols
-        return cls._computed(rows, offset, entries)
-
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries.get((i, j), Fraction(0))
 
@@ -536,6 +521,13 @@ def row_space_basis(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
     ]
 
 
+def _augmented_rows(m: RationalMatrix) -> list[dict[int, int]]:
+    """The integer rows of [m | I] for a square m, as determinant and invert eliminate them."""
+    n = m.rows
+    identity = {(i, n + i): Fraction(1) for i in range(n)}
+    return _integer_rows(RationalMatrix._computed(n, 2 * n, {**m.entries, **identity}))
+
+
 def determinant(m: RationalMatrix) -> Fraction:
     """Exact determinant; 1 for the empty matrix.
 
@@ -553,7 +545,7 @@ def determinant(m: RationalMatrix) -> Fraction:
     if m.rows != m.cols:
         raise ValueError("determinant needs a square matrix")
     n = m.rows
-    rows = _integer_rows(RationalMatrix.hstack([m, RationalMatrix.identity(n)]))
+    rows = _augmented_rows(m)
     pivots = _eliminate(rows, n)
     if len(pivots) < n:
         return Fraction(0)
@@ -578,7 +570,7 @@ def invert(m: RationalMatrix) -> RationalMatrix:
     if m.rows != m.cols:
         raise ValueError("only square matrices can be inverted")
     n = m.rows
-    rows = _integer_rows(RationalMatrix.hstack([m, RationalMatrix.identity(n)]))
+    rows = _augmented_rows(m)
     pivots = _eliminate(rows, n)
     if len(pivots) < n:
         raise ValueError("matrix is singular")

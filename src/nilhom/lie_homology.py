@@ -44,15 +44,11 @@ Every algebra here is certified: the one constructor of GradedLieAlgebra
 always checks weight additivity and the Jacobi identity, which d^2 = 0
 rests on, and no path builds an algebra without them.
 
-Practical envelope: the full Betti vector of F(6,2), dimension 21, takes
-about 1.7-2.0 s and 18 MB, and the degree-3 weight table of IA(3,4),
-dimension 87, about 4.7-6.5 s and 41 MB (2-core Xeon VM under shared
-load, Python 3.11, fresh processes, algebra construction included);
-per-weight blocks reach further.  A degree d whose C(dim, d) wedges pass
-_MAX_WEDGES (10^7) is refused with ValueError before any wedge is listed,
-and betti_numbers checks its widest degree before it ranks any.  All
-values immutable, all functions pure; cached derived data is memoized
-idempotently, so concurrent use is safe.
+A degree d whose C(dim, d) wedges pass _MAX_WEDGES (10^7) is refused
+with ValueError before any wedge is listed, and betti_numbers checks its
+widest degree before it ranks any; README's "Practical envelope" gives
+sizes and times.  All values immutable, all functions pure; cached
+derived data is memoized idempotently, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -385,13 +381,10 @@ def _blocks(g: GradedLieAlgebra, d: int, weights: AbstractSet[Weight] | None = N
     carries each block isomorphically onto the block of the permuted weight.
 
     Pruning: given ``weights``, only the blocks at those weights are
-    needed, and the wedges of any other weight are never built.  Such a
-    read is answered from the whole degree when it is memoized, and
-    otherwise from g._cache[("pruned", d)], which holds the weights asked
-    for so far and the blocks ranked at them; a block not yet ranked is
-    ranked and added there.  A read with no ``weights`` wants every block:
-    it ranks only the blocks no pruned read has ranked, and stores the
-    whole degree under ("blocks", d), which therefore never holds a part.
+    needed, and the wedges of any other weight are never built.  Degree d
+    is memoized as g._cache[("blocks", d)] = (asked, blocks), with asked
+    the weights asked for so far, or None once every block is ranked; a
+    read ranks only the blocks it wants that asked does not cover.
 
     Degrees are chained (Kaczynski-Mrozek-Slusarek, Comput. Math. Appl. 35,
     1998).  Let P be the pivot columns of the degree-(d-1) boundary on
@@ -414,11 +407,8 @@ def _blocks(g: GradedLieAlgebra, d: int, weights: AbstractSet[Weight] | None = N
     rank and is not eliminated; its pivots are not held, which costs
     nothing, as weighted_betti never ranks the degree after this one.
     """
-    cached = g._cache.get(("blocks", d))
-    if cached is not None:
-        return cached
-    asked, ranked = g._cache.get(("pruned", d), (frozenset(), {}))
-    if weights is not None and weights <= asked:
+    asked, ranked = g._cache.get(("blocks", d), (frozenset(), {}))
+    if asked is None or (weights is not None and weights <= asked):
         return ranked
     _check_wedge_count(g, d)
     held_degree, held = g._cache.get("pivots", (None, {}))
@@ -446,11 +436,7 @@ def _blocks(g: GradedLieAlgebra, d: int, weights: AbstractSet[Weight] | None = N
         if pivots:
             kept[weight] = b"".join(masks[c].to_bytes(width, "little") for _, c in pivots)
     g._cache["pivots"] = (d, kept)
-    if weights is None:
-        g._cache[("blocks", d)] = out
-        g._cache.pop(("pruned", d), None)
-    else:
-        g._cache[("pruned", d)] = (asked | weights, out)
+    g._cache[("blocks", d)] = (None if weights is None else asked | weights, out)
     return out
 
 

@@ -351,7 +351,7 @@ def _weyl_multiplicities(m: WeightModule) -> dict[Weight, int]:
     r, mults = m.rank, m.weights
     for w, mult in mults.items():
         for i in range(r - 1):
-            if mults.get(w[:i] + (w[i + 1], w[i]) + w[i + 2:], 0) != mult:
+            if w[i] != w[i + 1] and mults.get(w[:i] + (w[i + 1], w[i]) + w[i + 2:], 0) != mult:
                 raise NotCharacterError(f"weights are not symmetric at {w}")
     rho = range(r - 1, -1, -1)
     sums: dict[Weight, int] = {}
@@ -359,9 +359,16 @@ def _weyl_multiplicities(m: WeightModule) -> dict[Weight, int]:
         shifted = [x + p for x, p in zip(nu, rho)]
         if len(set(shifted)) < r:
             continue
-        inversions = sum(a < b for a, b in combinations(shifted, 2))
-        lam = tuple(x - p for x, p in zip(sorted(shifted, reverse=True), rho))
-        sums[lam] = sums.get(lam, 0) + (-mult if inversions % 2 else mult)
+        order = sorted(range(r), key=shifted.__getitem__, reverse=True)
+        # the sorting permutation is odd when r minus its number of cycles is
+        odd, seen = r % 2, [False] * r
+        for i in range(r):
+            if not seen[i]:
+                odd ^= 1
+                while not seen[i]:
+                    seen[i], i = True, order[i]
+        lam = tuple(shifted[i] - p for i, p in zip(order, rho))
+        sums[lam] = sums.get(lam, 0) + (-mult if odd else mult)
     out: dict[Weight, int] = {}
     for lam in sorted(sums, reverse=True):
         if sums[lam] < 0:

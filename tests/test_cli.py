@@ -78,6 +78,16 @@ def test_bch_rejects_repeated_word(monkeypatch, capsys):
     assert "word 1 is given more than once" in capsys.readouterr().err
 
 
+def test_bch_names_an_unknown_word_as_typed(monkeypatch, capsys):
+    # 21 is not a Lyndon word and 0 is no letter; 112 lies beyond class 2
+    for item, word in ((" 21:1", "21"), ("0", "0"), ("112:3", "112")):
+        code, out = run_cli(["bch", "-r", "2", "-c", "2", "--u", item, "--v", "", "--no-cache"], monkeypatch)
+        assert code == 1
+        assert out == ""
+        message = f"item {item.strip()!r}: {word} is not a word of the Hall basis at rank 2, class 2"
+        assert message in capsys.readouterr().err
+
+
 def test_bch_refuses_coefficients_it_cannot_read_exactly(monkeypatch, capsys):
     for u, item in (
         ("1:1e999999999", "1:1e999999999"),

@@ -500,15 +500,14 @@ def test_only_the_latest_degree_holds_its_pivots_as_bytes():
     assert {key for key in g._cache if type(key) is str} == {"permutes_generators", "pivots"}
     ia = copy_of(ia_lie_algebra(3, 2))
     assert weighted_betti(ia, 3) == weighted_betti(ia_lie_algebra(3, 2), 3)
-    assert ("pruned", 4) in ia._cache and ("blocks", 4) not in ia._cache  # degree 4 ranked where degree 3 reads it
-    for h in (g, ia):  # no Betti table is held: every other key is a degree's blocks, whole or pruned
-        assert all(key[0] in ("blocks", "pruned") for key in h._cache if type(key) is tuple)
-        for (kind, d), value in ((key, v) for key, v in h._cache.items() if type(key) is tuple):
+    assert ia._cache[("blocks", 4)][0] is not None  # degree 4 ranked only where degree 3 reads it
+    for h in (g, ia):  # no Betti table is held: every other key is one degree's record of blocks
+        assert all(key[0] == "blocks" for key in h._cache if type(key) is tuple)
+        for (_, d), (asked, blocks) in ((key, v) for key, v in h._cache.items() if type(key) is tuple):
             counts = {w: len(masks) for w, masks in _wedge_buckets(h, d, True).items()}
-            if kind == "blocks":  # the whole degree, never a part
-                assert {w: count for w, (count, _) in value.items()} == counts
-            else:
-                asked, blocks = value
+            if asked is None:  # the whole degree
+                assert {w: count for w, (count, _) in blocks.items()} == counts
+            else:  # the blocks at the weights asked for, and no others
                 assert {w: count for w, (count, _) in blocks.items()} == {w: c for w, c in counts.items() if w in asked}
                 assert set(blocks) < set(counts)
     degree, held = g._cache["pivots"]
@@ -558,8 +557,8 @@ def test_pruned_reads_match_the_full_path():
             h = copy_of(g)
             assert weighted_betti(h, d) == weighted_betti(full, d)
             assert betti_number(copy_of(g), d) == betti_number(full, d)
-            for (kind, k), value in ((key, v) for key, v in h._cache.items() if type(key) is tuple):
-                pruned_somewhere |= kind == "pruned" and len(value[1]) < len(full._cache[("blocks", k)])
+            for key, (asked, blocks) in ((key, v) for key, v in h._cache.items() if type(key) is tuple):
+                pruned_somewhere |= asked is not None and len(blocks) < len(full._cache[key][1])
     assert pruned_somewhere
 
 
@@ -573,7 +572,7 @@ def test_reads_in_turn_on_one_algebra_match_fresh_answers():
             assert weighted_betti(h, q) == weighted_betti(copy_of(g), q)
             assert weighted_betti(h, q + 1) == weighted_betti(copy_of(g), q + 1)
             assert betti_numbers(h) == expected
-            assert not any(key[0] == "pruned" for key in h._cache if type(key) is tuple)
+            assert all(value[0] is None for key, value in h._cache.items() if type(key) is tuple)
 
 
 def test_no_block_is_ranked_twice(monkeypatch):
@@ -598,9 +597,10 @@ def test_no_block_is_ranked_twice(monkeypatch):
     assert g.dim % 2 == 0  # no self-dual degree: each block ranked is eliminated
     calls.clear()
     assert [weighted_betti(g, q) for q in range(5)] == tables
-    ranked = [len(blocks) for key, blocks in g._cache.items() if type(key) is tuple and key[0] == "blocks"]
-    _, pruned = g._cache[("pruned", 5)]
-    assert len(ranked) == 5 and len(calls) == sum(ranked) + len(pruned)
+    records = [value for key, value in g._cache.items() if type(key) is tuple]
+    ranked = [len(blocks) for asked, blocks in records if asked is None]
+    asked, pruned = g._cache[("blocks", 5)]
+    assert asked is not None and len(ranked) == 5 and len(calls) == sum(ranked) + len(pruned)
     # betti_number reads as weighted_betti does, so the same degrees answer it
     assert [betti_number(g, q) for q in range(5)] == [sum(table.values()) for table in tables]
     assert len(calls) == sum(ranked) + len(pruned)

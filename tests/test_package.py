@@ -1,7 +1,9 @@
 """The package resolves its names lazily; each check runs in a fresh interpreter.
 
 The pytest process has already imported every nilhom module, so what a bare
-import loads can only be seen in a new process.
+import loads can only be seen in a new process.  The last test calls the
+public API through those names, in process, to check that it refuses bad
+input.
 """
 
 import ast
@@ -13,6 +15,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import nilhom
 
 ROOT = Path(__file__).resolve().parents[1]
 PUBLIC_MODULES = ("exact_linalg", "free_lie", "lie_homology", "aut", "nilgroup", "rep")
@@ -197,12 +201,13 @@ def test_hall_bracket_rows_stay_inside_free_lie():
     assert callers == [("lie_homology", "free_nilpotent_lie")]
 
 
-def test_rep_lists_combinations_only_for_matrices_and_weyl_signs():
-    # weights are counted, not listed: only the action matrix's basis and the
-    # Weyl formula's inversion count call itertools.combinations in rep
+def test_rep_lists_combinations_only_for_matrices():
+    # weights are counted, not listed, and the Weyl formula's sign comes from
+    # the cycles of a sort: only the action matrix's basis calls
+    # itertools.combinations in rep
     tree = ast.parse((ROOT / "src" / "nilhom" / "rep.py").read_text())
     callers = {where for where, _ in _calls_by_function(tree, "combinations")}
-    assert callers == {"_action", "_weyl_multiplicities"}
+    assert callers == {"_action"}
 
 
 def test_weight_tables_are_counted_and_spread_only_in_weights():
@@ -229,3 +234,54 @@ def test_weight_tables_are_counted_and_spread_only_in_weights():
         if isinstance(node, ast.FunctionDef) and node.name in ("orbit", "_orbit")
     ]
     assert defined == [("weights", "orbit")]
+
+
+# public calls whose arguments the API refuses: (call, exception, message fragment)
+REFUSED_INPUTS = {
+    "matrix_shape": (lambda: nilhom.RationalMatrix(-1, 2), ValueError, "dimensions must be non-negative"),
+    "determinant": (lambda: nilhom.determinant(nilhom.RationalMatrix(2, 3)), ValueError, "needs a square matrix"),
+    "invert": (lambda: nilhom.invert(nilhom.RationalMatrix(2, 3)), ValueError, "only square matrices"),
+    "exp_nilpotent": (lambda: nilhom.exp_nilpotent(nilhom.RationalMatrix(2, 3)), ValueError, "needs a square matrix"),
+    "matmul": (lambda: nilhom.RationalMatrix(2, 3) @ nilhom.RationalMatrix(2, 3), ValueError, "shape mismatch"),
+    "add": (lambda: nilhom.RationalMatrix(2, 3) + nilhom.RationalMatrix(3, 2), ValueError, "shape mismatch"),
+    "vstack": (
+        lambda: nilhom.RationalMatrix.vstack([nilhom.RationalMatrix(1, 2), nilhom.RationalMatrix(1, 3)]),
+        ValueError, "column count mismatch",
+    ),
+    "witt_rank": (lambda: nilhom.witt_dimension(-1, 2), ValueError, "rank must be non-negative"),
+    "hall_rank": (lambda: nilhom.HallBasis(-1, 2), ValueError, "rank must be non-negative"),
+    "hall_class": (lambda: nilhom.HallBasis(2, 0), ValueError, "class must be at least 1"),
+    "free_rank": (lambda: nilhom.free_nilpotent_lie(-1, 2), ValueError, "rank must be non-negative"),
+    "free_class": (lambda: nilhom.free_nilpotent_lie(2, 0), ValueError, "class must be at least 1"),
+    "algebra_labels": (lambda: nilhom.GradedLieAlgebra(("x",), (), {}), ValueError, "equal length"),
+    "algebra_zero": (lambda: nilhom.GradedLieAlgebra((), (), {}), ValueError, "weight_length is required"),
+    "algebra_weights": (
+        lambda: nilhom.GradedLieAlgebra(("x", "y"), ((1,), (1, 0)), {}), ValueError, "inconsistent multiweight"
+    ),
+    "algebra_target": (
+        lambda: nilhom.GradedLieAlgebra(("x", "y"), ((1,), (1,)), {(0, 1): {2: 1}}), ValueError, "index 2 out of range"
+    ),
+    "betti_degree": (
+        lambda: nilhom.weighted_betti(nilhom.free_nilpotent_lie(2, 2), -1), ValueError, "degree must be non-negative"
+    ),
+    "generator_letter": (lambda: nilhom.group_generator(nilhom.hall_basis(2, 2), 3), ValueError, "letter 3 outside 1..2"),
+    "lcs_rank": (lambda: nilhom.lcs_ranks(0, 2), ValueError, "rank and class must be at least 1"),
+    "center_rank": (lambda: nilhom.center_basis(0, 2), ValueError, "rank and class must be at least 1"),
+    "const": (lambda: nilhom.Const(-1), ValueError, "constant dimension must be non-negative"),
+    "lie": (lambda: nilhom.Lie(0), ValueError, "Lie layer degree must be at least 1"),
+    "lie_interval": (lambda: nilhom.lie_interval(0, 2), ValueError, "lower degree must be at least 1"),
+    "wedge": (lambda: nilhom.Wedge(-1, nilhom.Std()), ValueError, "exterior power must be non-negative"),
+    "evaluate_rank": (lambda: nilhom.evaluate(nilhom.Std(), 0), ValueError, "rank must be at least 1"),
+    "evaluate_text": (lambda: nilhom.evaluate("std", 2), TypeError, "not a representation expression: 'std'"),
+    "schur_rank": (
+        lambda: nilhom.schur_decompose_gl2(nilhom.evaluate(nilhom.Std(), 3)), ValueError, "only rank 2"
+    ),
+    "induced_degree": (lambda: nilhom.induced_map_lie([[1]], 0), ValueError, "degree must be at least 1"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED_INPUTS)
+def test_public_calls_refuse_bad_input(case):
+    call, error, fragment = REFUSED_INPUTS[case]
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()

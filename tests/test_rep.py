@@ -307,7 +307,7 @@ def matrix_coinvariants(expr, r, reflection=True):
     if dim == 0:
         return 0
     minus_eye = RationalMatrix.identity(dim).scaled(-1)
-    return dim - matrix_rank(RationalMatrix.hstack([action_matrix(expr, g, r) + minus_eye for g in gens]))
+    return dim - matrix_rank(RationalMatrix.vstack([(action_matrix(expr, g, r) + minus_eye).transpose() for g in gens]))
 
 
 def test_coinvariants_reflection_matters():
