@@ -34,6 +34,16 @@ rewrite is only visited through a column whose count fell, because for a
 fixed row count the score grows with the column count.  So the pivots and
 rows stay Bareiss's.
 
+Homology asks only for rank-many columns independent over Q, and
+``_pivot_columns`` tries a certificate mod 2 before the kernel.  For an
+integer matrix, rank over GF(2) <= rank over Q <= the number of nonzero
+rows (Dumas-Saunders-Villard, J. Symbolic Comput. 32 (2001)).  So when the
+nonzero rows, each read as the bitset of its odd entries, are independent
+mod 2, their count is the exact rank, and the lowest-bit columns of the
+reduced rows are rank many columns with an odd, so nonzero, minor.  The
+certificate answers only at that upper bound; at the first row that
+reduces to 0 it gives up, and the kernel answers, from the same rows.
+
 Sparse vectors throughout the package are dicts holding no zero value.
 Their accumulators live here in the bottom module: ``_add`` adds one
 value, and ``_add_scaled`` adds an integer multiple of a whole integer
@@ -460,6 +470,50 @@ def _eliminate(rows: list[dict[int, int]], ncols: int) -> list[tuple[int, int]]:
                         current[k] = e
                         heappush(heap, e)
     return pivots
+
+
+def _pivot_columns(rows: list[dict[int, int]], ncols: int) -> list[int]:
+    """Rank-many pivotable columns independent over Q: the mod-2 certificate or _eliminate's.
+
+    When the nonzero rows are independent mod 2, the columns of
+    _independent_mod_2 answer and ``rows`` is left as it is; otherwise
+    the pivot columns of _eliminate, which rewrites ``rows`` in place.
+    """
+    cols = _independent_mod_2(rows, ncols)
+    if cols is None:
+        cols = [c for _, c in _eliminate(rows, ncols)]
+    return cols
+
+
+def _independent_mod_2(rows: list[dict[int, int]], ncols: int) -> list[int] | None:
+    """The lowest-bit columns of the nonzero rows reduced mod 2, or None at the first dependent row.
+
+    Each row becomes the int bitset of its odd pivotable entries and is
+    reduced against the rows kept so far, keyed by their lowest set bit.
+    If none reduces to 0, the kept rows are unit-triangular on their
+    lowest bits, so those columns of the nonzero rows have an odd, hence
+    nonzero, determinant: there are rank many, independent over Q.
+    """
+    full = (1 << ncols) - 1
+    kept: dict[int, int] = {}  # lowest set bit -> reduced row
+    for row in rows:
+        if not row:
+            continue
+        bits = 0
+        for c, v in row.items():
+            if v & 1:
+                bits |= 1 << c
+        bits &= full
+        while bits:
+            low = bits & -bits
+            other = kept.get(low)
+            if other is None:
+                kept[low] = bits
+                break
+            bits ^= other
+        else:
+            return None
+    return [low.bit_length() - 1 for low in kept]
 
 
 def _back_substitute(

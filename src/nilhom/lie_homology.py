@@ -36,9 +36,11 @@ from enumeration through assembly: weight buckets list masks, a sign is
 a bit count of the mask below an index, and the bracket partners of a
 member inside a wedge are one AND with its partner mask.  Each block's
 boundary is assembled as integer rows from the algebra's integer bracket
-table and eliminated by exact_linalg's kernel directly.  Each boundary
-term is added straight into the row of its target wedge; terms that
-cancel inside one column can leave a row empty, which the kernel skips.
+table and ranked directly by exact_linalg: a certificate mod 2 answers
+when the nonzero rows are independent mod 2, and the exact kernel answers
+every other block.  Each boundary term is added straight into the row of
+its target wedge; terms that cancel inside one column can leave a row
+empty, which both skip.
 
 Every algebra here is certified: the one constructor of GradedLieAlgebra
 always checks weight additivity and the Jacobi identity, which d^2 = 0
@@ -59,7 +61,7 @@ from itertools import combinations
 from math import comb, lcm
 from typing import AbstractSet, Callable, Mapping
 
-from .exact_linalg import RationalMatrix, _add, _add_scaled, _as_fraction, _eliminate, row_space_basis
+from .exact_linalg import RationalMatrix, _add, _add_scaled, _as_fraction, _pivot_columns, row_space_basis
 from .exact_linalg import rank  # noqa: F401 - perfbench wraps it by name
 from .free_lie import HallBasis, hall_basis
 from .free_lie import bracket  # noqa: F401 - perfbench wraps it by name
@@ -391,20 +393,22 @@ def _blocks(g: GradedLieAlgebra, d: int, weights: AbstractSet[Weight] | None = N
     block w.  Then C_{d-1}(w) = ker ∂_{d-1} ⊕ span(P), and im ∂_d lies in
     ker ∂_{d-1}, which meets no nonzero vector supported on P; so deleting
     P's rows keeps the rank of ∂_d, and when degree d - 1's pivots are
-    still held those rows are never built.  The reduced matrix has the
-    column dependencies of ∂_d, so its pivot columns are again a valid P
-    for degree d + 1.  Each block's pivot columns are held
-    as one bytes string, ceil(dim/8) little-endian bytes a wedge mask,
-    decoded into a set for one block at a time; only the latest degree
-    ranked keeps them in g._cache, so degree d - 1's go once degree d is
-    ranked, and a degree ranked in parts keeps those of each part.  When
-    none are held for a block of degree d - 1, P is empty, which keeps
-    every rank.
+    still held those rows are never built.  P may be any rank-many
+    columns of ∂_{d-1} independent over Q, for then C_{d-1}(w) is the
+    same direct sum.  The reduced matrix has the column dependencies of
+    ∂_d, so its pivot columns, or the columns of the certificate mod 2
+    (exact_linalg._pivot_columns), are again a valid P for degree d + 1.
+    Each block's P is held as one bytes string, ceil(dim/8) little-endian
+    bytes a wedge mask, decoded into a set for one block at a time; only
+    the latest degree ranked keeps them in g._cache, so degree d - 1's go
+    once degree d is ranked, and a degree ranked in parts keeps those of
+    each part.  When none are held for a block of degree d - 1, P is
+    empty, which keeps every rank.
 
     For a unimodular g of odd dimension, degree (dim + 1)/2 is its own
     dual: ∂_d on w is the transpose of ∂_d on the dual weight (see
     _duality).  A block whose dual block is already ranked copies that
-    rank and is not eliminated; its pivots are not held, which costs
+    rank and is not ranked again; its pivots are not held, which costs
     nothing, as weighted_betti never ranks the degree after this one.
     """
     asked, ranked = g._cache.get(("blocks", d), (frozenset(), {}))
@@ -431,10 +435,10 @@ def _blocks(g: GradedLieAlgebra, d: int, weights: AbstractSet[Weight] | None = N
             continue
         packed = chained.get(weight, b"")
         skip = {int.from_bytes(packed[i : i + width], "little") for i in range(0, len(packed), width)}
-        pivots = _eliminate(_block_rows(g, masks, skip), len(masks))
-        out[weight] = (len(masks), len(pivots))
-        if pivots:
-            kept[weight] = b"".join(masks[c].to_bytes(width, "little") for _, c in pivots)
+        cols = _pivot_columns(_block_rows(g, masks, skip), len(masks))
+        out[weight] = (len(masks), len(cols))
+        if cols:
+            kept[weight] = b"".join(masks[c].to_bytes(width, "little") for c in cols)
     g._cache["pivots"] = (d, kept)
     g._cache[("blocks", d)] = (None if weights is None else asked | weights, out)
     return out

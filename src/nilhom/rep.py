@@ -75,6 +75,10 @@ _MAX_LIE_WEIGHTS = 10**5
 # bits that Lie(n)'s counts may hold at once, bounded by the weights times
 # n * (r - 1).bit_length(); lie(82) at rank 4 comes to 16,198,280
 _MAX_LIE_BITS = 10**8
+# weight entries a leaf or a tensor product may list, its weights times the
+# rank; a node with more is refused, not listed (at the limit, std at rank
+# 2,000 or hom(std, std) at rank 158: about 1 s, 51-54 MB peak RSS)
+_MAX_WEIGHT_ENTRIES = 4 * 10**6
 
 
 class NotCharacterError(ValueError):
@@ -191,11 +195,18 @@ def _weights(expr: ReprExpr, rank_: int) -> Counter:
     held at once.  The multinomials come from
     weights.multinomials, one walk per squarefree divisor d of n, each
     value from the one before it, so no factorial is taken.
+
+    A leaf (std, dual, const, lie) lists its weights, and a tensor product
+    forms the sum of each pair of its factors' weights, each a tuple of
+    rank_ ints; a node whose weights times rank_ pass _MAX_WEIGHT_ENTRIES
+    is refused with ValueError before it lists them.
     """
     if isinstance(expr, (Std, DualStd)):
         sign = 1 if isinstance(expr, Std) else -1
+        _check_entries("std" if sign > 0 else "dual", rank_, rank_)
         return Counter(tuple(sign if t == i else 0 for t in range(rank_)) for i in range(rank_))
     if isinstance(expr, Const):
+        _check_entries(f"const({expr.dimension})", 1, rank_)
         return Counter({(0,) * rank_: expr.dimension})
     if isinstance(expr, Lie):
         n, out = expr.degree, Counter()
@@ -205,6 +216,7 @@ def _weights(expr: ReprExpr, rank_: int) -> Counter:
                 f"lie({n}) at rank {rank_} has {count:,} weights of total {n},"
                 f" above the limit of {_MAX_LIE_WEIGHTS:,}"
             )
+        _check_entries(f"lie({n})", count, rank_)
         bits = n * (rank_ - 1).bit_length()  # each count is below r^n
         if count * bits > _MAX_LIE_BITS:
             raise ValueError(
@@ -230,6 +242,7 @@ def _weights(expr: ReprExpr, rank_: int) -> Counter:
         return wedge_counts(_weights(expr.inner, rank_), expr.power, rank_)
     if isinstance(expr, Tensor):
         left, right = _weights(expr.left, rank_), _weights(expr.right, rank_)
+        _check_entries("a tensor product", len(left) * len(right), rank_)
         out: Counter = Counter()
         for wl, ml in left.items():
             for wr, mr in right.items():
@@ -238,6 +251,15 @@ def _weights(expr: ReprExpr, rank_: int) -> Counter:
     if isinstance(expr, Sum):
         return _weights(expr.left, rank_) + _weights(expr.right, rank_)
     raise TypeError(f"not a representation expression: {expr!r}")
+
+
+def _check_entries(node: str, count: int, rank_: int) -> None:
+    """Raise ValueError when ``count`` weights of rank_ entries each pass _MAX_WEIGHT_ENTRIES."""
+    if count * rank_ > _MAX_WEIGHT_ENTRIES:
+        raise ValueError(
+            f"{node} at rank {rank_:,} would list {count:,} weights of {rank_:,} entries each,"
+            f" above the limit of {_MAX_WEIGHT_ENTRIES:,} entries"
+        )
 
 
 def action_matrix(expr: ReprExpr, matrix, rank_: int) -> RationalMatrix:

@@ -196,6 +196,17 @@ def test_coinv_refuses_a_lie_layer_whose_counts_hold_too_many_bits_at_once():
     assert proc.stderr.startswith("nilhom: error: lie(50000) at rank 2 holds 50,001 counts")
 
 
+def test_coinv_refuses_std_at_a_rank_past_the_entry_limit_at_once():
+    # std at rank 100,000 would list 10^10 weight entries
+    proc = run_child_at_once(["coinv", "--expr", "std", "-r", "100000", "--no-cache"])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "nilhom: error: std at rank 100,000 would list 100,000 weights of 100,000 entries each,"
+        " above the limit of 4,000,000 entries\n"
+    )
+
+
 def test_coinv_counts_a_wide_wedge_at_once():
     # C(33, 6) = 1,107,568 wedges, counted by weight rather than listed
     proc = run_child_at_once(["coinv", "--expr", "wedge(6, hom(std, lie[2..3]))", "-r", "3", "--no-cache"])

@@ -21,6 +21,8 @@ from nilhom.exact_linalg import (
     _add,
     _augmented_rows,
     _eliminate,
+    _independent_mod_2,
+    _pivot_columns,
     determinant,
     exp_nilpotent,
     invert,
@@ -443,6 +445,50 @@ def test_eliminate_pivots_match_bareiss_oracle():
         assert_multiples_of_oracle_rows(rows, oracle_rows)
         pivoted += bool(pivots)
     assert pivoted > 900
+
+
+def test_pivot_columns_certify_mod_2_or_fall_back_to_the_kernel():
+    # (rows, ncols, the certificate's columns or None, the columns returned)
+    cases = [
+        # independent over Q but not mod 2: the kernel answers with both columns
+        ([{0: 1, 1: 1}, {0: 1, 1: -1}], 2, None, [0, 1]),
+        # a row of even entries reduces to 0 at once
+        ([{0: 2, 1: 4}], 2, None, [0]),
+        ([{0: 1}, {0: 2, 1: 4}], 2, None, [0, 1]),
+        # an odd entry in a ride-along column is not pivotable
+        ([{0: 2, 1: 1}], 1, None, [0]),
+        # an empty (cancelled) row is skipped
+        ([{}, {0: 1, 1: 3}, {1: 1}], 2, [0, 1], [0, 1]),
+        # independent odd rows: the lowest bits of the reduced rows
+        ([{0: 3, 1: 1}, {1: 5, 2: 2}, {0: 1, 2: 7}], 3, [0, 1, 2], [0, 1, 2]),
+        ([{1: 1, 2: 1}, {0: 1, 1: 1}], 3, [1, 0], [1, 0]),
+    ]
+    for rows, ncols, certified, expected in cases:
+        kept = copy.deepcopy(rows)
+        assert _independent_mod_2(rows, ncols) == certified
+        assert rows == kept
+        assert len(expected) == len(_eliminate(copy.deepcopy(rows), ncols))
+        assert _pivot_columns(rows, ncols) == expected
+        if certified is not None:
+            assert rows == kept  # the certificate leaves the rows as they are
+
+
+def small_integer_matrices(max_rows, max_cols):
+    """(dense rows, column count): up to max_rows rows of n <= max_cols entries in -3..3."""
+    return st.integers(1, max_cols).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=max_rows), st.just(n)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(small_integer_matrices(6, 6))
+def test_pivot_columns_are_as_many_as_the_kernel_pivots_and_independent(case):
+    dense, ncols = case
+    rows = [{c: v for c, v in enumerate(row) if v} for row in dense]
+    cols = _pivot_columns(copy.deepcopy(rows), ncols)
+    assert len(cols) == len(_eliminate(rows, ncols))
+    assert len(set(cols)) == len(cols) and all(0 <= c < ncols for c in cols)
+    if cols:
+        assert rank(RationalMatrix.from_rows([[row[c] for c in cols] for row in dense])) == len(cols)
 
 
 def assert_multiples_of_oracle_rows(rows, oracle_rows):

@@ -1,5 +1,6 @@
 """Chevalley-Eilenberg homology: boundary structure, Betti vectors, weight refinement."""
 
+import copy
 import random
 from fractions import Fraction
 from functools import cache
@@ -9,7 +10,7 @@ from math import comb, lcm, prod
 import pytest
 
 from nilhom.aut import _certify_generator_symmetry, ia_betti, ia_lie_algebra
-from nilhom.exact_linalg import RationalMatrix, _eliminate, rank
+from nilhom.exact_linalg import RationalMatrix, _eliminate, _independent_mod_2, _pivot_columns, rank
 from nilhom.free_lie import hall_basis, witt_dimension
 from nilhom.rep import Lie, WeightModule, _weyl_multiplicities, evaluate
 from nilhom.weights import orbit
@@ -527,9 +528,9 @@ def test_self_dual_degree_ranks_one_block_of_each_dual_pair(monkeypatch):
 
     def counted(rows, width):
         calls.append(width)
-        return _eliminate(rows, width)
+        return _pivot_columns(rows, width)
 
-    monkeypatch.setattr(lie_homology, "_eliminate", counted)
+    monkeypatch.setattr(lie_homology, "_pivot_columns", counted)
     # IA(3,2) is abelian with weights of coordinate sum 1, so no block of its
     # degree 5 meets its dual (of sum 4), and each one is ranked
     for g, paired in ((free_nilpotent_lie(2, 3), True), (ia_lie_algebra(3, 2), False), (free_nilpotent_lie(5, 2), True)):
@@ -584,9 +585,9 @@ def test_no_block_is_ranked_twice(monkeypatch):
 
     def counted(rows, width):
         calls.append(len(rows))
-        return _eliminate(rows, width)
+        return _pivot_columns(rows, width)
 
-    monkeypatch.setattr(lie_homology, "_eliminate", counted)
+    monkeypatch.setattr(lie_homology, "_pivot_columns", counted)
     for g, blocks, rows in ((free_nilpotent_lie(2, 5), 296, 2391), (ia_lie_algebra(3, 2), 21, 0)):
         calls.clear()
         betti_numbers(copy_of(g))
@@ -604,6 +605,28 @@ def test_no_block_is_ranked_twice(monkeypatch):
     # betti_number reads as weighted_betti does, so the same degrees answer it
     assert [betti_number(g, q) for q in range(5)] == [sum(table.values()) for table in tables]
     assert len(calls) == sum(ranked) + len(pruned)
+
+
+def test_every_ranked_block_matches_the_exact_kernel(monkeypatch):
+    # each block homology ranks, whether the certificate mod 2 or the kernel
+    # answers it, has as many columns as _eliminate has pivots on the same
+    # rows, and they are independent, as the next degree's chaining needs
+    answered = {True: 0, False: 0}
+
+    def checked(rows, width):
+        answered[_independent_mod_2(rows, width) is not None] += 1
+        cols = _pivot_columns(copy.deepcopy(rows), width)
+        assert len(cols) == len(_eliminate(copy.deepcopy(rows), width))
+        assert len(_eliminate([{c: row[c] for c in cols if c in row} for row in rows], width)) == len(cols)
+        return cols
+
+    monkeypatch.setattr(lie_homology, "_pivot_columns", checked)
+    for r, c in ((2, 5), (3, 3), (5, 2)):
+        betti_numbers(copy_of(free_nilpotent_lie(r, c)))
+    g = copy_of(ia_lie_algebra(3, 3))
+    for q in range(4):
+        weighted_betti(g, q)
+    assert answered[True] > answered[False] > 0
 
 
 def test_hopf_formula_gives_the_second_homology_and_its_dual():

@@ -115,6 +115,23 @@ def test_lie_layer_whose_counts_hold_too_many_bits_is_refused(monkeypatch):
         evaluate(Lie(6), 3)
 
 
+def test_nodes_listing_too_many_weight_entries_are_refused(monkeypatch):
+    # at rank 4, std and dual list 4 weights of 4 entries, const 1 weight,
+    # lie(2) 10 weights, and hom(std, std) forms 4 * 4 sums before it adds
+    # them up: at the limit each is listed, one entry below it is refused
+    cases = [(Std(), 16, "std"), (DualStd(), 16, "dual"), (Const(3), 4, r"const\(3\)"),
+             (Lie(2), 40, r"lie\(2\)"), (HomStd(Std()), 64, "a tensor product")]
+    for expr, entries, node in cases:
+        monkeypatch.setattr(rep, "_MAX_WEIGHT_ENTRIES", entries)
+        expected = evaluate(expr, 4).weights
+        monkeypatch.setattr(rep, "_MAX_WEIGHT_ENTRIES", entries - 1)
+        with pytest.raises(ValueError, match=rf"^{node} at rank 4 would list {entries // 4} weights of 4 entries each,"
+                                             rf" above the limit of {entries - 1} entries$"):
+            evaluate(expr, 4)
+        monkeypatch.undo()
+        assert evaluate(expr, 4).weights == expected
+
+
 def test_evaluate_interval_and_combinators():
     assert lie_interval(2, 2) == Lie(2)
     assert parse_expr("lie[2..2]") == Lie(2)
